@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 
 from .operators import (
     HermitianOperand,
+    InvariantViolation,
     SchattenIndex,
     SignedPowerFunction,
     apply_calculus,

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,18 +27,34 @@ from .expkernel import (
 )
 from .experiments import (
     bks_check,
-    commutator_ratio,
+    bks_ratios,
+    commutator_ratios,
     estimate_constant,
     index_label,
-    mazur_ratio,
+    mazur_ratios,
     random_hermitian,
     random_pair,
     random_psd,
+    trial_blocks,
+    trial_rng,
 )
-from .factorization import build_factorization, certified_pcb_bound, get_catalog_kernel, kernel_catalog
+from .factorization import (
+    _default_order,
+    build_factorization,
+    certified_pcb_bound,
+    get_catalog_kernel,
+    kernel_catalog,
+)
 from .interpolation import kfonc_check, weak_lp_check
 from .multipliers import SymbolMatrix, divided_difference_symbol, multiplier_norm_lower, schur_apply
-from .operators import SchattenIndex, SignedPowerFunction, apply_calculus, schatten_norm, spectral_decompose
+from .operators import (
+    InvariantViolation,
+    SchattenIndex,
+    SignedPowerFunction,
+    calculus_stack,
+    decompose_stack,
+    schatten_norms,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -103,11 +118,27 @@ def _require(cond, message):
         raise InputError(message)
 
 
-def _map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _sweep(seed: int, trials: int, draw, evaluate):
+    """Seeded block sweep: one row per trial and the last maximal witness.
+
+    ``draw(rng)`` returns one trial's matrices from its own
+    SeedSequence([seed, trial]); ``evaluate(*stacks, trials=ids)`` returns
+    the RatioBlock of a block of them. The witness is the last trial whose
+    nondegenerate ratio reaches the running maximum, as a serial ``>=``
+    scan would pick it.
+    """
+    best, witness, rows = 0.0, None, []
+    for block in trial_blocks(trials):
+        ids = range(trials)[block]
+        draws = [draw(trial_rng(seed, t)) for t in ids]
+        stacks = [np.array(m, dtype=complex) for m in zip(*draws)]
+        result = evaluate(*stacks, trials=ids)
+        ratios, degenerate = result.ratio.tolist(), result.degenerate.tolist()
+        for k, trial in enumerate(ids):
+            rows.append({"trial": trial, "ratio": ratios[k], "degenerate": degenerate[k]})
+            if not degenerate[k] and ratios[k] >= best:
+                best, witness = ratios[k], tuple(s[k] for s in stacks)
+    return rows, best, witness
 
 
 # ----------------------------------------------------------------------------
@@ -121,11 +152,10 @@ def _run_verify_ando(ns) -> dict:
     _require(ns.trials >= 1, "trials must be >= 1")
     _require(all(0 < t < 1 for t in thetas), "theta values must lie in (0,1)")
 
-    def one(args):
-        idx, dim = args
-        rng = np.random.default_rng(np.random.SeedSequence([ns.seed, idx]))
-        x = spectral_decompose(random_hermitian(dim, rng))
-        y = spectral_decompose(random_hermitian(dim, rng))
+    def one(idx, dim):
+        rng = trial_rng(ns.seed, idx)
+        xy = decompose_stack([random_hermitian(dim, rng), random_hermitian(dim, rng)])
+        x, y = xy.operand(0), xy.operand(1)
         worst = 0.0
         radius = max(x.spectral_radius, y.spectral_radius, 1e-300)
         for theta in thetas:
@@ -134,13 +164,14 @@ def _run_verify_ando(ns) -> dict:
                 f = SignedPowerFunction(theta, signed)
                 sym = divided_difference_symbol(
                     x.distinct_eigenvalues, y.distinct_eigenvalues, f)
-                lhs = apply_calculus(x, f).entries - apply_calculus(y, f).entries
+                fxy = calculus_stack(xy, f).entries
+                lhs = fxy[0] - fxy[1]
                 rhs = schur_apply(sym, x, y, x.entries - y.entries)
                 worst = max(worst, np.abs(lhs - rhs).max() / scale)
         return worst
 
-    jobs = [(i, dims[i % len(dims)]) for i in range(ns.trials)]
-    defects = _map(one, jobs, ns.threads)
+    # symbols depend on each operand's eigenvalue groups: one trial at a time
+    defects = [one(i, dims[i % len(dims)]) for i in range(ns.trials)]
     worst = float(np.max(defects))
     results = {
         "trials": ns.trials,
@@ -165,19 +196,23 @@ def _run_bks(ns) -> dict:
         _require(p.value >= ns.theta, "need p >= theta for the constant-1 inequality")
 
     def draw(idx, dim):
-        rng = np.random.default_rng(np.random.SeedSequence([ns.seed, idx]))
+        rng = trial_rng(ns.seed, idx)
         return random_psd(dim, rng), random_psd(dim, rng)
 
-    def one(args):
-        idx, dim = args
-        sample = bks_check(*draw(idx, dim), p, ns.theta)
-        return 0.0 if sample.degenerate else sample.ratio
-
-    jobs = [(i, dims[i % len(dims)]) for i in range(ns.trials)]
-    ratios = _map(one, jobs, ns.threads)
+    # trial i runs at dims[i % len(dims)]; each dim's trials go in blocks
+    ratios = np.zeros(ns.trials)
+    for di, dim in enumerate(dims):
+        idx = np.arange(di, ns.trials, len(dims))
+        for block in trial_blocks(idx.size):
+            ids = idx[block].tolist()
+            xs, ys = zip(*(draw(i, dim) for i in ids))
+            ratios[ids] = bks_ratios(decompose_stack(xs, trials=ids),
+                                     decompose_stack(ys, trials=ids), p, ns.theta).ratio
     best = int(np.argmax(ratios))
-    worst = float(ratios[best])
-    wx, wy = draw(*jobs[best])
+    wx, wy = draw(best, dims[best % len(dims)])
+    # the reported maximum is the single-pair check of the witness, which
+    # the block evaluation reproduces bit for bit
+    worst = bks_check(wx, wy, p, ns.theta).ratio
     results = {
         "trials": ns.trials,
         "dims": dims,
@@ -224,15 +259,18 @@ def _run_estimate_constant(ns, out_path: str) -> dict:
             resume = json.load(fh)
 
     def save_ckpt(state):
-        with open(ckpt_path, "w", encoding="utf-8") as fh:
+        # a crash mid-write leaves the previous checkpoint intact
+        with open(ckpt_path + ".tmp", "w", encoding="utf-8") as fh:
             fh.write(serialize.dumps_canonical(state))
+        os.replace(ckpt_path + ".tmp", ckpt_path)
 
     report = estimate_constant(
         p, ns.theta, ns.signed, dims, ns.trials, seed=ns.seed,
         checkpoint_every=ns.checkpoint_every, checkpoint_cb=save_ckpt, resume=resume,
     )
-    if os.path.exists(ckpt_path):
-        os.remove(ckpt_path)
+    for path in (ckpt_path, ckpt_path + ".tmp"):
+        if os.path.exists(path):
+            os.remove(path)
     return {
         "p": index_label(p),
         "theta": ns.theta,
@@ -251,16 +289,16 @@ def _run_multiplier_bound(ns) -> dict:
     _require(ns.kernel in kernel_catalog(), f"unknown kernel {ns.kernel!r}")
     p = _parse_p(ns.p)
     _require(not p.is_infinite and p.value <= 1, "certified bounds need p <= 1")
-    d = ns.d if ns.d is not None else int(np.ceil(1.0 / p.value)) + 1
+    d = ns.d if ns.d is not None else _default_order(p)
     _require(d * p.value > 1, f"need d > 1/p (d={d}, 1/p={1 / p.value})")
     kernel = get_catalog_kernel(ns.kernel, theta=ns.theta, a=ns.a)
     upper = certified_pcb_bound(kernel, d, p)
-    rng = np.random.default_rng(np.random.SeedSequence([ns.seed, 0]))
+    rng = trial_rng(ns.seed, 0)
     xs = np.sort(rng.uniform(0.0, 2.0 * np.pi, ns.samples))
     ys = np.sort(rng.uniform(0.0, 2.0 * np.pi, ns.samples))
     values = np.real(np.asarray(kernel.evaluator(xs[:, None], ys[None, :])))
     sym = SymbolMatrix(xs, ys, values)
-    estimate = multiplier_norm_lower(sym, p, trials=ns.trials, seed=ns.seed).with_upper(upper)
+    estimate = multiplier_norm_lower(sym, p, trials=ns.trials, seed=ns.seed)
     results = {
         "kernel": ns.kernel,
         "p": index_label(p),
@@ -283,7 +321,7 @@ def _run_factorize(ns) -> dict:
     _require(ns.kernel in kernel_catalog(), f"unknown kernel {ns.kernel!r}")
     p = _parse_p(ns.p)
     _require(not p.is_infinite and p.value <= 1, "factorized certificates need p <= 1")
-    d = ns.d if ns.d is not None else int(np.ceil(1.0 / p.value)) + 1
+    d = ns.d if ns.d is not None else _default_order(p)
     kernel = get_catalog_kernel(ns.kernel, theta=ns.theta, a=ns.a)
     fact = build_factorization(kernel, d, p, mode_cutoff=ns.cutoff)
     recon_err = float(np.abs(fact.reconstruct() - kernel.samples()).max())
@@ -338,7 +376,7 @@ def _run_kfunctional(ns) -> dict:
     ts = _parse_floats(ns.t)
     rows = []
     for trial in range(ns.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([ns.seed, trial]))
+        rng = trial_rng(ns.seed, trial)
         x, y = random_pair(ns.dim, rng, kind=trial)
         for t in ts:
             sample = kfonc_check(x, y, p0, p1, ns.theta, ns.signed, t, grid=ns.grid)
@@ -362,7 +400,7 @@ def _run_weak_lp(ns) -> dict:
           for v in ns.q.split(",") if v]
     rows = []
     for trial in range(ns.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([ns.seed, trial]))
+        rng = trial_rng(ns.seed, trial)
         x, y = random_pair(ns.dim, rng, kind=trial)
         for q in qs:
             sample = weak_lp_check(x, y, ns.p, q, ns.theta, ns.signed)
@@ -380,18 +418,17 @@ def _run_weak_lp(ns) -> dict:
 def _run_commutator(ns) -> dict:
     _require(ns.trials >= 1, "trials must be >= 1")
     p = _parse_p(ns.p)
-    best = 0.0
-    witness = None
-    rows = []
-    for trial in range(ns.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([ns.seed, trial]))
+
+    def draw(rng):
         x = random_hermitian(ns.dim, rng)
-        b = rng.standard_normal((ns.dim, ns.dim)) + 1j * rng.standard_normal((ns.dim, ns.dim))
-        b /= max(schatten_norm(b, SchattenIndex.INF), 1e-300)
-        sample = commutator_ratio(x, b, p, ns.theta, ns.signed)
-        rows.append({"trial": trial, "ratio": sample.ratio, "degenerate": sample.degenerate})
-        if not sample.degenerate and sample.ratio >= best:
-            best, witness = sample.ratio, (x, b)
+        return x, rng.standard_normal((ns.dim, ns.dim)) + 1j * rng.standard_normal((ns.dim, ns.dim))
+
+    def evaluate(xs, bs, trials):
+        # normalised in place, so the witness is reported normalised
+        bs /= np.maximum(schatten_norms(bs, SchattenIndex.INF, trials=trials), 1e-300)[:, None, None]
+        return commutator_ratios(decompose_stack(xs, trials=trials), bs, p, ns.theta, ns.signed)
+
+    rows, best, witness = _sweep(ns.seed, ns.trials, draw, evaluate)
     results = {
         "dim": ns.dim, "trials": ns.trials, "p": index_label(p), "theta": ns.theta,
         "signed": ns.signed, "max_ratio": best, "table": rows,
@@ -405,17 +442,16 @@ def _run_commutator(ns) -> dict:
 def _run_mazur(ns) -> dict:
     _require(ns.trials >= 1, "trials must be >= 1")
     _require(0 < ns.p < ns.q, "need q > p > 0")
-    best = 0.0
-    witness = None
-    rows = []
-    for trial in range(ns.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([ns.seed, trial]))
-        x = rng.standard_normal((ns.dim, ns.dim)) + 1j * rng.standard_normal((ns.dim, ns.dim))
-        y = rng.standard_normal((ns.dim, ns.dim)) + 1j * rng.standard_normal((ns.dim, ns.dim))
-        sample = mazur_ratio(x, y, ns.p, ns.q)
-        rows.append({"trial": trial, "ratio": sample.ratio, "degenerate": sample.degenerate})
-        if not sample.degenerate and sample.ratio >= best:
-            best, witness = sample.ratio, (x, y)
+    shape = (ns.dim, ns.dim)
+
+    def draw(rng):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return x, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def evaluate(xs, ys, trials):
+        return mazur_ratios(xs, ys, ns.p, ns.q, trials=trials)
+
+    rows, best, witness = _sweep(ns.seed, ns.trials, draw, evaluate)
     results = {
         "dim": ns.dim, "trials": ns.trials, "p": ns.p, "q": ns.q,
         "max_ratio": best, "table": rows,
@@ -438,9 +474,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="report path (default: $SCHURLAB_OUTDIR)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker cap for trial sweeps; results are identical "
-                             "at any setting (checkpointed searches stay serial)")
         sp.add_argument("--trials", type=int, default=trials_default)
 
     sp = sub.add_parser("verify-ando", help="divided-difference identity sweep")
@@ -603,8 +636,9 @@ def main(argv=None) -> int:
         out = ns.out or _default_out(ns.command, ns.format)
         try:
             results = RUNNERS[ns.command](ns, out)
-        except VerificationError as exc:
-            _write_report(out, ns.format, ns.command, _config_dict(ns), exc.results, started)
+        except (VerificationError, InvariantViolation) as exc:
+            results = getattr(exc, "results", {"pass": False, "violation": str(exc)})
+            _write_report(out, ns.format, ns.command, _config_dict(ns), results, started)
             print(f"VIOLATION: {exc}", file=sys.stderr)
             print(f"report: {out}")
             return EXIT_VIOLATION

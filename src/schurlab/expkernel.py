@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .operators import InvariantViolation
+
 __all__ = [
     "KernelSpectrum",
     "solve_theta",
@@ -65,7 +67,7 @@ def solve_theta(k: int, tol: float = 1e-10) -> float:
     lo, hi = 1e-12, math.pi / 2 - 1e-15
     flo, fhi = _bracket_residual(lo, k), _bracket_residual(hi, k)
     if not (flo < 0 < fhi):
-        raise ArithmeticError(f"bisection bracket failed for k={k}: ({flo}, {fhi})")
+        raise InvariantViolation(f"bisection bracket failed for k={k}: ({flo}, {fhi})")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _bracket_residual(mid, k) < 0:
@@ -77,7 +79,7 @@ def solve_theta(k: int, tol: float = 1e-10) -> float:
     root = 0.5 * (lo + hi)
     residual = abs(math.tan(root) + 2.0 * root - k * math.pi)
     if residual > tol:
-        raise ArithmeticError(
+        raise InvariantViolation(
             f"root residual {residual:.3e} exceeds tol {tol:.1e} for k={k} "
             "(float-spacing limited; loosen tol for large k)"
         )

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import as_index
+from .operators import InvariantViolation, as_index
 
 __all__ = [
     "SmoothKernel",
@@ -396,7 +396,7 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
     recon_gap = np.abs(fact.reconstruct() - kernel.samples()).max()
     scale = max(np.abs(kernel.samples()).max(), 1.0)
     if recon_gap > tail + 1e-9 * scale:
-        raise ArithmeticError(
+        raise InvariantViolation(
             f"factorization self-check failed: reconstruction gap {recon_gap:.3e} "
             f"exceeds tail allowance {tail:.3e}"
         )

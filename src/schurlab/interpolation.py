@@ -21,8 +21,9 @@ from .experiments import RatioSample, _digest, index_label
 from .operators import (
     SchattenIndex,
     SignedPowerFunction,
-    apply_calculus,
     as_index,
+    calculus_stack,
+    decompose_stack,
     singular_values,
     spectral_decompose,
 )
@@ -222,30 +223,30 @@ def kfonc_check(x, y, p0, p1, theta: float, signed: bool, t: float,
     p0 = as_index(p0)
     p1 = as_index(p1)
     f = SignedPowerFunction(theta, signed)
-    ox = spectral_decompose(np.asarray(x))
-    oy = spectral_decompose(np.asarray(y))
-    diff_f = apply_calculus(oy, f).entries - apply_calculus(ox, f).entries
-    diff = oy.entries - ox.entries
+    xy = decompose_stack([x, y])
+    fxy = calculus_stack(xy, f).entries
+    diff_f = fxy[1] - fxy[0]
+    diff = xy.entries[1] - xy.entries[0]
     num = k_functional(diff_f, KFunctionalQuery(t**theta, p0 / theta, p1 / theta), grid)
     den_base = k_functional(diff, KFunctionalQuery(t, p0, p1), grid)
     den = den_base**theta if den_base > 0 else 0.0
     params = {"p0": index_label(p0), "p1": index_label(p1), "theta": theta,
-              "signed": signed, "t": t, "dim": ox.dim}
-    return RatioSample.build(num, den, _digest(ox.entries, oy.entries), params)
+              "signed": signed, "t": t, "dim": diff.shape[0]}
+    return RatioSample.build(num, den, _digest(*xy.entries), params)
 
 
 def weak_lp_check(x, y, p: float, q, theta: float, signed: bool) -> RatioSample:
     """Lorentz-norm Hölder ratio ||f(y)-f(x)||_{p/theta, q} / ||y-x||_{p, q theta}^theta."""
     f = SignedPowerFunction(theta, signed)
-    ox = spectral_decompose(np.asarray(x))
-    oy = spectral_decompose(np.asarray(y))
+    xy = decompose_stack([x, y])
     qi = as_index(q)
     q_scaled = SchattenIndex.INF if qi.is_infinite else SchattenIndex(qi.value * theta)
-    diff_f = apply_calculus(oy, f).entries - apply_calculus(ox, f).entries
-    diff = oy.entries - ox.entries
-    num = lorentz_norm(rearrangement(diff_f, ox.trace_weight), p / theta, qi)
-    den_base = lorentz_norm(rearrangement(diff, ox.trace_weight), p, q_scaled)
+    fxy = calculus_stack(xy, f).entries
+    diff_f = fxy[1] - fxy[0]
+    diff = xy.entries[1] - xy.entries[0]
+    num = lorentz_norm(rearrangement(diff_f, xy.trace_weight), p / theta, qi)
+    den_base = lorentz_norm(rearrangement(diff, xy.trace_weight), p, q_scaled)
     den = den_base**theta if den_base > 0 else 0.0
     params = {"p": p, "q": index_label(qi), "theta": theta, "signed": signed,
-              "dim": ox.dim}
-    return RatioSample.build(num, den, _digest(ox.entries, oy.entries), params)
+              "dim": diff.shape[0]}
+    return RatioSample.build(num, den, _digest(*xy.entries), params)

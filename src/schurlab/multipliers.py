@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperand, SchattenIndex, SignedPowerFunction, as_index
+from .operators import HermitianOperand, SchattenIndex, SignedPowerFunction, as_index, schatten_norms
 from . import serialize
 
 __all__ = [
@@ -183,27 +183,17 @@ def restrict_symbol(m: SymbolMatrix, row_subset, col_subset) -> SymbolMatrix:
     return SymbolMatrix(m.rows[r], m.cols[c], m.values[np.ix_(r, c)])
 
 
-def _p_norm(a: np.ndarray, q: SchattenIndex) -> float:
-    # Frobenius shortcut keeps the p=2 isometry cases exact.
-    if not q.is_infinite and q.value == 2.0:
-        return float(np.linalg.norm(a))
-    s = np.linalg.svd(a, compute_uv=False)
-    if q.is_infinite:
-        return float(s[0])
-    top = float(s[0]) if s.size else 0.0
-    if top == 0.0:
-        return 0.0
-    s = s[s > 1e-13 * top]  # sub-roundoff singular values are SVD noise
-    return float(np.sum(s ** q.value) ** (1.0 / q.value))
-
-
 def hadamard_ratio(m: SymbolMatrix, a: np.ndarray, p) -> float:
     """||m o a||_p / ||a||_p for one test matrix (0 on degenerate input)."""
     q = as_index(p)
-    den = _p_norm(a, q)
+    if not q.is_infinite and q.value == 2.0:
+        # Frobenius keeps the p=2 isometry cases exact.
+        num, den = np.linalg.norm(m.values * a), np.linalg.norm(a)
+    else:
+        num, den = schatten_norms(np.stack([m.values * a, a]), q)
     if den < 1e-300:
         return 0.0
-    return _p_norm(m.values * a, q) / den
+    return float(num / den)
 
 
 def _refine_witness(m: SymbolMatrix, a: np.ndarray, q: SchattenIndex,

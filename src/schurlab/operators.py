@@ -6,12 +6,17 @@ All operands carry a cached eigendecomposition (descending eigenvalues) and a
 Eigenvalues closer than ``GROUP_RTOL`` times the spectral radius are merged
 into one spectral projection: divided-difference symbols are singular across
 spuriously split eigenvalues.
+
+The core works on (B, n, n) stacks: ``decompose_stack``, ``calculus_stack``
+and ``schatten_norms`` run batched ``eigh``/``svd`` and check every member.
+The single-matrix functions are their one-member calls, so a matrix gives
+the same bits alone as inside a stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -19,6 +24,11 @@ __all__ = [
     "SchattenIndex",
     "SignedPowerFunction",
     "HermitianOperand",
+    "InvariantViolation",
+    "SpectralStack",
+    "decompose_stack",
+    "calculus_stack",
+    "schatten_norms",
     "spectral_decompose",
     "apply_calculus",
     "schatten_norm",
@@ -28,6 +38,7 @@ __all__ = [
 HERMITIAN_RTOL = 1e-12     # asymmetry tolerance relative to max entry magnitude
 RECONSTRUCT_RTOL = 1e-10   # U diag U* reconstruction tolerance vs spectral radius
 GROUP_RTOL = 1e-8          # eigenvalue merge threshold relative to spectral radius
+SV_NOISE_RTOL = 1e-13      # sub-roundoff singular values are noise; p < 1 amplifies them
 
 
 class SchattenIndex:
@@ -125,12 +136,184 @@ class SignedPowerFunction:
         return v if v.ndim else float(v)
 
 
+class InvariantViolation(ArithmeticError):
+    """A computed result contradicts an invariant the library verifies
+    (a certificate below its witness, a failed self-check or root bracket).
+
+    Distinct from ValueError, which reports bad input.
+    """
+
+
+def reject_members(bad, trials, message) -> None:
+    """Raise ValueError(message(i)) for the first flagged member of a stack.
+
+    ``trials`` labels the members (for instance the trial numbers of a
+    sweep block); without labels a stack of several members is indexed by
+    position and a single matrix is not named at all.
+    """
+    bad = np.asarray(bad)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if trials is not None:
+        prefix = f"trial {trials[i]}: "
+    elif bad.size > 1:
+        prefix = f"stack member {i}: "
+    else:
+        prefix = ""
+    raise ValueError(prefix + message(i))
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _member_max(a: np.ndarray) -> np.ndarray:
+    """Largest entry of each member of a (B, ...) stack; NaN propagates."""
+    return a.reshape(a.shape[0], -1).max(axis=1, initial=0.0)
+
+
+def _reject_non_finite(finite: np.ndarray, trials) -> None:
+    reject_members(~finite, trials, lambda i: "matrix has non-finite entries")
+
+
+def _check_finite(a: np.ndarray, trials=None) -> None:
+    _reject_non_finite(np.isfinite(a).all(axis=(-2, -1)), trials)
+
+
+def _check_hermitian(a: np.ndarray, trials=None) -> None:
+    """Finite entries and asymmetry within HERMITIAN_RTOL, per stack member."""
+    magnitude = _member_max(np.abs(a))  # NaN or inf exactly when an entry is
+    _reject_non_finite(np.isfinite(magnitude), trials)
+    scale = np.maximum(magnitude, 1e-300)
+    asym = _member_max(np.abs(a - _adjoint(a)))
+    reject_members(
+        ~(asym <= HERMITIAN_RTOL * scale), trials,
+        lambda i: (f"matrix is not Hermitian within tolerance: max asymmetry "
+                   f"{asym[i]:.6e} exceeds {HERMITIAN_RTOL:.0e} * {scale[i]:.6e}"))
+
+
+def _check_spectral(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray, trials=None) -> None:
+    """Descending eigenvalues, orthonormal eigenvectors and U diag U* = a.
+
+    The comparisons are written so that a NaN anywhere fails them.
+    """
+    reject_members((vals[..., 1:] > vals[..., :-1]).any(axis=-1), trials,
+                   lambda i: "eigenvalues must be sorted descending")
+    orth = _member_max(np.abs(_adjoint(vecs) @ vecs - np.eye(vals.shape[-1])))
+    reject_members(~(orth <= RECONSTRUCT_RTOL * 10), trials,
+                   lambda i: "eigenvectors are not orthonormal")
+    radius = np.maximum(np.abs(vals).max(axis=-1, initial=0.0), 1e-300)
+    err = _member_max(np.abs((vecs * vals[..., None, :]) @ _adjoint(vecs) - a))
+    reject_members(~(err <= RECONSTRUCT_RTOL * radius), trials,
+                   lambda i: "spectral reconstruction does not match entries")
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralStack:
+    """B validated Hermitian n x n matrices with their spectra.
+
+    ``entries`` is (B, n, n); ``eigenvalues`` is (B, n), descending per
+    row; ``eigenvectors`` is (B, n, n) with the matching orthonormal
+    columns. ``trials`` optionally labels the members in error messages.
+    Every operation on a stack treats its members independently, so a
+    member's results do not depend on the rest of the stack.
+    """
+
+    entries: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    trace_weight: float = 1.0
+    trials: tuple | None = None
+
+    @classmethod
+    def of(cls, x: "HermitianOperand") -> "SpectralStack":
+        """The one-member stack of an already validated operand."""
+        return cls(x.entries[None], x.eigenvalues[None], x.eigenvectors[None],
+                   x.trace_weight)
+
+    def operand(self, i: int) -> "HermitianOperand":
+        return HermitianOperand(
+            dim=self.entries.shape[-1], entries=self.entries[i],
+            eigenvalues=self.eigenvalues[i], eigenvectors=self.eigenvectors[i],
+            trace_weight=self.trace_weight, validated=True,
+        )
+
+
+def decompose_stack(matrices, trace_weight: float = 1.0, trials=None) -> SpectralStack:
+    """Batched eigendecomposition of a (B, n, n) stack of Hermitian matrices.
+
+    Rejects non-finite and non-Hermitian members (naming the offending
+    trial), eigen-solves the Hermitian parts, sorts each spectrum
+    descending and checks every member's decomposition.
+    """
+    a = np.asarray(matrices, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a (B, n, n) stack of square matrices, got shape {a.shape}")
+    if trace_weight <= 0:
+        raise ValueError("trace_weight must be positive")
+    trials = None if trials is None else tuple(trials)
+    _check_hermitian(a, trials)
+    vals, vecs = np.linalg.eigh(0.5 * (a + _adjoint(a)))
+    # eigh returns ascending eigenvalues: reversing sorts them descending
+    vals = np.ascontiguousarray(vals[:, ::-1])
+    vecs = np.ascontiguousarray(vecs[:, :, ::-1])
+    _check_spectral(a, vals, vecs, trials)
+    return SpectralStack(a, vals, vecs, float(trace_weight), trials)
+
+
+def calculus_stack(x: SpectralStack, f: "SignedPowerFunction") -> SpectralStack:
+    """U diag(f(x_i)) U* for every member: the power map in x's eigenbasis.
+
+    The results commute with x and reuse its eigenvectors, so no second
+    eigensolve is needed; eigenvalues are re-sorted descending and the
+    result is symmetrised and checked like a decomposition.
+    """
+    vals = np.asarray(f(x.eigenvalues), dtype=float)
+    b, n = vals.shape
+    order = np.argsort(vals, axis=-1)[:, ::-1]
+    members = np.arange(b)[:, None]
+    vals = vals[members, order]
+    u = x.eigenvectors[members[:, :, None], np.arange(n)[None, :, None], order[:, None, :]]
+    entries = (u * vals[:, None, :]) @ _adjoint(u)
+    entries = 0.5 * (entries + _adjoint(entries))
+    _check_hermitian(entries, x.trials)
+    _check_spectral(entries, vals, u, x.trials)
+    return SpectralStack(entries, vals, u, x.trace_weight, x.trials)
+
+
+def _schatten_from_singular(s: np.ndarray, p, trace_weight: float) -> np.ndarray:
+    """Per-row (weight * sum s_i^p)^(1/p) of singular values s (..., k).
+
+    Values below SV_NOISE_RTOL times a row's largest are exact zeros.
+    """
+    q = as_index(p)
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1])
+    top = s.max(axis=-1)
+    if q.is_infinite:
+        return top
+    kept = np.where(s > SV_NOISE_RTOL * top[..., None], s, 0.0)
+    return (trace_weight * (kept ** q.value).sum(axis=-1)) ** (1.0 / q.value)
+
+
+def schatten_norms(matrices, p, trace_weight: float = 1.0, trials=None) -> np.ndarray:
+    """Schatten quasi-norm of every member of a (B, m, n) stack (batched SVD)."""
+    a = np.asarray(matrices, dtype=complex)
+    if a.ndim != 3:
+        raise ValueError(f"expected a (B, m, n) stack, got shape {a.shape}")
+    _check_finite(a, trials)
+    return _schatten_from_singular(np.linalg.svd(a, compute_uv=False), p, trace_weight)
+
+
 @dataclass(eq=False)
 class HermitianOperand:
     """A finite Hermitian matrix with cached spectral decomposition.
 
     ``eigenvalues`` are descending; ``eigenvectors`` hold the matching
-    orthonormal columns; ``trace_weight`` scales the trace functional.
+    orthonormal columns; ``trace_weight`` scales the trace functional. A
+    hand-built operand is checked like a decomposed one; ``validated``
+    marks data that already passed those checks in a stack.
     """
 
     dim: int
@@ -139,36 +322,29 @@ class HermitianOperand:
     eigenvectors: np.ndarray
     trace_weight: float = 1.0
     _groups: list = field(default_factory=list, repr=False)
+    validated: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, validated: bool):
         self.entries = np.asarray(self.entries, dtype=complex)
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
         self.eigenvectors = np.asarray(self.eigenvectors, dtype=complex)
         if self.trace_weight <= 0:
             raise ValueError("trace_weight must be positive")
-        self._validate()
+        if not validated:
+            self._validate()
         if not self._groups:
             self._groups = _group_eigenvalues(self.eigenvalues)
 
     def _validate(self):
-        a = self.entries
         n = self.dim
-        if a.shape != (n, n):
-            raise ValueError(f"entries shape {a.shape} does not match dim {n}")
-        scale = max(np.abs(a).max(), 1e-300)
-        asym = np.abs(a - a.conj().T).max()
-        if asym > HERMITIAN_RTOL * scale:
-            raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
-        if np.any(np.diff(self.eigenvalues) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        u = self.eigenvectors
-        gram = u.conj().T @ u
-        if np.abs(gram - np.eye(n)).max() > RECONSTRUCT_RTOL * 10:
-            raise ValueError("eigenvectors are not orthonormal")
-        radius = max(np.abs(self.eigenvalues).max(initial=0.0), 1e-300)
-        recon = (u * self.eigenvalues) @ u.conj().T
-        if np.abs(recon - a).max() > RECONSTRUCT_RTOL * radius:
-            raise ValueError("spectral reconstruction does not match entries")
+        for name, arr, shape in (("entries", self.entries, (n, n)),
+                                 ("eigenvalues", self.eigenvalues, (n,)),
+                                 ("eigenvectors", self.eigenvectors, (n, n))):
+            if arr.shape != shape:
+                raise ValueError(f"{name} shape {arr.shape} does not match dim {n}")
+        a = self.entries[None]
+        _check_hermitian(a)
+        _check_spectral(a, self.eigenvalues[None], self.eigenvectors[None])
 
     @property
     def spectral_radius(self) -> float:
@@ -212,62 +388,25 @@ def _group_eigenvalues(eigenvalues: np.ndarray) -> list[slice]:
 def spectral_decompose(matrix, trace_weight: float = 1.0) -> HermitianOperand:
     """Eigen-decompose a Hermitian matrix into a validated operand.
 
-    Rejects non-Hermitian input (reporting the worst asymmetry) and
-    non-finite entries.
+    The one-member case of decompose_stack: rejects non-Hermitian input
+    (reporting the worst asymmetry) and non-finite entries.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix has non-finite entries")
-    scale = max(np.abs(a).max(), 1e-300)
-    asym = np.abs(a - a.conj().T).max()
-    if asym > HERMITIAN_RTOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian within tolerance: max asymmetry {asym:.6e} "
-            f"exceeds {HERMITIAN_RTOL:.0e} * {scale:.6e}"
-        )
-    h = 0.5 * (a + a.conj().T)
-    vals, vecs = np.linalg.eigh(h)
-    order = np.argsort(vals)[::-1]
-    return HermitianOperand(
-        dim=a.shape[0],
-        entries=a,
-        eigenvalues=vals[order],
-        eigenvectors=vecs[:, order],
-        trace_weight=float(trace_weight),
-    )
+    return decompose_stack(a[None], trace_weight).operand(0)
 
 
 def apply_calculus(x: HermitianOperand, f: SignedPowerFunction) -> HermitianOperand:
-    """U diag(f(x_i)) U*: apply the power map in the eigenbasis of x.
-
-    The result commutes with x and reuses x's eigenvectors, so no second
-    eigensolve is needed; eigenvalues are re-sorted descending.
-    """
-    vals = np.asarray(f(x.eigenvalues), dtype=float)
-    order = np.argsort(vals)[::-1]
-    u = x.eigenvectors[:, order]
-    entries = (u * vals[order]) @ u.conj().T
-    entries = 0.5 * (entries + entries.conj().T)
-    return HermitianOperand(
-        dim=x.dim,
-        entries=entries,
-        eigenvalues=vals[order],
-        eigenvectors=u,
-        trace_weight=x.trace_weight,
-    )
+    """U diag(f(x_i)) U*: the one-member case of calculus_stack."""
+    return calculus_stack(SpectralStack.of(x), f).operand(0)
 
 
 def singular_values(a) -> np.ndarray:
     """Descending singular values; rejects non-finite entries."""
     a = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix has non-finite entries")
+    _check_finite(a[None])
     return np.linalg.svd(a, compute_uv=False)
-
-
-SV_NOISE_RTOL = 1e-13  # sub-roundoff singular values are noise; p < 1 amplifies them
 
 
 def schatten_norm(a, p, trace_weight: float = 1.0) -> float:
@@ -275,21 +414,12 @@ def schatten_norm(a, p, trace_weight: float = 1.0) -> float:
 
     ``a`` may be a matrix or a HermitianOperand (which supplies its own
     trace weight). Singular values below SV_NOISE_RTOL times the largest are
-    treated as exact zeros.
+    treated as exact zeros. The one-member case of schatten_norms.
     """
     if isinstance(a, HermitianOperand):
-        trace_weight = a.trace_weight
-        s = np.abs(a.eigenvalues)
-    else:
-        s = singular_values(a)
-    q = as_index(p)
-    if s.size == 0:
-        return 0.0
-    top = float(s.max())
-    if q.is_infinite:
-        return top
-    s = s[s > SV_NOISE_RTOL * top]
-    return float((trace_weight * np.sum(s ** q.value)) ** (1.0 / q.value))
+        s = np.abs(a.eigenvalues)[None]
+        return float(_schatten_from_singular(s, p, a.trace_weight)[0])
+    return float(schatten_norms(np.asarray(a, dtype=complex)[None], p, trace_weight)[0])
 
 
 def p_triangle_defect(parts, p, trace_weight: float = 1.0) -> float:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import schurlab.cli as cli
@@ -60,6 +61,44 @@ class TestExitCodes:
         assert code == 2
         assert load_report(out)["body"]["results"]["pass"] is False
 
+    def test_threads_flag_is_gone(self, tmp_path):
+        assert cli.main(["bks", "--p", "1", "--theta", "0.5", "--threads", "2",
+                         "--out", str(tmp_path / "r.json")]) == 1
+
+    def test_certificate_below_witness_exits_2_with_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "certified_pcb_bound", lambda kernel, d, p: 1e-6)
+        out = tmp_path / "r.json"
+        code = cli.main(["multiplier-bound", "--kernel", "cosine-product", "--p", "1",
+                         "--trials", "2", "--samples", "8", "--out", str(out)])
+        assert code == 2
+        validate(out, "multiplier-bound")
+        res = load_report(out)["body"]["results"]
+        assert res["pass"] is False
+        assert res["upper"] == 1e-6 < res["lower"]
+
+    def test_factorization_self_check_exits_2_with_report(self, tmp_path, monkeypatch):
+        from schurlab.factorization import RankOneFactorization
+        monkeypatch.setattr(RankOneFactorization, "reconstruct",
+                            lambda self: np.full((self.grid_size, self.grid_size), 1e6))
+        out = tmp_path / "r.json"
+        code = cli.main(["factorize", "--kernel", "cosine-product", "--p", "1",
+                         "--cutoff", "8", "--out", str(out)])
+        assert code == 2
+        res = load_report(out)["body"]["results"]
+        assert res["pass"] is False
+        assert "self-check failed" in res["violation"]
+
+    def test_root_bracket_failure_exits_2_with_report(self, tmp_path, monkeypatch):
+        import schurlab.expkernel as expkernel
+        monkeypatch.setattr(expkernel, "_bracket_residual", lambda t, k: 1.0)
+        out = tmp_path / "r.json"
+        code = cli.main(["kernel-spectrum", "--kmax", "3", "--nystrom", "128",
+                         "--quadrature", "256", "--out", str(out)])
+        assert code == 2
+        res = load_report(out)["body"]["results"]
+        assert res["pass"] is False
+        assert "bracket failed" in res["violation"]
+
 
 class TestDeterminism:
     def test_byte_identical_bodies(self, tmp_path):
@@ -68,14 +107,6 @@ class TestDeterminism:
         assert cli.main(args + ["--out", str(out1)]) == 0
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert body_bytes(out1) == body_bytes(out2)
-
-    def test_threads_do_not_change_body(self, tmp_path):
-        base = ["bks", "--p", "1", "--theta", "0.5", "--trials", "40", "--seed", "1"]
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert cli.main(base + ["--threads", "1", "--out", str(out1)]) == 0
-        assert cli.main(base + ["--threads", "4", "--out", str(out2)]) == 0
-        b1, b2 = load_report(out1)["body"], load_report(out2)["body"]
-        assert b1["results"] == b2["results"]
 
     def test_csv_body_identical(self, tmp_path):
         args = ["kernel-spectrum", "--kmax", "3", "--nystrom", "128",
@@ -201,3 +232,49 @@ class TestResume:
         assert resumed["best_ratio"] == full["best_ratio"]
         assert resumed["per_dim"] == full["per_dim"]
         assert not ckpt.exists()
+
+    def test_crash_during_checkpoint_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        args = ["estimate-constant", "--p", "0.5", "--theta", "0.5", "--dims", "2,3",
+                "--trials", "30", "--seed", "4", "--checkpoint-every", "20"]
+        out_full = tmp_path / "full.json"
+        assert cli.main(args + ["--out", str(out_full)]) == 0
+
+        out = tmp_path / "r.json"
+        ckpt = Path(str(out) + ".ckpt.json")
+        dumps = serialize.dumps_canonical
+        written = []
+
+        def crash_on_second_checkpoint(obj):
+            if isinstance(obj, dict) and "counter" in obj:
+                written.append(obj["counter"])
+                if len(written) == 2:
+                    raise KeyboardInterrupt("killed mid-write")
+            return dumps(obj)
+
+        monkeypatch.setattr(serialize, "dumps_canonical", crash_on_second_checkpoint)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(args + ["--out", str(out)])
+        monkeypatch.setattr(serialize, "dumps_canonical", dumps)
+        assert written == [20, 40]
+        assert json.loads(ckpt.read_text())["counter"] == 20
+
+        assert cli.main(args + ["--resume", "--out", str(out)]) == 0
+        full = load_report(out_full)["body"]["results"]
+        resumed = load_report(out)["body"]["results"]
+        for key in ("best_ratio", "per_dim", "history", "witness_x", "witness_y"):
+            assert resumed[key] == full[key]
+        assert not ckpt.exists() and not Path(str(ckpt) + ".tmp").exists()
+
+    def test_resume_rejects_other_config(self, tmp_path):
+        from schurlab.experiments import estimate_constant
+        snaps = []
+        estimate_constant(0.5, 0.5, False, [2, 3], 30, seed=4,
+                          checkpoint_every=20, checkpoint_cb=snaps.append)
+        out = tmp_path / "r.json"
+        ckpt = Path(str(out) + ".ckpt.json")
+        ckpt.write_text(serialize.dumps_canonical(snaps[0]))
+        code = cli.main(["estimate-constant", "--p", "2", "--theta", "0.25", "--dims", "2,3",
+                         "--trials", "30", "--seed", "99", "--resume", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert ckpt.exists()

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from schurlab.experiments import (
+    BLOCK_TRIALS,
     ando_ratio,
+    ando_ratios,
     anticommutator_ratio,
     bks_check,
+    bks_ratios,
     commutator_ratio,
+    commutator_ratios,
     estimate_constant,
     mazur_ratio,
+    mazur_ratios,
+    random_pair,
 )
-from schurlab.operators import SchattenIndex
+from schurlab.operators import SchattenIndex, decompose_stack
 
 from conftest import random_hermitian, random_psd, random_unitary
 
@@ -56,6 +62,57 @@ class TestAndoRatio:
         b = ando_ratio(x, y, 1.0, 0.5, False)
         c = ando_ratio(y, x, 1.0, 0.5, False)
         assert a.inputs_digest == b.inputs_digest != c.inputs_digest
+
+
+def _pair_stacks(dim, trials, seed=3):
+    """Stacked random_pair draws; trial t draws kind t % 4."""
+    pairs = [random_pair(dim, np.random.default_rng(np.random.SeedSequence([seed, dim, t])),
+                         kind=t) for t in range(trials)]
+    return [np.array(m, dtype=complex) for m in zip(*pairs)]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_block_equals_single_pair_bitwise(self, dim):
+        xs, ys = _pair_stacks(dim, 12)  # three draws of each of the four kinds
+        for p, theta, signed in ((0.5, 0.5, True), (1.0, 0.25, False),
+                                 (SchattenIndex.INF, 0.75, True)):
+            block = ando_ratios(decompose_stack(xs), decompose_stack(ys), p, theta, signed)
+            for k in range(len(xs)):
+                s = ando_ratio(xs[k], ys[k], p, theta, signed)
+                assert s.numerator == block.numerator[k]
+                assert s.denominator == block.denominator[k]
+                assert s.ratio == block.ratio[k]
+                assert s.degenerate == block.degenerate[k]
+
+    def test_other_blocks_equal_single_calls_bitwise(self, rng):
+        xs = np.array([random_psd(4, rng) for _ in range(6)])
+        ys = np.array([random_psd(4, rng) for _ in range(6)])
+        bs = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+        bks = bks_ratios(decompose_stack(xs), decompose_stack(ys), 1.0, 0.5)
+        com = commutator_ratios(decompose_stack(xs), bs, 0.5, 0.5, True)
+        maz = mazur_ratios(xs, bs, 1.0, 2.0)
+        for k in range(6):
+            assert bks_check(xs[k], ys[k], 1.0, 0.5).ratio == bks.ratio[k]
+            assert commutator_ratio(xs[k], bs[k], 0.5, 0.5, True).ratio == com.ratio[k]
+            assert mazur_ratio(xs[k], bs[k], 1.0, 2.0).ratio == maz.ratio[k]
+
+    def test_degenerate_member_is_flagged_alone(self):
+        xs, ys = _pair_stacks(4, 8)
+        ys[5] = xs[5]
+        block = ando_ratios(decompose_stack(xs), decompose_stack(ys), 0.5, 0.5, True)
+        assert block.degenerate.tolist() == [k == 5 for k in range(8)]
+        assert block.ratio[5] == 0.0
+        for k in range(8):
+            if k != 5:
+                assert block.ratio[k] == ando_ratio(xs[k], ys[k], 0.5, 0.5, True).ratio > 0
+
+    def test_indefinite_member_is_named(self, rng):
+        xs = np.array([random_psd(3, rng) for _ in range(4)])
+        xs[2] = -xs[2]
+        with pytest.raises(ValueError, match="trial 42: x is not positive semidefinite"):
+            bks_ratios(decompose_stack(xs, trials=range(40, 44)),
+                       decompose_stack(xs[::-1], trials=range(40, 44)), 1.0, 0.5)
 
 
 class TestBks:
@@ -118,6 +175,32 @@ class TestEstimateConstant:
         assert resumed.best.ratio == full.best.ratio
         assert resumed.per_dim == full.per_dim
         assert resumed.history == full.history
+
+    def test_resume_inside_a_block_matches_full_run(self):
+        # 130 trials end in a partial block; checkpoints every 20 trials fall
+        # inside blocks of both dims
+        assert 130 % BLOCK_TRIALS != 0
+        kw = dict(p=0.5, theta=0.5, signed=True, dims=[2, 3], trials=130, seed=17)
+        full = estimate_constant(**kw)
+        snaps = []
+        estimate_constant(**kw, checkpoint_every=20, checkpoint_cb=snaps.append)
+        assert [s["position"] for s in snaps][4:8] == [[0, 99], [0, 119], [1, 8], [1, 28]]
+        for snap in snaps:
+            resumed = estimate_constant(**kw, resume=snap)
+            assert resumed.history == full.history
+            assert resumed.per_dim == full.per_dim
+            assert np.array_equal(resumed.witness_x, full.witness_x)
+            assert np.array_equal(resumed.witness_y, full.witness_y)
+            assert resumed.best.ratio == full.best.ratio
+
+    def test_resume_rejects_other_config(self):
+        kw = dict(p=0.5, theta=0.5, signed=False, dims=[2], trials=25, seed=9)
+        snaps = []
+        estimate_constant(**kw, checkpoint_every=10, checkpoint_cb=snaps.append)
+        for change in (dict(p=2.0), dict(theta=0.25), dict(signed=True), dict(dims=[3]),
+                       dict(trials=26), dict(seed=10)):
+            with pytest.raises(ValueError, match="different search configuration"):
+                estimate_constant(**{**kw, **change}, resume=snaps[0])
 
     def test_operator_norm_desk_analogue(self):
         # the witnessed ratio times (1 - theta) stays bounded as theta -> 1

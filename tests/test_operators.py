@@ -8,8 +8,11 @@ from schurlab.operators import (
     SchattenIndex,
     SignedPowerFunction,
     apply_calculus,
+    calculus_stack,
+    decompose_stack,
     p_triangle_defect,
     schatten_norm,
+    schatten_norms,
     spectral_decompose,
 )
 
@@ -249,3 +252,44 @@ def test_operand_validation_rejects_bad_order(rng):
         HermitianOperand(
             dim=3, entries=x.entries, eigenvalues=x.eigenvalues[::-1],
             eigenvectors=x.eigenvectors[:, ::-1])
+
+
+def test_operand_validation_rejects_wrong_spectrum(rng):
+    x = spectral_decompose(random_hermitian(3, rng))
+    with pytest.raises(ValueError, match="reconstruction"):
+        HermitianOperand(dim=3, entries=x.entries, eigenvalues=x.eigenvalues + 1.0,
+                         eigenvectors=x.eigenvectors)
+    with pytest.raises(ValueError, match="orthonormal"):
+        HermitianOperand(dim=3, entries=x.entries, eigenvalues=x.eigenvalues,
+                         eigenvectors=2.0 * x.eigenvectors)
+
+
+class TestStacks:
+    def test_non_hermitian_member_is_named(self, rng):
+        a = np.array([random_hermitian(3, rng) for _ in range(5)])
+        a[3, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="trial 13: matrix is not Hermitian"):
+            decompose_stack(a, trials=range(10, 15))
+        with pytest.raises(ValueError, match="stack member 3: .*asymmetry"):
+            decompose_stack(a)
+
+    def test_non_finite_member_is_named(self, rng):
+        a = np.array([random_hermitian(3, rng) for _ in range(5)])
+        a[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="trial 11: matrix has non-finite entries"):
+            decompose_stack(a, trials=range(10, 15))
+        with pytest.raises(ValueError, match="trial 11: matrix has non-finite entries"):
+            schatten_norms(a, 0.5, trials=range(10, 15))
+
+    def test_members_match_single_matrix_calls_bitwise(self, rng):
+        a = np.array([random_hermitian(dim=4, rng=rng) for _ in range(7)])
+        f = SignedPowerFunction(0.5, signed=True)
+        stack = decompose_stack(a)
+        powered = calculus_stack(stack, f)
+        norms = schatten_norms(a, 0.5)
+        for k in range(7):
+            x = spectral_decompose(a[k])
+            assert np.array_equal(x.eigenvalues, stack.eigenvalues[k])
+            assert np.array_equal(x.eigenvectors, stack.eigenvectors[k])
+            assert np.array_equal(apply_calculus(x, f).entries, powered.entries[k])
+            assert schatten_norm(a[k], 0.5) == norms[k]

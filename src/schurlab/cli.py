@@ -60,12 +60,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 
-COMMANDS = (
-    "verify-ando", "estimate-constant", "bks", "multiplier-bound", "factorize",
-    "kernel-spectrum", "kfunctional", "weak-lp", "commutator", "mazur",
-)
-
-
 class InputError(Exception):
     pass
 
@@ -139,6 +133,25 @@ def _sweep(seed: int, trials: int, draw, evaluate):
             if not degenerate[k] and ratios[k] >= best:
                 best, witness = ratios[k], tuple(s[k] for s in stacks)
     return rows, best, witness
+
+
+def _pair_sweep(ns, cases, check):
+    """Seeded per-trial sweep over ``random_pair`` draws.
+
+    ``cases`` holds (labels, argument) pairs; a trial's row for a case is the
+    labels, the trial, and the ratio and degeneracy of
+    ``check(x, y, argument)``. Returns the rows and the maximum
+    nondegenerate ratio (0 when every row is degenerate).
+    """
+    rows = []
+    for trial in range(ns.trials):
+        x, y = random_pair(ns.dim, trial_rng(ns.seed, trial), kind=trial)
+        for labels, arg in cases:
+            sample = check(x, y, arg)
+            rows.append({**labels, "trial": trial, "ratio": sample.ratio,
+                         "degenerate": sample.degenerate})
+    finite = [r["ratio"] for r in rows if not r["degenerate"]]
+    return rows, float(np.max(finite)) if finite else 0.0
 
 
 # ----------------------------------------------------------------------------
@@ -230,7 +243,7 @@ def _run_bks(ns) -> dict:
     return results
 
 
-def _run_estimate_constant(ns, out_path: str) -> dict:
+def _run_estimate_constant(ns) -> dict:
     dims = _parse_dims(ns.dims)
     _require(ns.trials >= 1, "trials must be >= 1")
     p_list = [_parse_p(v) for v in str(ns.p).split(",") if v]
@@ -251,7 +264,7 @@ def _run_estimate_constant(ns, out_path: str) -> dict:
                 "table": rows}
     p = p_list[0]
     ns.theta = theta_list[0]
-    ckpt_path = out_path + ".ckpt.json"
+    ckpt_path = ns.out + ".ckpt.json"
     resume = None
     if ns.resume:
         _require(os.path.exists(ckpt_path), f"no checkpoint at {ckpt_path}")
@@ -352,12 +365,9 @@ def _run_kernel_spectrum(ns) -> dict:
     residuals = {str(k): eigenfunction_residual(k, ns.quadrature)
                  for k in range(1, min(ns.kmax, 10) + 1)}
     # partial-sum curves on a log-spaced K grid, one series per exponent
-    k_grid, curves = [], {}
-    ps = _parse_floats(ns.sums_p)
     k_grid = sorted({int(v) for v in np.logspace(1, np.log10(ns.sums_kmax), 12)})
-    for p in ps:
-        curves[serialize.float17(p)] = [float(v)
-                                        for v in schatten_partial_sums(p, k_grid)]
+    curves = {serialize.float17(p): [float(v) for v in schatten_partial_sums(p, k_grid)]
+              for p in _parse_floats(ns.sums_p)}
     return {
         "kmax": ns.kmax,
         "nystrom": ns.nystrom,
@@ -373,23 +383,13 @@ def _run_kfunctional(ns) -> dict:
     p0 = _parse_p(ns.p0)
     p1 = _parse_p(ns.p1)
     _require(p0 < p1, "need p0 < p1")
-    ts = _parse_floats(ns.t)
-    rows = []
-    for trial in range(ns.trials):
-        rng = trial_rng(ns.seed, trial)
-        x, y = random_pair(ns.dim, rng, kind=trial)
-        for t in ts:
-            sample = kfonc_check(x, y, p0, p1, ns.theta, ns.signed, t, grid=ns.grid)
-            rows.append({
-                "t": t, "p0": index_label(p0), "p1": index_label(p1),
-                "theta": ns.theta, "trial": trial,
-                "ratio": sample.ratio, "degenerate": sample.degenerate,
-            })
-    finite = [r["ratio"] for r in rows if not r["degenerate"]]
+    cases = [({"t": t, "p0": index_label(p0), "p1": index_label(p1), "theta": ns.theta}, t)
+             for t in _parse_floats(ns.t)]
+    rows, best = _pair_sweep(ns, cases, lambda x, y, t: kfonc_check(
+        x, y, p0, p1, ns.theta, ns.signed, t, grid=ns.grid))
     return {
         "dim": ns.dim, "trials": ns.trials, "grid": ns.grid, "theta": ns.theta,
-        "signed": ns.signed, "table": rows,
-        "max_ratio": float(np.max(finite)) if finite else 0.0,
+        "signed": ns.signed, "table": rows, "max_ratio": best,
     }
 
 
@@ -398,20 +398,12 @@ def _run_weak_lp(ns) -> dict:
     _require(ns.p > 0, "p must be positive")
     qs = [SchattenIndex.INF if v == "inf" else SchattenIndex(float(v))
           for v in ns.q.split(",") if v]
-    rows = []
-    for trial in range(ns.trials):
-        rng = trial_rng(ns.seed, trial)
-        x, y = random_pair(ns.dim, rng, kind=trial)
-        for q in qs:
-            sample = weak_lp_check(x, y, ns.p, q, ns.theta, ns.signed)
-            rows.append({
-                "p": ns.p, "q": index_label(q), "theta": ns.theta, "trial": trial,
-                "ratio": sample.ratio, "degenerate": sample.degenerate,
-            })
-    finite = [r["ratio"] for r in rows if not r["degenerate"]]
+    cases = [({"p": ns.p, "q": index_label(q), "theta": ns.theta}, q) for q in qs]
+    rows, best = _pair_sweep(ns, cases, lambda x, y, q: weak_lp_check(
+        x, y, ns.p, q, ns.theta, ns.signed))
     return {
         "dim": ns.dim, "trials": ns.trials, "theta": ns.theta, "signed": ns.signed,
-        "table": rows, "max_ratio": float(np.max(finite)) if finite else 0.0,
+        "table": rows, "max_ratio": best,
     }
 
 
@@ -615,16 +607,16 @@ def _config_dict(ns) -> dict:
 
 
 RUNNERS = {
-    "verify-ando": lambda ns, out: _run_verify_ando(ns),
+    "verify-ando": _run_verify_ando,
     "estimate-constant": _run_estimate_constant,
-    "bks": lambda ns, out: _run_bks(ns),
-    "multiplier-bound": lambda ns, out: _run_multiplier_bound(ns),
-    "factorize": lambda ns, out: _run_factorize(ns),
-    "kernel-spectrum": lambda ns, out: _run_kernel_spectrum(ns),
-    "kfunctional": lambda ns, out: _run_kfunctional(ns),
-    "weak-lp": lambda ns, out: _run_weak_lp(ns),
-    "commutator": lambda ns, out: _run_commutator(ns),
-    "mazur": lambda ns, out: _run_mazur(ns),
+    "bks": _run_bks,
+    "multiplier-bound": _run_multiplier_bound,
+    "factorize": _run_factorize,
+    "kernel-spectrum": _run_kernel_spectrum,
+    "kfunctional": _run_kfunctional,
+    "weak-lp": _run_weak_lp,
+    "commutator": _run_commutator,
+    "mazur": _run_mazur,
 }
 
 
@@ -633,9 +625,9 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         ns = parser.parse_args(argv)
-        out = ns.out or _default_out(ns.command, ns.format)
+        out = ns.out = ns.out or _default_out(ns.command, ns.format)
         try:
-            results = RUNNERS[ns.command](ns, out)
+            results = RUNNERS[ns.command](ns)
         except (VerificationError, InvariantViolation) as exc:
             results = getattr(exc, "results", {"pass": False, "violation": str(exc)})
             _write_report(out, ns.format, ns.command, _config_dict(ns), results, started)

@@ -67,25 +67,14 @@ def _ramp(t):
     return np.where(t <= -1.0, 0.0, np.where(t >= 1.0, 1.0, v))
 
 
-@lru_cache(maxsize=None)
-def _ramp_derivative_sup(order: int) -> float:
-    """Sup of |d^order ramp / dt^order| on [-1, 1].
-
-    Exact symbolic derivative sampled on 200001 points with 2% slack; the
-    certified constants inherit this sampling resolution.
-    """
-    if order == 0:
-        return 1.0
-    import sympy as sp
-
-    t = sp.symbols("t", real=True)
-    expr = 1 / (1 + sp.exp(-RAMP_STEEPNESS * t / (1 - t**2)))
-    fn = sp.lambdify(t, sp.diff(expr, t, order), "numpy")
-    ts = np.linspace(-1.0 + 1e-7, 1.0 - 1e-7, 200001)
-    with np.errstate(all="ignore"):
-        vals = np.abs(np.asarray(fn(ts), dtype=float))
-    vals = vals[np.isfinite(vals)]
-    return float(vals.max()) * 1.02
+# sup |d^k ramp / dt^k| on [-1, 1] for k = 0..8: the exact symbolic
+# derivative sampled on 200001 points with 2% slack, so the certified
+# constants inherit that sampling resolution (tests/test_factorization.py
+# recomputes them symbolically)
+RAMP_DERIVATIVE_SUPS = (
+    1.0, 2.04, 6.085704503813619, 53.040000000000006, 368.7843311265627,
+    4683.840000000026, 49682.87423516212, 836791.6799999689, 12179622.14349697,
+)
 
 
 @dataclass(frozen=True)
@@ -107,12 +96,14 @@ class Bump:
     def derivative_sup(self, order: int) -> float:
         """Upper bound on sup |d^order bump|; ramps are disjoint so the chain
         rule only rescales the universal ramp constants."""
-        if order == 0:
-            return 1.0
+        if not 0 <= order < len(RAMP_DERIVATIVE_SUPS):
+            raise ValueError(
+                f"ramp derivative constants are tabulated up to order "
+                f"{len(RAMP_DERIVATIVE_SUPS) - 1}, got order {order}"
+            )
         wl = self.flat[0] - self.support[0]
         wr = self.support[1] - self.flat[1]
-        r = _ramp_derivative_sup(order)
-        return max((2.0 / wl) ** order, (2.0 / wr) ** order) * r
+        return max((2.0 / wl) ** order, (2.0 / wr) ** order) * RAMP_DERIVATIVE_SUPS[order]
 
 
 def bump_function(flat_interval, support_interval) -> Bump:
@@ -132,6 +123,15 @@ def bump_function(flat_interval, support_interval) -> Bump:
 
 def _mode_numbers(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, 1.0 / n).astype(int)
+
+
+def _on_grid(fn, x: np.ndarray) -> np.ndarray:
+    """fn(x_i, x_j) for every grid pair, by broadcasting the two axes; an
+    evaluator that ignores an axis is broadcast (not copied) to (n, n)."""
+    vals = np.asarray(fn(x[:, None], x[None, :]), dtype=complex)
+    if vals.shape != (x.size, x.size):
+        vals = np.broadcast_to(vals, (x.size, x.size))
+    return vals
 
 
 @dataclass(eq=False)
@@ -175,9 +175,7 @@ class SmoothKernel:
 
     def samples(self) -> np.ndarray:
         if "samples" not in self._cache:
-            x = self.grid()
-            X, Y = np.meshgrid(x, x, indexing="ij")
-            self._cache["samples"] = np.asarray(self.evaluator(X, Y), dtype=complex)
+            self._cache["samples"] = _on_grid(self.evaluator, self.grid())
         return self._cache["samples"]
 
     def coefficients(self) -> np.ndarray:
@@ -210,10 +208,7 @@ def _closed_form_l2(kernel: SmoothKernel, a: int, b: int) -> float:
     if a == 0 and b == 0:
         vals = kernel.samples()
     else:
-        fn = kernel.derivative_evaluators[(a, b)]
-        x = kernel.grid()
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        vals = np.asarray(fn(X, Y), dtype=complex)
+        vals = _on_grid(kernel.derivative_evaluators[(a, b)], kernel.grid())
     # RMS over the grid is the L2 norm for the normalized torus measure
     return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
 
@@ -473,37 +468,32 @@ def _power_diff(u, v, theta):
     return np.where(near, mid, ratio)
 
 
+# The bumped kernels evaluate each bump on its own axis and let the product
+# broadcast; the singular quotients are taken only where the bumps are nonzero.
+
 def _singular_ratio_kernel(x, y):
-    xw, yw = np.broadcast_arrays(_wrap_pi(x), _wrap_2pi(y))
-    num = np.asarray(_PHI_SING(xw) * _PSI_SING(yw), dtype=float)
+    xw, yw = _wrap_pi(x), _wrap_2pi(y)
+    num = _PHI_SING(xw) * _PSI_SING(yw)
     gap = COORDINATE_STRETCH * (xw - yw)
-    out = np.zeros_like(num)
-    nz = num != 0
-    out[nz] = num[nz] / gap[nz]
-    return out
+    return np.divide(num, gap, out=np.zeros_like(num), where=num != 0)
 
 
 def _window_ratio_kernel(theta):
     def evaluate(x, y):
-        xw, yw = np.broadcast_arrays(_wrap_2pi(x), _wrap_2pi(y))
-        w = np.asarray(_PHI_WINDOW(xw) * _PHI_WINDOW(yw), dtype=float)
-        out = np.zeros_like(w)
-        nz = w != 0
-        u = COORDINATE_STRETCH * xw[nz]
-        v = COORDINATE_STRETCH * yw[nz]
-        out[nz] = w[nz] * _power_diff(u, v, theta)
-        return out
+        xw, yw = _wrap_2pi(x), _wrap_2pi(y)
+        w = _PHI_WINDOW(xw) * _PHI_WINDOW(yw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = _power_diff(COORDINATE_STRETCH * xw, COORDINATE_STRETCH * yw, theta)
+            return np.where(w != 0, w * ratio, 0.0)
     return evaluate
 
 
 def _plus_resolvent_kernel(a):
     def evaluate(x, y):
-        xw, yw = np.broadcast_arrays(_wrap_pi(x), _wrap_pi(y))
-        w = np.asarray(_PHI_PLUS(xw) * _PHI_PLUS(yw), dtype=float)
-        out = np.zeros_like(w)
-        nz = w != 0
-        out[nz] = w[nz] / (a + COORDINATE_STRETCH * (xw[nz] + yw[nz]))
-        return out
+        xw, yw = _wrap_pi(x), _wrap_pi(y)
+        w = _PHI_PLUS(xw) * _PHI_PLUS(yw)
+        shift = a + COORDINATE_STRETCH * (xw + yw)
+        return np.divide(w, shift, out=np.zeros_like(w), where=w != 0)
     return evaluate
 
 
@@ -652,10 +642,10 @@ def power_ratio_base_bound(theta: float, p, d: int | None = None,
     if d is None:
         d = _default_order(q)
     pv = q.value
-    pref = _prefactor(d, q)
+    # the family bound first: it rejects an order beyond the ramp table
+    # before the singular kernel is sampled
+    piece2 = _prefactor(d, q) * UNIVERSAL_CONST * _family_sobolev_upper(theta, d)
     singular = get_catalog_kernel("power-ratio-singular", grid_size=grid_size)
-    b_sing = certified_pcb_bound(singular, d, q)
-    piece1 = b_sing * 2.0 ** (1.0 / pv) * 2.0**theta
-    piece2 = pref * UNIVERSAL_CONST * _family_sobolev_upper(theta, d)
+    piece1 = certified_pcb_bound(singular, d, q) * 2.0 ** (1.0 / pv) * 2.0**theta
     window_bound = (piece1**pv + piece2**pv) ** (1.0 / pv)
     return 2.0 ** (1.0 - theta) * window_bound

@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schurlab
 from schurlab.factorization import (
     CAUCHY_SCHWARZ_CONST,
+    RAMP_DERIVATIVE_SUPS,
+    RAMP_STEEPNESS,
     UNIVERSAL_CONST,
     SmoothKernel,
     build_factorization,
@@ -26,6 +33,31 @@ from schurlab.multipliers import SymbolMatrix, multiplier_norm_lower
 
 def mode_index(coeffs, k, l):
     return coeffs[k % coeffs.shape[0], l % coeffs.shape[1]]
+
+
+def symbolic_ramp_derivative_sup(order: int) -> float:
+    """Reference for RAMP_DERIVATIVE_SUPS: sup |d^order ramp / dt^order| on
+    [-1, 1] from sympy's exact derivative, sampled on 200001 points with 2%
+    slack (the routine the table was generated with)."""
+    if order == 0:
+        return 1.0
+    import sympy as sp
+
+    t = sp.symbols("t", real=True)
+    expr = 1 / (1 + sp.exp(-RAMP_STEEPNESS * t / (1 - t**2)))
+    fn = sp.lambdify(t, sp.diff(expr, t, order), "numpy")
+    ts = np.linspace(-1.0 + 1e-7, 1.0 - 1e-7, 200001)
+    with np.errstate(all="ignore"):
+        vals = np.abs(np.asarray(fn(ts), dtype=float))
+    vals = vals[np.isfinite(vals)]
+    return float(vals.max()) * 1.02
+
+
+def run_python(code: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this schurlab."""
+    src = str(Path(schurlab.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": src})
 
 
 class TestFourierCoefficients:
@@ -221,6 +253,40 @@ class TestBump:
         assert sups[0] == 1.0
         assert all(s > 0 for s in sups[1:])
 
+    def test_ramp_table_matches_symbolic_derivatives(self):
+        # orders 6-8 take minutes symbolically; they are recorded in CHANGES.md
+        assert RAMP_DERIVATIVE_SUPS[0] == 1.0
+        for order in range(1, 6):
+            assert RAMP_DERIVATIVE_SUPS[order] == pytest.approx(
+                symbolic_ramp_derivative_sup(order), rel=1e-12, abs=0.0)
+
+    def test_orders_beyond_the_table_fail_fast(self):
+        # p = 0.1 asks for the default order d = ceil(1/p) + 1 = 11
+        proc = run_python(
+            "from schurlab.factorization import bump_function, power_ratio_base_bound\n"
+            "for call in (lambda: bump_function((0, 1), (-1, 2)).derivative_sup(9),\n"
+            "             lambda: power_ratio_base_bound(0.5, 0.1)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n",
+            timeout=30.0)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2
+        assert "up to order 8, got order 9" in lines[0]
+        assert "up to order 8, got order 11" in lines[1]
+
+    def test_certificates_run_without_sympy(self):
+        proc = run_python(
+            "import sys\n"
+            "import schurlab.cli\n"
+            "from schurlab.factorization import power_ratio_base_bound\n"
+            "power_ratio_base_bound(0.5, 0.5, None, 256)\n"
+            "print('sympy' in sys.modules)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestDyadicBlocks:
     def test_k0_identity(self):
@@ -385,6 +451,21 @@ class TestCatalog:
         val = float(np.real(kern.evaluator(x[:, None], y[None, :])[0, 0]))
         u, v = 1.25, 1.5
         assert val == pytest.approx((u**0.5 - v**0.5) / (u - v), rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(kernel_catalog()))
+    def test_broadcast_samples_match_mesh_evaluation(self, name):
+        kern = make_kernel(name, grid_size=256)
+        x = kern.grid()
+        mesh_x, mesh_y = np.meshgrid(x, x, indexing="ij")
+        mesh = np.asarray(kern.evaluator(mesh_x, mesh_y), dtype=complex)
+        assert np.array_equal(kern.samples(), mesh)
+
+    def test_evaluator_ignoring_an_axis_samples_the_full_grid(self):
+        kern = SmoothKernel(lambda x, y: np.cos(x), 64)
+        assert kern.samples().shape == (64, 64)
+        c = fourier_coefficients(kern)
+        assert abs(mode_index(c, 1, 0) - 0.5) < 1e-14
+        assert abs(mode_index(c, -1, 0) - 0.5) < 1e-14
 
     def test_mode_numbers_layout(self):
         m = _mode_numbers(8)

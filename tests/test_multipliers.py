@@ -212,6 +212,20 @@ class TestMultiplierNormLower:
         with pytest.raises(ValueError, match="sandwich"):
             MultiplierNormEstimate(lower=2.0, p=SchattenIndex(1.0), upper=1.0)
 
+    def test_largest_entry_is_always_a_witness(self):
+        # 6400 entries: a strided subset of coordinate witnesses would skip (1, 1)
+        vals = np.full((80, 80), 1e-3)
+        vals[1, 1] = 5.0
+        m = SymbolMatrix(np.arange(80.0), np.arange(80.0), vals)
+        for p in (0.5, 1.0):
+            est = multiplier_norm_lower(m, p, trials=1, seed=0)
+            assert est.lower >= 5.0
+
+    def test_zero_symbol_has_no_witness(self):
+        m = SymbolMatrix([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)))
+        est = multiplier_norm_lower(m, 0.5, trials=2, seed=0)
+        assert est.lower == 0.0 and est.witness is None
+
     def test_rejects_zero_trials(self):
         m = SymbolMatrix([0.0], [0.0], np.array([[1.0]]))
         with pytest.raises(ValueError):

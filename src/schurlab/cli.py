@@ -349,12 +349,15 @@ def _run_kernel_spectrum(ns) -> dict:
     _require(ns.kmax >= 1, "kmax must be >= 1")
     _require(ns.nystrom >= 64, "nystrom size must be >= 64")
     _require(ns.sums_kmax >= 10, "sums-kmax must be >= 10")
+    _require(ns.kmax <= ns.nystrom,
+             f"--kmax ({ns.kmax}) must not exceed --nystrom ({ns.nystrom}): "
+             "the table compares each eigenvalue with a Nystrom eigenvalue")
     spec = analytic_eigenvalues(ns.kmax)
     grid_eigs = nystrom_spectrum(ns.nystrom)
     rows = []
     for i in range(ns.kmax):
         lam = spec.lambdas[i]
-        approx = float(grid_eigs[i]) if i < grid_eigs.size else float("nan")
+        approx = float(grid_eigs[i])
         rows.append({
             "k": i + 1,
             "theta": float(spec.thetas[i]),
@@ -366,7 +369,7 @@ def _run_kernel_spectrum(ns) -> dict:
                  for k in range(1, min(ns.kmax, 10) + 1)}
     # partial-sum curves on a log-spaced K grid, one series per exponent
     k_grid = sorted({int(v) for v in np.logspace(1, np.log10(ns.sums_kmax), 12)})
-    curves = {serialize.float17(p): [float(v) for v in schatten_partial_sums(p, k_grid)]
+    curves = {serialize.float17(p): schatten_partial_sums(p, k_grid).tolist()
               for p in _parse_floats(ns.sums_p)}
     return {
         "kmax": ns.kmax,

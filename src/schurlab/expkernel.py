@@ -2,10 +2,16 @@
 
 Eigenvalues are 2 cos^2(theta_k) where theta_k is the unique root of
 tan t = -2t + k pi in (0, pi/2). Bisection runs on the overflow-free form
-sin t + (2t - k pi) cos t, which has the same roots with bounded arithmetic.
-Large-k eigenvalues for the Schatten partial sums come from a two-step Newton
-correction around arctan(k pi); its relative error is O(k^-2), far below the
-tolerances of the divergence diagnostics.
+sin t + (2t - k pi) cos t, which has the same roots with bounded arithmetic,
+and stops once the bracket is two adjacent doubles (53-55 halvings; a
+200-step cap stays as a guard). Large-k eigenvalues for the Schatten partial
+sums come from a two-step Newton correction around arctan(k pi); its relative
+error is O(k^-2), far below the tolerances of the divergence diagnostics.
+
+The partial sums read the eigenvalues from one memoized, read-only table
+(for the last k_max asked for), so several exponents over the same K grid
+share one root solve and one Newton tail. ``analytic_eigenvalues`` and
+``eigenfunction_residual`` solve, and bracket-check, their roots every call.
 """
 
 from __future__ import annotations
@@ -56,9 +62,13 @@ def _bracket_residual(t: float, k: int) -> float:
 def solve_theta(k: int, tol: float = 1e-10) -> float:
     """Unique root of tan t = -2t + k pi in (0, pi/2) by bisection.
 
-    The residual |tan t + 2t - k pi| at the returned root is limited by
-    float spacing times the slope (~(k pi)^2), so tolerances below about
-    3e-16 k^2 are unattainable; the default holds through k ~ 100.
+    Bisection stops when the midpoint equals an end of the bracket, i.e.
+    when lo and hi are adjacent doubles: no further halving can move either
+    end, so the root is the one 200 full steps would give (the 200-step cap
+    stays as a guard). The residual |tan t + 2t - k pi| at the returned root
+    is limited by float spacing times the slope (~(k pi)^2), so tolerances
+    below about 3e-16 k^2 are unattainable; the default holds through
+    k ~ 100.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -70,12 +80,12 @@ def solve_theta(k: int, tol: float = 1e-10) -> float:
         raise InvariantViolation(f"bisection bracket failed for k={k}: ({flo}, {fhi})")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if _bracket_residual(mid, k) < 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-17:
-            break
     root = 0.5 * (lo + hi)
     residual = abs(math.tan(root) + 2.0 * root - k * math.pi)
     if residual > tol:
@@ -132,15 +142,19 @@ def _composite_weights(m: int, h: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _kink_split_weights(n: int) -> np.ndarray:
-    """Row i integrates over [0, x_i] and [x_i, 1] separately (kink-aware)."""
+def _kink_split_operator(n: int) -> np.ndarray:
+    """Quadrature matrix of T on the n + 1 uniform nodes: kink-split Simpson
+    weights (row i integrates over [0, x_i] and [x_i, 1] separately) times
+    exp(-|x_i - x_j|). Read-only."""
     h = 1.0 / n
     weights = np.zeros((n + 1, n + 1))
     for i in range(n + 1):
         weights[i, : i + 1] += _composite_weights(i, h)
         weights[i, i:] += _composite_weights(n - i, h)
-    weights.setflags(write=False)
-    return weights
+    x = np.linspace(0.0, 1.0, n + 1)
+    operator = weights * np.exp(-np.abs(x[:, None] - x[None, :]))
+    operator.setflags(write=False)
+    return operator
 
 
 def eigenfunction_residual(k: int, quadrature_points: int = 2048,
@@ -161,9 +175,8 @@ def eigenfunction_residual(k: int, quadrature_points: int = 2048,
     x = np.linspace(0.0, 1.0, n + 1)
     c = (1.0 - 1j * alpha) / (1.0 + 1j * alpha)
     f = np.exp(1j * alpha * x) - c * np.exp(-1j * alpha * x)
-    kernel = np.exp(-np.abs(x[:, None] - x[None, :]))
     h = 1.0 / n
-    tf = (_kink_split_weights(n) * kernel) @ f
+    tf = _kink_split_operator(n) @ f
     trapz = np.full(n + 1, h)
     trapz[0] = trapz[-1] = 0.5 * h
     norm = lambda v: math.sqrt(float(np.sum(trapz * np.abs(v) ** 2)))
@@ -198,18 +211,10 @@ def nystrom_spectrum(n: int = 2000) -> np.ndarray:
     return np.linalg.eigvalsh(a)[::-1]
 
 
-def schatten_partial_sums(p: float, K_list) -> np.ndarray:
-    """Partial sums sum_{k <= K} lambda_k^p for each requested K.
-
-    Exact bisection roots up to k = 1000, Newton-corrected tail beyond
-    (asymptotic acceleration for K up to 10^6 and more).
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    ks = [int(k) for k in K_list]
-    if not ks or min(ks) < 1:
-        raise ValueError("each K must be >= 1")
-    k_max = max(ks)
+@lru_cache(maxsize=1)
+def _eigenvalue_table(k_max: int) -> np.ndarray:
+    """2 cos^2(theta_k) for k = 1..k_max, read-only: exact bisection roots up
+    to k = 1000, Newton-corrected tail beyond."""
     upto = min(k_max, EXACT_ROOT_LIMIT)
     thetas = np.empty(k_max)
     for i in range(upto):
@@ -217,6 +222,22 @@ def schatten_partial_sums(p: float, K_list) -> np.ndarray:
     if k_max > EXACT_ROOT_LIMIT:
         tail_ks = np.arange(EXACT_ROOT_LIMIT + 1, k_max + 1, dtype=float)
         thetas[EXACT_ROOT_LIMIT:] = _newton_thetas(tail_ks)
-    lam_p = (2.0 * np.cos(thetas) ** 2) ** p
-    csum = np.cumsum(lam_p)
+    lambdas = 2.0 * np.cos(thetas) ** 2
+    lambdas.setflags(write=False)
+    return lambdas
+
+
+def schatten_partial_sums(p: float, K_list) -> np.ndarray:
+    """Partial sums sum_{k <= K} lambda_k^p for each requested K.
+
+    Exact bisection roots up to k = 1000, Newton-corrected tail beyond
+    (asymptotic acceleration for K up to 10^6 and more). The eigenvalues
+    come from a table memoized for the last max(K_list), shared by every p.
+    """
+    if p <= 0:
+        raise ValueError("p must be positive")
+    ks = [int(k) for k in K_list]
+    if not ks or min(ks) < 1:
+        raise ValueError("each K must be >= 1")
+    csum = np.cumsum(_eigenvalue_table(max(ks)) ** p)
     return np.array([csum[k - 1] for k in ks])

@@ -195,15 +195,6 @@ def fourier_coefficients(kernel: SmoothKernel) -> np.ndarray:
     return kernel.coefficients()
 
 
-def _spectral_l2(kernel: SmoothKernel, a: int, b: int) -> float:
-    coeffs = kernel.coefficients()
-    modes = _mode_numbers(kernel.grid_size).astype(float)
-    weights_k = np.abs(modes) ** (2 * a)
-    weights_l = np.abs(modes) ** (2 * b)
-    power = np.abs(coeffs) ** 2
-    return float(np.sqrt(weights_k @ power @ weights_l))
-
-
 def _closed_form_l2(kernel: SmoothKernel, a: int, b: int) -> float:
     if a == 0 and b == 0:
         vals = kernel.samples()
@@ -229,7 +220,12 @@ def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
         return float(sum(_closed_form_l2(kernel, a, b) for a, b in needed))
     if kernel.grid_size < 64:
         raise ValueError("no derivative data and grid too small for spectral differentiation")
-    return float(sum(_spectral_l2(kernel, a, b) for a, b in needed))
+    # ||d^(a+b)K/dx^a dy^b||_2^2 = sum_kl |k|^2a |alpha_kl|^2 |l|^2b. |alpha|^2
+    # lives only for this call: kept on the kernel it would raise peak memory
+    power = np.abs(kernel.coefficients()) ** 2
+    modes = np.abs(_mode_numbers(kernel.grid_size).astype(float))
+    weights = {order: modes ** (2 * order) for order in {0, 1, d}}
+    return float(sum(float(np.sqrt(weights[a] @ power @ weights[b])) for a, b in needed))
 
 
 def _prefactor(d: int, p) -> float:
@@ -317,11 +313,11 @@ class RankOneFactorization:
         f = np.asarray(self.f_samples)
         return {
             "d": int(self.d),
-            "alphas": [float(v) for v in self.alphas],
+            "alphas": np.asarray(self.alphas, dtype=float).tolist(),
             "f_samples": {
                 "shape": list(f.shape),
-                "re": [float(v) for v in f.real.ravel()],
-                "im": [float(v) for v in f.imag.ravel()],
+                "re": f.real.ravel().tolist(),
+                "im": f.imag.ravel().tolist(),
             },
             "g_labels": [int(v) for v in self.g_labels],
             "certified_bound": float(self.certified_bound),

@@ -57,6 +57,9 @@ def _encode(obj, out: list) -> None:
             out.append(":")
             _encode(obj[key], out)
         out.append("}")
+    elif isinstance(obj, (list, tuple)) and all(type(v) is float for v in obj):
+        # one pass for plain float lists; float17 still rejects non-finite values
+        out.append("[" + ",".join([float17(v) for v in obj]) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -87,8 +90,8 @@ def matrix_to_json(a: np.ndarray) -> dict:
     c = np.asarray(a, dtype=complex)
     return {
         "dim": int(a.shape[0]),
-        "re": [float(v) for v in c.real.ravel()],
-        "im": [float(v) for v in c.imag.ravel()],
+        "re": c.real.ravel().tolist(),
+        "im": c.imag.ravel().tolist(),
     }
 
 
@@ -103,9 +106,9 @@ def symbol_to_json(rows, cols, values) -> dict:
     """Multiplier symbol wire format: {rows, cols, values(row-major)}."""
     values = np.asarray(values, dtype=float)
     return {
-        "rows": [float(v) for v in np.asarray(rows, dtype=float)],
-        "cols": [float(v) for v in np.asarray(cols, dtype=float)],
-        "values": [float(v) for v in values.ravel()],
+        "rows": np.asarray(rows, dtype=float).tolist(),
+        "cols": np.asarray(cols, dtype=float).tolist(),
+        "values": values.ravel().tolist(),
     }
 
 

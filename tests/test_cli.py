@@ -99,6 +99,28 @@ class TestExitCodes:
         assert res["pass"] is False
         assert "bracket failed" in res["violation"]
 
+    def test_bracket_check_runs_after_a_memoized_spectrum(self, tmp_path, monkeypatch):
+        # a full run fills the memoized partial-sum table first; the roots of
+        # the eigenvalue table are still solved, and their brackets checked
+        import schurlab.expkernel as expkernel
+        assert cli.main(["kernel-spectrum", "--kmax", "3", "--nystrom", "128",
+                         "--quadrature", "256", "--out", str(tmp_path / "ok.json")]) == 0
+        monkeypatch.setattr(expkernel, "_bracket_residual", lambda t, k: 1.0)
+        out = tmp_path / "r.json"
+        code = cli.main(["kernel-spectrum", "--kmax", "3", "--nystrom", "128",
+                         "--quadrature", "256", "--out", str(out)])
+        assert code == 2
+        assert "bracket failed" in load_report(out)["body"]["results"]["violation"]
+
+    def test_kmax_above_nystrom_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = cli.main(["kernel-spectrum", "--kmax", "100", "--nystrom", "64",
+                         "--quadrature", "256", "--sums-kmax", "100", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--kmax (100) must not exceed --nystrom (64)" in err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_byte_identical_bodies(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import schurlab.expkernel as expkernel
 from schurlab.expkernel import (
     analytic_eigenvalues,
     eigenfunction_residual,
@@ -17,6 +18,19 @@ from conftest import exp_kernel_tail
 # frozen regression value from the bisection oracle itself
 THETA_1 = 0.9175251397004935
 LAMBDA_1 = 0.7388108094164549
+
+
+def fixed_step_theta(k: int) -> float:
+    """Reference root: the bisection as it was, always 200 halvings (its
+    1e-17 width exit never fires, since the bracket stops at one ulp)."""
+    lo, hi = 1e-12, math.pi / 2 - 1e-15
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if math.sin(mid) + (2.0 * mid - k * math.pi) * math.cos(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestSolveTheta:
@@ -43,6 +57,11 @@ class TestSolveTheta:
     def test_unreachable_tolerance_reported(self):
         with pytest.raises(ArithmeticError, match="residual"):
             solve_theta(100000, tol=1e-14)
+
+    def test_adjacent_double_stop_matches_fixed_steps(self):
+        for k in range(1, 2001):
+            tol = max(1e-10, 5e-14 * (k * math.pi) ** 2)
+            assert solve_theta(k, tol) == fixed_step_theta(k), k
 
 
 class TestAnalyticEigenvalues:
@@ -135,6 +154,24 @@ class TestPartialSums:
         sums = schatten_partial_sums(0.6, [10**5, 10**6])
         gap = sums[1] - sums[0]
         assert gap == pytest.approx(exp_kernel_tail(0.6, 10**5, 10**6), rel=1e-6, abs=0)
+
+    def test_memoized_table_matches_a_fresh_solve(self):
+        ks = [10, 100, 1000, 5000]
+        cached = {p: schatten_partial_sums(p, ks) for p in (0.5, 0.6, 1.0, 2.0)}
+        for p, sums in cached.items():
+            expkernel._eigenvalue_table.cache_clear()
+            assert np.array_equal(schatten_partial_sums(p, ks), sums)
+
+    def test_memoized_table_matches_the_reference_roots(self):
+        expkernel._eigenvalue_table.cache_clear()
+        thetas = np.array([fixed_step_theta(k) for k in range(1, 201)])
+        assert np.array_equal(expkernel._eigenvalue_table(200), 2.0 * np.cos(thetas) ** 2)
+
+    def test_memoized_table_is_read_only(self):
+        table = expkernel._eigenvalue_table(50)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,50 @@ from hypothesis import strategies as st
 from schurlab import serialize
 
 
+def per_item_dumps(obj) -> str:
+    """Reference encoder: the canonical encoder as it was, one dispatch per
+    list item."""
+    out = []
+
+    def enc(o):
+        if o is None:
+            out.append("null")
+        elif o is True:
+            out.append("true")
+        elif o is False:
+            out.append("false")
+        elif isinstance(o, str):
+            out.append('"' + o.replace("\\", "\\\\").replace('"', '\\"')
+                       .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t") + '"')
+        elif isinstance(o, (int, np.integer)):
+            out.append(str(int(o)))
+        elif isinstance(o, (float, np.floating)):
+            out.append(serialize.float17(o))
+        elif isinstance(o, dict):
+            out.append("{")
+            for i, key in enumerate(sorted(o)):
+                if i:
+                    out.append(",")
+                enc(key)
+                out.append(":")
+                enc(o[key])
+            out.append("}")
+        elif isinstance(o, (list, tuple)):
+            out.append("[")
+            for i, item in enumerate(o):
+                if i:
+                    out.append(",")
+                enc(item)
+            out.append("]")
+        elif isinstance(o, np.ndarray):
+            enc(o.tolist())
+        else:
+            raise TypeError(type(o).__name__)
+
+    enc(obj)
+    return "".join(out)
+
+
 class TestFloat17:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_roundtrip_exact(self, x):
@@ -42,6 +86,33 @@ class TestCanonicalDumps:
     def test_rejects_complex(self):
         with pytest.raises(TypeError):
             serialize.dumps_canonical({"z": 1j})
+
+    @pytest.mark.parametrize("payload", [
+        [-0.0, 5e-324, 1.7976931348623157e308, 1e-7, 0.1, -2.5e-300],
+        [1, 2.5],
+        [2.5, 1],
+        [True, 1.5, False, None],
+        [np.float64(0.1), 0.2, np.float64(-0.0)],
+        [0.5, np.float64(1e-7)],
+        (0.25, -1.0, 3e100),
+        ((1.0, 2.0), [3.0, [4.0, []]], []),
+        [],
+        [[], [[]], ()],
+        {"a": [1.0, 2.0], "b": ("x", 0.5), "c": np.array([1e-7, -0.0])},
+        ["s", 1.0],
+    ])
+    def test_float_list_fast_path_matches_per_item_encoder(self, payload):
+        assert serialize.dumps_canonical(payload) == per_item_dumps(payload)
+
+    def test_random_float_list_matches_per_item_encoder(self, rng):
+        values = (rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)).tolist()
+        assert serialize.dumps_canonical(values) == per_item_dumps(values)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_at_the_end_of_a_long_float_list(self, bad):
+        values = [0.5] * 99999 + [bad]
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.dumps_canonical({"v": values})
 
 
 class TestMatrixCodec:

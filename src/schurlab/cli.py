@@ -304,6 +304,7 @@ def _run_multiplier_bound(ns) -> dict:
     _require(not p.is_infinite and p.value <= 1, "certified bounds need p <= 1")
     d = ns.d if ns.d is not None else _default_order(p)
     _require(d * p.value > 1, f"need d > 1/p (d={d}, 1/p={1 / p.value})")
+    _require(ns.samples >= 1, "--samples must be >= 1")
     kernel = get_catalog_kernel(ns.kernel, theta=ns.theta, a=ns.a)
     upper = certified_pcb_bound(kernel, d, p)
     rng = trial_rng(ns.seed, 0)
@@ -337,9 +338,8 @@ def _run_factorize(ns) -> dict:
     d = ns.d if ns.d is not None else _default_order(p)
     kernel = get_catalog_kernel(ns.kernel, theta=ns.theta, a=ns.a)
     fact = build_factorization(kernel, d, p, mode_cutoff=ns.cutoff)
-    recon_err = float(np.abs(fact.reconstruct() - kernel.samples()).max())
     payload = fact.to_json()
-    payload["reconstruction_error"] = recon_err
+    payload["reconstruction_error"] = fact.reconstruction_error
     payload["kernel"] = ns.kernel
     payload["p"] = index_label(p)
     return payload

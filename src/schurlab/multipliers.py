@@ -93,12 +93,6 @@ class MultiplierNormEstimate:
                 f"sandwich violated: lower {self.lower!r} exceeds upper {self.upper!r}"
             )
 
-    def with_upper(self, upper: float) -> "MultiplierNormEstimate":
-        return MultiplierNormEstimate(
-            lower=self.lower, p=self.p, witness=self.witness, upper=float(upper),
-            seed=self.seed, trials=self.trials, lower_scope=self.lower_scope,
-        )
-
 
 def divided_difference_symbol(spec_x, spec_y, f: SignedPowerFunction) -> SymbolMatrix:
     """(f(x_i) - f(y_j)) / (x_i - y_j), with 0 at exact coincidences."""
@@ -233,6 +227,8 @@ def multiplier_norm_lower(m: SymbolMatrix, p, trials: int = 16,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if m.values.size == 0:
+        raise ValueError(f"cannot witness the norm of an empty symbol (shape {m.shape})")
     q = as_index(p)
     best_ratio = 0.0
     best_witness = None

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -350,17 +351,21 @@ class HermitianOperand:
     def spectral_radius(self) -> float:
         return float(np.abs(self.eigenvalues).max(initial=0.0))
 
-    @property
+    # computed once per operand and shared by every caller, so read-only
+    @cached_property
     def distinct_eigenvalues(self) -> np.ndarray:
         """Representative eigenvalue per merged group, descending."""
-        return np.array([self.eigenvalues[g].mean() for g in self._groups])
+        vals = np.array([self.eigenvalues[g].mean() for g in self._groups])
+        vals.flags.writeable = False
+        return vals
 
-    @property
+    @cached_property
     def group_index(self) -> np.ndarray:
         """Group id of each eigenvector column."""
         idx = np.empty(self.dim, dtype=int)
         for gi, g in enumerate(self._groups):
             idx[g] = gi
+        idx.flags.writeable = False
         return idx
 
     def projections(self) -> list[np.ndarray]:

@@ -58,8 +58,13 @@ def _encode(obj, out: list) -> None:
             _encode(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)) and all(type(v) is float for v in obj):
-        # one pass for plain float lists; float17 still rejects non-finite values
-        out.append("[" + ",".join([float17(v) for v in obj]) + "]")
+        # plain float lists take one %-format call ("%.17g" is float17's
+        # format); a non-finite value goes through float17, which rejects it
+        if all(map(math.isfinite, obj)):
+            text = ",".join(["%.17g"] * len(obj)) % tuple(obj)
+        else:
+            text = ",".join([float17(v) for v in obj])
+        out.append("[" + text + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

@@ -61,6 +61,14 @@ class TestExitCodes:
         assert code == 2
         assert load_report(out)["body"]["results"]["pass"] is False
 
+    def test_zero_samples_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = cli.main(["multiplier-bound", "--kernel", "von-mises", "--p", "0.5",
+                         "--samples", "0", "--out", str(out)])
+        assert code == 1
+        assert "--samples must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_flag_is_gone(self, tmp_path):
         assert cli.main(["bks", "--p", "1", "--theta", "0.5", "--threads", "2",
                          "--out", str(tmp_path / "r.json")]) == 1

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import schurlab
 from schurlab.factorization import (
+    COORDINATE_STRETCH,
     CAUCHY_SCHWARZ_CONST,
     RAMP_DERIVATIVE_SUPS,
     RAMP_STEEPNESS,
@@ -27,6 +29,7 @@ from schurlab.factorization import (
     sobolev_constant,
     sum_quadrant_bound,
     _mode_numbers,
+    _power_diff,
 )
 from schurlab.multipliers import SymbolMatrix, multiplier_norm_lower
 
@@ -51,6 +54,34 @@ def symbolic_ramp_derivative_sup(order: int) -> float:
         vals = np.abs(np.asarray(fn(ts), dtype=float))
     vals = vals[np.isfinite(vals)]
     return float(vals.max()) * 1.02
+
+
+def fft2_coefficients(kernel):
+    """Reference for SmoothKernel.coefficients: np.fft.fft2 of the samples
+    cast to complex (the whole-grid transform it replaced)."""
+    return np.fft.fft2(np.asarray(kernel.samples(), dtype=complex)) / kernel.grid_size**2
+
+
+def whole_grid_gap(fact, kernel):
+    """Reference for reconstruction_error: the whole-grid max |recon - samples|."""
+    return np.abs(fact.reconstruct() - kernel.samples()).max()
+
+
+def full_grid_power_diff(u, v, theta):
+    """Reference for _power_diff: the midpoint derivative on every entry."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    gap = u - v
+    near = np.abs(gap) <= 1e-6 * np.maximum(u, v)
+    safe = np.where(near, 1.0, gap)
+    ratio = (u**theta - v**theta) / safe
+    mid = theta * (0.5 * (u + v)) ** (theta - 1.0)
+    return np.where(near, mid, ratio)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def run_python(code: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
@@ -467,6 +498,64 @@ class TestCatalog:
         assert abs(mode_index(c, 1, 0) - 0.5) < 1e-14
         assert abs(mode_index(c, -1, 0) - 0.5) < 1e-14
 
+    @pytest.mark.parametrize("name", sorted(kernel_catalog()))
+    def test_samples_keep_the_evaluator_dtype(self, name):
+        kern = make_kernel(name, grid_size=256)
+        want = np.complex128 if name == "complex-mode" else np.float64
+        assert kern.samples().dtype == want
+        assert kern.coefficients().dtype == np.complex128
+
     def test_mode_numbers_layout(self):
         m = _mode_numbers(8)
         assert list(m) == [0, 1, 2, 3, -4, -3, -2, -1]
+
+
+# The row-blocked FFT, the in-place self-check and the diagonal-only midpoint
+# must give the bits of the whole-grid computations they replaced.
+BIG_KERNELS = [("power-ratio-singular", {}), ("power-ratio-window", {"theta": 0.3}),
+               ("power-ratio-window", {"theta": 0.5}), ("power-ratio-window", {"theta": 0.8}),
+               ("shifted-resolvent", {})]
+
+
+class TestWholeGridOracles:
+    @pytest.mark.parametrize("name", sorted(kernel_catalog()))
+    def test_catalog_at_256(self, name):
+        kern = make_kernel(name, grid_size=256)
+        assert same_bits(kern.coefficients(), fft2_coefficients(kern))
+        fact = build_factorization(kern, 2, 1.0, mode_cutoff=16)
+        assert same_bits(fact.reconstruction_error, whole_grid_gap(fact, kern))
+
+    @pytest.mark.parametrize("name,params", BIG_KERNELS)
+    def test_certificate_kernels_at_2048(self, name, params):
+        kern = make_kernel(name, **params)
+        assert kern.grid_size == 2048
+        assert same_bits(kern.coefficients(), fft2_coefficients(kern))
+        fact = build_factorization(kern, 2, 1.0, mode_cutoff=64)
+        assert same_bits(fact.reconstruction_error, whole_grid_gap(fact, kern))
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_power_diff_midpoint(self, theta, n):
+        u = COORDINATE_STRETCH * (2.0 * np.pi * np.arange(n) / n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = _power_diff(u[:, None], u[None, :], theta)
+            want = full_grid_power_diff(u[:, None], u[None, :], theta)
+        assert same_bits(got, want)
+
+    def test_power_diff_on_scalars(self):
+        for u, v in ((1.25, 1.5), (1.25, 1.25), (2.0, 2.0 + 1e-9)):
+            assert same_bits(_power_diff(u, v, 0.5), full_grid_power_diff(u, v, 0.5))
+
+
+def test_factorization_memory_guard():
+    # real-valued samples, the row-blocked FFT and the in-place self-check keep
+    # the traced peak of a 2048^2 factorization near 176 MiB; the whole-grid
+    # complex pipeline reached 232 MiB
+    tracemalloc.start()
+    try:
+        kern = make_kernel("power-ratio-singular")
+        build_factorization(kern, 2, 1.0, mode_cutoff=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 190 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"

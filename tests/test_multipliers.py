@@ -205,8 +205,6 @@ class TestMultiplierNormLower:
         est = multiplier_norm_lower(m, 1.0, trials=1, seed=9)
         assert est.seed == 9 and est.trials == 1
         assert "matrix" in est.lower_scope
-        est2 = est.with_upper(5.0)
-        assert est2.upper == 5.0
 
     def test_sandwich_validation(self):
         with pytest.raises(ValueError, match="sandwich"):
@@ -225,6 +223,13 @@ class TestMultiplierNormLower:
         m = SymbolMatrix([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)))
         est = multiplier_norm_lower(m, 0.5, trials=2, seed=0)
         assert est.lower == 0.0 and est.witness is None
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_rejects_empty_symbol(self, shape):
+        m = SymbolMatrix(np.arange(float(shape[0])), np.arange(float(shape[1])),
+                         np.zeros(shape))
+        with pytest.raises(ValueError, match="empty symbol"):
+            multiplier_norm_lower(m, 0.5, trials=1)
 
     def test_rejects_zero_trials(self):
         m = SymbolMatrix([0.0], [0.0], np.array([[1.0]]))

@@ -108,6 +108,18 @@ class TestSpectralDecompose:
         y = spectral_decompose(np.diag([1.0, 1.5, 2.0]))
         assert y.distinct_eigenvalues.size == 3
 
+    def test_spectrum_groups_are_computed_once_and_read_only(self):
+        x = spectral_decompose(np.diag([1.0, 1.0 + 1e-12, 2.0, 2.0, 3.0]))
+        assert x.distinct_eigenvalues is x.distinct_eigenvalues
+        assert x.group_index is x.group_index
+        # the per-access computations they replace
+        assert np.array_equal(x.distinct_eigenvalues,
+                              [x.eigenvalues[g].mean() for g in x._groups])
+        assert x.group_index.tolist() == [0, 1, 1, 2, 2]
+        for arr in (x.distinct_eigenvalues, x.group_index):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
     def test_reconstruction_invariant(self, rng):
         for dim in (2, 5, 8):
             x = spectral_decompose(random_hermitian(dim, rng))

@@ -100,6 +100,8 @@ class TestCanonicalDumps:
         [[], [[]], ()],
         {"a": [1.0, 2.0], "b": ("x", 0.5), "c": np.array([1e-7, -0.0])},
         ["s", 1.0],
+        [1e16, 9.999999999999998e16, 1e17, 1e-5, 0.0001, -0.0, 5e-324,
+         1.7976931348623157e308],
     ])
     def test_float_list_fast_path_matches_per_item_encoder(self, payload):
         assert serialize.dumps_canonical(payload) == per_item_dumps(payload)

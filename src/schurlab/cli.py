@@ -112,8 +112,9 @@ def _require(cond, message):
         raise InputError(message)
 
 
-def _sweep(seed: int, trials: int, draw, evaluate):
-    """Seeded block sweep: one row per trial and the last maximal witness.
+def _sweep(seed: int, trial_ids: range, draw, evaluate):
+    """Seeded block sweep over ``trial_ids``: one row per trial and the last
+    maximal witness.
 
     ``draw(rng)`` returns one trial's matrices from its own
     SeedSequence([seed, trial]); ``evaluate(*stacks, trials=ids)`` returns
@@ -122,8 +123,8 @@ def _sweep(seed: int, trials: int, draw, evaluate):
     scan would pick it.
     """
     best, witness, rows = 0.0, None, []
-    for block in trial_blocks(trials):
-        ids = range(trials)[block]
+    for block in trial_blocks(len(trial_ids)):
+        ids = trial_ids[block]
         draws = [draw(trial_rng(seed, t)) for t in ids]
         stacks = [np.array(m, dtype=complex) for m in zip(*draws)]
         result = evaluate(*stacks, trials=ids)
@@ -208,21 +209,22 @@ def _run_bks(ns) -> dict:
     if not p.is_infinite:
         _require(p.value >= ns.theta, "need p >= theta for the constant-1 inequality")
 
-    def draw(idx, dim):
-        rng = trial_rng(ns.seed, idx)
+    def psd_pair(dim, rng):
         return random_psd(dim, rng), random_psd(dim, rng)
+
+    def evaluate(xs, ys, trials):
+        return bks_ratios(decompose_stack(xs, trials=trials),
+                          decompose_stack(ys, trials=trials), p, ns.theta)
 
     # trial i runs at dims[i % len(dims)]; each dim's trials go in blocks
     ratios = np.zeros(ns.trials)
     for di, dim in enumerate(dims):
-        idx = np.arange(di, ns.trials, len(dims))
-        for block in trial_blocks(idx.size):
-            ids = idx[block].tolist()
-            xs, ys = zip(*(draw(i, dim) for i in ids))
-            ratios[ids] = bks_ratios(decompose_stack(xs, trials=ids),
-                                     decompose_stack(ys, trials=ids), p, ns.theta).ratio
+        rows, _, _ = _sweep(ns.seed, range(di, ns.trials, len(dims)),
+                            lambda rng, dim=dim: psd_pair(dim, rng), evaluate)
+        for row in rows:
+            ratios[row["trial"]] = row["ratio"]
     best = int(np.argmax(ratios))
-    wx, wy = draw(best, dims[best % len(dims)])
+    wx, wy = psd_pair(dims[best % len(dims)], trial_rng(ns.seed, best))
     # the reported maximum is the single-pair check of the witness, which
     # the block evaluation reproduces bit for bit
     worst = bks_check(wx, wy, p, ns.theta).ratio
@@ -383,6 +385,7 @@ def _run_kernel_spectrum(ns) -> dict:
 
 def _run_kfunctional(ns) -> dict:
     _require(ns.trials >= 1, "trials must be >= 1")
+    _require(ns.dim >= 1, "--dim must be >= 1")
     p0 = _parse_p(ns.p0)
     p1 = _parse_p(ns.p1)
     _require(p0 < p1, "need p0 < p1")
@@ -398,6 +401,7 @@ def _run_kfunctional(ns) -> dict:
 
 def _run_weak_lp(ns) -> dict:
     _require(ns.trials >= 1, "trials must be >= 1")
+    _require(ns.dim >= 1, "--dim must be >= 1")
     _require(ns.p > 0, "p must be positive")
     qs = [SchattenIndex.INF if v == "inf" else SchattenIndex(float(v))
           for v in ns.q.split(",") if v]
@@ -412,6 +416,7 @@ def _run_weak_lp(ns) -> dict:
 
 def _run_commutator(ns) -> dict:
     _require(ns.trials >= 1, "trials must be >= 1")
+    _require(ns.dim >= 1, "--dim must be >= 1")
     p = _parse_p(ns.p)
 
     def draw(rng):
@@ -423,7 +428,7 @@ def _run_commutator(ns) -> dict:
         bs /= np.maximum(schatten_norms(bs, SchattenIndex.INF, trials=trials), 1e-300)[:, None, None]
         return commutator_ratios(decompose_stack(xs, trials=trials), bs, p, ns.theta, ns.signed)
 
-    rows, best, witness = _sweep(ns.seed, ns.trials, draw, evaluate)
+    rows, best, witness = _sweep(ns.seed, range(ns.trials), draw, evaluate)
     results = {
         "dim": ns.dim, "trials": ns.trials, "p": index_label(p), "theta": ns.theta,
         "signed": ns.signed, "max_ratio": best, "table": rows,
@@ -436,6 +441,7 @@ def _run_commutator(ns) -> dict:
 
 def _run_mazur(ns) -> dict:
     _require(ns.trials >= 1, "trials must be >= 1")
+    _require(ns.dim >= 1, "--dim must be >= 1")
     _require(0 < ns.p < ns.q, "need q > p > 0")
     shape = (ns.dim, ns.dim)
 
@@ -446,7 +452,7 @@ def _run_mazur(ns) -> dict:
     def evaluate(xs, ys, trials):
         return mazur_ratios(xs, ys, ns.p, ns.q, trials=trials)
 
-    rows, best, witness = _sweep(ns.seed, ns.trials, draw, evaluate)
+    rows, best, witness = _sweep(ns.seed, range(ns.trials), draw, evaluate)
     results = {
         "dim": ns.dim, "trials": ns.trials, "p": ns.p, "q": ns.q,
         "max_ratio": best, "table": rows,

@@ -22,12 +22,10 @@ from .operators import (
     SchattenIndex,
     SignedPowerFunction,
     SpectralStack,
-    apply_calculus,
     as_index,
     calculus_stack,
     decompose_stack,
     reject_members,
-    schatten_norm,
     schatten_norms,
     spectral_decompose,
 )
@@ -101,12 +99,6 @@ class RatioSample:
     inputs_digest: str
     parameters: dict
 
-    @classmethod
-    def build(cls, numerator: float, denominator: float, digest: str,
-              parameters: dict) -> "RatioSample":
-        return RatioBlock(np.array([numerator], dtype=float),
-                          np.array([denominator], dtype=float)).sample(0, digest, parameters)
-
 
 @dataclass(frozen=True)
 class RatioBlock:
@@ -125,9 +117,13 @@ class RatioBlock:
         deg = self.degenerate
         return np.where(deg, 0.0, self.numerator / np.where(deg, 1.0, self.denominator))
 
-    def sample(self, i: int, digest: str, parameters: dict) -> RatioSample:
-        return RatioSample(float(self.numerator[i]), float(self.denominator[i]),
-                           float(self.ratio[i]), bool(self.degenerate[i]), digest, parameters)
+
+def _single_sample(block: RatioBlock, inputs, **parameters) -> RatioSample:
+    """The sample of a one-member block: the digest of its input matrices and
+    ``parameters`` with the dimension of the first input appended."""
+    return RatioSample(float(block.numerator[0]), float(block.denominator[0]),
+                       float(block.ratio[0]), bool(block.degenerate[0]), _digest(*inputs),
+                       {**parameters, "dim": inputs[0].shape[0]})
 
 
 @dataclass
@@ -144,13 +140,9 @@ class SearchReport:
     per_dim: dict = field(default_factory=dict)
 
 
-def _as_operand(x) -> HermitianOperand:
-    return x if isinstance(x, HermitianOperand) else spectral_decompose(x)
-
-
 def _as_stack(x) -> SpectralStack:
     """One-member stack of an operand, or of a freshly decomposed matrix."""
-    return SpectralStack.of(_as_operand(x))
+    return SpectralStack.of(x if isinstance(x, HermitianOperand) else spectral_decompose(x))
 
 
 def _power_or_zero(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -175,12 +167,19 @@ def ando_ratios(x: SpectralStack, y: SpectralStack, p, theta: float,
 
 def ando_ratio(x, y, p, theta: float, signed: bool) -> RatioSample:
     """||f(x) - f(y)||_{p/theta} / ||x - y||_p^theta for the power map f."""
-    xs = _as_stack(x)
-    ys = _as_stack(y)
-    block = ando_ratios(xs, ys, p, theta, signed)
-    params = {"p": index_label(p), "theta": theta, "signed": signed,
-              "dim": xs.entries.shape[-1]}
-    return block.sample(0, _digest(xs.entries[0], ys.entries[0]), params)
+    xs, ys = _as_stack(x), _as_stack(y)
+    return _single_sample(ando_ratios(xs, ys, p, theta, signed), (xs.entries[0], ys.entries[0]),
+                          p=index_label(p), theta=theta, signed=signed)
+
+
+def _reject_indefinite(**stacks: SpectralStack) -> None:
+    """Reject the first member with an eigenvalue below -PSD_TOL * max(1, radius)."""
+    for name, s in stacks.items():
+        low = s.eigenvalues.min(axis=-1, initial=0.0)
+        radius = np.abs(s.eigenvalues).max(axis=-1, initial=0.0)
+        reject_members(
+            low < -PSD_TOL * np.maximum(1.0, radius), s.trials,
+            lambda i: f"{name} is not positive semidefinite: min eigenvalue {low[i]:.3e}")
 
 
 def bks_ratios(x: SpectralStack, y: SpectralStack, p, theta: float) -> RatioBlock:
@@ -188,23 +187,15 @@ def bks_ratios(x: SpectralStack, y: SpectralStack, p, theta: float) -> RatioBloc
     q = as_index(p)
     if not q.is_infinite and q.value < theta:
         raise ValueError("the constant-1 inequality needs p >= theta")
-    for name, s in (("x", x), ("y", y)):
-        low = s.eigenvalues.min(axis=-1, initial=0.0)
-        radius = np.abs(s.eigenvalues).max(axis=-1, initial=0.0)
-        reject_members(
-            low < -PSD_TOL * np.maximum(1.0, radius), x.trials,
-            lambda i: f"{name} is not positive semidefinite: min eigenvalue {low[i]:.3e}")
+    _reject_indefinite(x=x, y=y)
     return ando_ratios(x, y, q, theta, signed=False)
 
 
 def bks_check(x, y, p, theta: float) -> RatioSample:
     """Positive-operator ratio; the classical inequality makes it <= 1 for p >= theta."""
-    xs = _as_stack(x)
-    ys = _as_stack(y)
-    block = bks_ratios(xs, ys, p, theta)
-    params = {"p": index_label(p), "theta": theta, "signed": False,
-              "dim": xs.entries.shape[-1]}
-    return block.sample(0, _digest(xs.entries[0], ys.entries[0]), params)
+    xs, ys = _as_stack(x), _as_stack(y)
+    return _single_sample(bks_ratios(xs, ys, p, theta), (xs.entries[0], ys.entries[0]),
+                          p=index_label(p), theta=theta, signed=False)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -320,6 +311,8 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
         raise ValueError("trials must be >= 1")
     q = as_index(p)
     dims = [int(d) for d in dims]
+    if not dims or min(dims) < 1:
+        raise ValueError(f"dims must be a nonempty list of positive integers, got {dims}")
     trials = int(trials)
     config = _search_config_digest(q, theta, signed, dims, trials, seed)
     if resume is not None and resume.get("config") != config:
@@ -376,13 +369,12 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
     for di in range(start_dim, len(dims)):
         dim = dims[di]
         first_trial = start_trial + 1 if di == start_dim else 0
+        # (diag(1, 0, ...), 0) also seeds the refinement if every trial is degenerate
+        opening = (np.zeros((dim, dim), dtype=complex), np.zeros((dim, dim), dtype=complex))
+        opening[0][0, 0] = 1.0
         if first_trial == 0:
-            e = np.zeros((dim, dim), dtype=complex)
-            e[0, 0] = 1.0
-            zero = np.zeros((dim, dim), dtype=complex)
-            consider(*evaluate_pair(e, zero), (e, zero), dim)
-        dim_best = -1.0
-        dim_best_pair = None
+            consider(*evaluate_pair(*opening), opening, dim)
+        dim_best, dim_best_pair = -1.0, opening
         for block in trial_blocks(trials):
             ids = range(trials)[block]
             pairs = [random_pair(dim, trial_rng(seed, dim, trial), kind=trial) for trial in ids]
@@ -400,10 +392,6 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
                 if (trial >= first_trial and checkpoint_every and checkpoint_cb
                         and counter % int(checkpoint_every) == 0):
                     checkpoint_cb(snapshot((di, trial)))
-        if dim_best_pair is None:
-            e = np.zeros((dim, dim), dtype=complex)
-            e[0, 0] = 1.0
-            dim_best_pair = (e, np.zeros((dim, dim), dtype=complex))
         rng = trial_rng(seed, dim, 1 << 30)
         rx, ry, _ = _hill_climb(np.asarray(dim_best_pair[0], dtype=complex),
                                 np.asarray(dim_best_pair[1], dtype=complex),
@@ -437,34 +425,28 @@ def commutator_ratio(x, b, p, theta: float, signed: bool) -> RatioSample:
     """||[f(x), b]||_{p/theta} / (||[x, b]||_p^theta ||b||^(1-theta))."""
     xs = _as_stack(x)
     b = np.asarray(b, dtype=complex)
-    block = commutator_ratios(xs, b[None], p, theta, signed)
-    params = {"p": index_label(p), "theta": theta, "signed": signed,
-              "dim": xs.entries.shape[-1]}
-    return block.sample(0, _digest(xs.entries[0], b), params)
+    return _single_sample(commutator_ratios(xs, b[None], p, theta, signed), (xs.entries[0], b),
+                          p=index_label(p), theta=theta, signed=signed)
 
 
 def anticommutator_ratio(x, y, b, p, theta: float, sign: int) -> RatioSample:
     """||b x^theta +/- y^theta b||_{p/theta} / (||b x +/- y b||_p^theta ||b||^(1-theta))."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    x = _as_operand(x)
-    y = _as_operand(y)
-    b = np.asarray(b, dtype=complex)
+    xs, ys = _as_stack(x), _as_stack(y)
+    _reject_indefinite(x=xs, y=ys)
+    b = np.asarray(b, dtype=complex)[None]
     q = as_index(p)
-    for name, op in (("x", x), ("y", y)):
-        if op.eigenvalues.min(initial=0.0) < -PSD_TOL * max(1.0, op.spectral_radius):
-            raise ValueError(f"{name} must be positive semidefinite")
     f = SignedPowerFunction(theta, signed=False)
-    fx = apply_calculus(x, f)
-    fy = apply_calculus(y, f)
-    top = b @ fx.entries + sign * fy.entries @ b
-    bottom = b @ x.entries + sign * y.entries @ b
-    bound = schatten_norm(b, SchattenIndex.INF)
-    num = schatten_norm(top, q / theta, x.trace_weight)
-    base = schatten_norm(bottom, q, x.trace_weight)
+    fx, fy = calculus_stack(xs, f), calculus_stack(ys, f)
+    num = schatten_norms(b @ fx.entries + sign * fy.entries @ b, q / theta, xs.trace_weight)
+    base = float(schatten_norms(b @ xs.entries + sign * ys.entries @ b, q, xs.trace_weight)[0])
+    bound = float(schatten_norms(b, SchattenIndex.INF)[0])
+    # scalar (libm) powers: numpy's array power can round the other way
     den = base**theta * bound ** (1.0 - theta) if base > 0 else 0.0
-    params = {"p": index_label(q), "theta": theta, "sign": sign, "dim": x.dim}
-    return RatioSample.build(num, den, _digest(x.entries, y.entries, b), params)
+    block = RatioBlock(num, np.array([den]))
+    return _single_sample(block, (xs.entries[0], ys.entries[0], b[0]),
+                          p=index_label(q), theta=theta, sign=sign)
 
 
 def _power_map(a: np.ndarray, exponent: float) -> np.ndarray:
@@ -494,6 +476,5 @@ def mazur_ratio(x, y, p: float, q: float) -> RatioSample:
     """Hölder ratio of the norm-homogenizing map between index p and q > p."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    block = mazur_ratios(x[None], y[None], p, q)
-    params = {"p": float(p), "q": float(q), "theta": float(p) / float(q), "dim": x.shape[0]}
-    return block.sample(0, _digest(x, y), params)
+    return _single_sample(mazur_ratios(x[None], y[None], p, q), (x, y),
+                          p=float(p), q=float(q), theta=float(p) / float(q))

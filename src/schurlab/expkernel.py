@@ -104,17 +104,22 @@ def _newton_thetas(ks: np.ndarray) -> np.ndarray:
     return t
 
 
+def _root_table(k_max: int, tol_of) -> np.ndarray:
+    """theta_k for k = 1..k_max: bisection roots (residual within tol_of(k),
+    which does not move the root) up to EXACT_ROOT_LIMIT, Newton tail beyond."""
+    thetas = np.empty(k_max)
+    for k in range(1, min(k_max, EXACT_ROOT_LIMIT) + 1):
+        thetas[k - 1] = solve_theta(k, tol_of(k))
+    tail_ks = np.arange(EXACT_ROOT_LIMIT + 1, k_max + 1, dtype=float)
+    thetas[EXACT_ROOT_LIMIT:] = _newton_thetas(tail_ks)
+    return thetas
+
+
 def analytic_eigenvalues(k_max: int, tol: float = 1e-8) -> KernelSpectrum:
     """First k_max eigenvalues 2 cos^2(theta_k), descending."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    ks = np.arange(1, k_max + 1)
-    thetas = np.empty(k_max)
-    upto = min(k_max, EXACT_ROOT_LIMIT)
-    for i in range(upto):
-        thetas[i] = solve_theta(i + 1, tol)
-    if k_max > EXACT_ROOT_LIMIT:
-        thetas[EXACT_ROOT_LIMIT:] = _newton_thetas(ks[EXACT_ROOT_LIMIT:].astype(float))
+    thetas = _root_table(k_max, lambda k: tol)
     alphas = np.tan(thetas)
     lambdas = 2.0 * np.cos(thetas) ** 2
     return KernelSpectrum(k_max=k_max, thetas=thetas, alphas=alphas, lambdas=lambdas)
@@ -215,13 +220,7 @@ def nystrom_spectrum(n: int = 2000) -> np.ndarray:
 def _eigenvalue_table(k_max: int) -> np.ndarray:
     """2 cos^2(theta_k) for k = 1..k_max, read-only: exact bisection roots up
     to k = 1000, Newton-corrected tail beyond."""
-    upto = min(k_max, EXACT_ROOT_LIMIT)
-    thetas = np.empty(k_max)
-    for i in range(upto):
-        thetas[i] = solve_theta(i + 1, tol=max(1e-10, 5e-14 * ((i + 1) * math.pi) ** 2))
-    if k_max > EXACT_ROOT_LIMIT:
-        tail_ks = np.arange(EXACT_ROOT_LIMIT + 1, k_max + 1, dtype=float)
-        thetas[EXACT_ROOT_LIMIT:] = _newton_thetas(tail_ks)
+    thetas = _root_table(k_max, lambda k: max(1e-10, 5e-14 * (k * math.pi) ** 2))
     lambdas = 2.0 * np.cos(thetas) ** 2
     lambdas.setflags(write=False)
     return lambdas

@@ -534,6 +534,12 @@ def _window_ratio_kernel(theta):
 
 
 def _plus_resolvent_kernel(a):
+    # the bumps are supported on u in (-1/4, 5/4), so the denominator
+    # a + u_x + u_y is positive on the support exactly when a >= 1/2;
+    # written so that NaN fails too
+    if not a >= 0.5:
+        raise ValueError(f"the shifted-resolvent kernel needs a >= 0.5, got a = {a}")
+
     def evaluate(x, y):
         xw, yw = _wrap_pi(x), _wrap_pi(y)
         w = _PHI_PLUS(xw) * _PHI_PLUS(yw)

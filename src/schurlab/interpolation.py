@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiments import RatioSample, _digest, index_label
+from .experiments import RatioBlock, RatioSample, _single_sample, index_label
 from .operators import (
     SchattenIndex,
     SignedPowerFunction,
@@ -102,12 +102,11 @@ def lorentz_norm(mu, p: float, q) -> float:
 
 @dataclass(frozen=True)
 class KFunctionalQuery:
-    """Parameters of K_t(x; l_{p0}, l_{p1}) with optional selfadjoint constraint."""
+    """Parameters of K_t(x; l_{p0}, l_{p1})."""
 
     t: float
     p0: SchattenIndex
     p1: SchattenIndex
-    selfadjoint_constraint: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "p0", as_index(self.p0))
@@ -216,37 +215,35 @@ def selfadjoint_k_gap(x, query: KFunctionalQuery, grid: int = 256) -> tuple[floa
     return plain, sa
 
 
+def _difference_sample(x, y, theta: float, signed: bool, measure_f, measure,
+                       **parameters) -> RatioSample:
+    """measure_f(f(y) - f(x)) / measure(y - x)^theta for the power map f, as
+    the one-member sample of the pair."""
+    xy = decompose_stack([x, y])
+    fxy = calculus_stack(xy, SignedPowerFunction(theta, signed)).entries
+    num = measure_f(fxy[1] - fxy[0])
+    den_base = measure(xy.entries[1] - xy.entries[0])
+    den = den_base**theta if den_base > 0 else 0.0
+    return _single_sample(RatioBlock(np.array([num]), np.array([den])), xy.entries,
+                          **parameters, theta=theta, signed=signed)
+
+
 def kfonc_check(x, y, p0, p1, theta: float, signed: bool, t: float,
                 grid: int = 128) -> RatioSample:
     """K_{t^theta}(f(y) - f(x)) at indices (p0/theta, p1/theta) against
     K_t(y - x)^theta at (p0, p1)."""
     p0 = as_index(p0)
     p1 = as_index(p1)
-    f = SignedPowerFunction(theta, signed)
-    xy = decompose_stack([x, y])
-    fxy = calculus_stack(xy, f).entries
-    diff_f = fxy[1] - fxy[0]
-    diff = xy.entries[1] - xy.entries[0]
-    num = k_functional(diff_f, KFunctionalQuery(t**theta, p0 / theta, p1 / theta), grid)
-    den_base = k_functional(diff, KFunctionalQuery(t, p0, p1), grid)
-    den = den_base**theta if den_base > 0 else 0.0
-    params = {"p0": index_label(p0), "p1": index_label(p1), "theta": theta,
-              "signed": signed, "t": t, "dim": diff.shape[0]}
-    return RatioSample.build(num, den, _digest(*xy.entries), params)
+    return _difference_sample(
+        x, y, theta, signed,
+        lambda d: k_functional(d, KFunctionalQuery(t**theta, p0 / theta, p1 / theta), grid),
+        lambda d: k_functional(d, KFunctionalQuery(t, p0, p1), grid),
+        p0=index_label(p0), p1=index_label(p1), t=t)
 
 
 def weak_lp_check(x, y, p: float, q, theta: float, signed: bool) -> RatioSample:
     """Lorentz-norm Hölder ratio ||f(y)-f(x)||_{p/theta, q} / ||y-x||_{p, q theta}^theta."""
-    f = SignedPowerFunction(theta, signed)
-    xy = decompose_stack([x, y])
     qi = as_index(q)
     q_scaled = SchattenIndex.INF if qi.is_infinite else SchattenIndex(qi.value * theta)
-    fxy = calculus_stack(xy, f).entries
-    diff_f = fxy[1] - fxy[0]
-    diff = xy.entries[1] - xy.entries[0]
-    num = lorentz_norm(rearrangement(diff_f, xy.trace_weight), p / theta, qi)
-    den_base = lorentz_norm(rearrangement(diff, xy.trace_weight), p, q_scaled)
-    den = den_base**theta if den_base > 0 else 0.0
-    params = {"p": p, "q": index_label(qi), "theta": theta, "signed": signed,
-              "dim": diff.shape[0]}
-    return RatioSample.build(num, den, _digest(*xy.entries), params)
+    return _difference_sample(x, y, theta, signed, lambda d: lorentz_norm(d, p / theta, qi),
+                              lambda d: lorentz_norm(d, p, q_scaled), p=p, q=index_label(qi))

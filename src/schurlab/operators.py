@@ -16,7 +16,7 @@ the same bits alone as inside a stack.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -322,7 +322,6 @@ class HermitianOperand:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     trace_weight: float = 1.0
-    _groups: list = field(default_factory=list, repr=False)
     validated: InitVar[bool] = False
 
     def __post_init__(self, validated: bool):
@@ -333,8 +332,6 @@ class HermitianOperand:
             raise ValueError("trace_weight must be positive")
         if not validated:
             self._validate()
-        if not self._groups:
-            self._groups = _group_eigenvalues(self.eigenvalues)
 
     def _validate(self):
         n = self.dim
@@ -351,7 +348,19 @@ class HermitianOperand:
     def spectral_radius(self) -> float:
         return float(np.abs(self.eigenvalues).max(initial=0.0))
 
-    # computed once per operand and shared by every caller, so read-only
+    # computed on first use and shared by every caller, so read-only
+    @cached_property
+    def _groups(self) -> list[slice]:
+        """Column slices of the eigenvalue groups merged within GROUP_RTOL."""
+        thresh = GROUP_RTOL * max(self.spectral_radius, 1e-300)
+        groups, start = [], 0
+        for i in range(1, self.dim):
+            if self.eigenvalues[start] - self.eigenvalues[i] > thresh:
+                groups.append(slice(start, i))
+                start = i
+        groups.append(slice(start, self.dim))
+        return groups
+
     @cached_property
     def distinct_eigenvalues(self) -> np.ndarray:
         """Representative eigenvalue per merged group, descending."""
@@ -372,22 +381,6 @@ class HermitianOperand:
         """Spectral projections, one per distinct eigenvalue."""
         u = self.eigenvectors
         return [u[:, g] @ u[:, g].conj().T for g in self._groups]
-
-    def trace(self) -> float:
-        return self.trace_weight * float(np.sum(self.eigenvalues))
-
-
-def _group_eigenvalues(eigenvalues: np.ndarray) -> list[slice]:
-    radius = max(np.abs(eigenvalues).max(initial=0.0), 1e-300)
-    thresh = GROUP_RTOL * radius
-    groups = []
-    start = 0
-    for i in range(1, eigenvalues.size):
-        if eigenvalues[start] - eigenvalues[i] > thresh:
-            groups.append(slice(start, i))
-            start = i
-    groups.append(slice(start, eigenvalues.size))
-    return groups
 
 
 def spectral_decompose(matrix, trace_weight: float = 1.0) -> HermitianOperand:

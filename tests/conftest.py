@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+
+from schurlab.experiments import RatioSample
 
 
 @pytest.fixture
@@ -37,3 +40,17 @@ def exp_kernel_tail(p, k0, k1):
         raise ValueError("need 1000 <= k0 < k1")
     shifted = np.arange(k0, k1, dtype=float)  # k - 1 for k = k0 + 1 .. k1
     return (2.0 / math.pi**2) ** p * math.fsum(shifted ** (-2.0 * p))
+
+
+def reference_sample(num, den, inputs, parameters):
+    """A ratio sample built the way the single-pair functions built theirs
+    before they shared one path: SHA-256 over each input's shape and complex
+    bytes, and ratio 0 for a denominator at or below 1e-300."""
+    h = hashlib.sha256()
+    for a in inputs:
+        a = np.ascontiguousarray(np.asarray(a, dtype=complex))
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+    degenerate = den <= 1e-300
+    return RatioSample(float(num), float(den), 0.0 if degenerate else float(num / den),
+                       bool(degenerate), h.hexdigest(), parameters)

@@ -130,6 +130,34 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", [
+        ["commutator", "--p", "1", "--theta", "0.5"],
+        ["mazur", "--p", "1", "--q", "2"],
+        ["kfunctional", "--p0", "1", "--p1", "2"],
+        ["weak-lp", "--p", "1"],
+    ])
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_nonpositive_dim_is_input_error(self, tmp_path, capsys, command, dim):
+        out = tmp_path / "r.json"
+        code = cli.main(command + ["--dim", dim, "--trials", "5", "--out", str(out)])
+        assert code == 1
+        assert "--dim must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["multiplier-bound", "--samples", "8", "--trials", "1"],
+        ["factorize"],
+    ])
+    @pytest.mark.parametrize("a", ["0.3", "nan"])
+    def test_resolvent_pole_is_input_error(self, tmp_path, capsys, command, a):
+        out = tmp_path / "r.json"
+        code = cli.main(command + ["--kernel", "shifted-resolvent", "--p", "1", "--a", a,
+                                   "--out", str(out)])
+        assert code == 1
+        assert "shifted-resolvent kernel needs a >= 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_byte_identical_bodies(self, tmp_path):
         args = ["verify-ando", "--trials", "10", "--dims", "2,3", "--seed", "3"]
@@ -233,6 +261,24 @@ class TestReports:
         y = serialize.matrix_from_json(res["witness_y"])
         replay = bks_check(x, y, 1.0, 0.5)
         assert replay.ratio == pytest.approx(res["max_ratio"], rel=1e-12)
+
+    def test_bks_dim_without_trials(self, tmp_path):
+        # two trials over three dims: trial i runs at dims[i % 3], so dim 6 gets none
+        out = tmp_path / "r.json"
+        assert cli.main(["bks", "--p", "1", "--theta", "0.5", "--dims", "2,4,6",
+                         "--trials", "2", "--seed", "4", "--out", str(out)]) == 0
+        validate(out, "bks")
+        res = load_report(out)["body"]["results"]
+        from schurlab.experiments import bks_check, random_psd, trial_rng
+        samples = []
+        for trial, dim in enumerate((2, 4)):
+            rng = trial_rng(4, trial)
+            x, y = random_psd(dim, rng), random_psd(dim, rng)
+            samples.append((bks_check(x, y, 1.0, 0.5).ratio, x, y))
+        best, x, y = max(samples, key=lambda s: s[0])
+        assert res["max_ratio"] == best
+        assert np.array_equal(serialize.matrix_from_json(res["witness_x"]), x)
+        assert np.array_equal(serialize.matrix_from_json(res["witness_y"]), y)
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHURLAB_OUTDIR", str(tmp_path))

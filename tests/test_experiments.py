@@ -15,9 +15,39 @@ from schurlab.experiments import (
     mazur_ratios,
     random_pair,
 )
-from schurlab.operators import SchattenIndex, decompose_stack
+from schurlab.operators import (
+    SchattenIndex,
+    SignedPowerFunction,
+    apply_calculus,
+    as_index,
+    decompose_stack,
+    schatten_norm,
+    spectral_decompose,
+)
 
-from conftest import random_hermitian, random_psd, random_unitary
+from conftest import random_hermitian, random_psd, random_unitary, reference_sample
+
+
+def reference_anticommutator_ratio(x, y, b, p, theta, sign):
+    """Reference: the anticommutator ratio as it was computed off the stack
+    core, one operand at a time with its own positivity check."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    x, y = spectral_decompose(x), spectral_decompose(y)
+    b = np.asarray(b, dtype=complex)
+    q = as_index(p)
+    for name, op in (("x", x), ("y", y)):
+        if op.eigenvalues.min(initial=0.0) < -1e-10 * max(1.0, op.spectral_radius):
+            raise ValueError(f"{name} must be positive semidefinite")
+    f = SignedPowerFunction(theta, signed=False)
+    fx, fy = apply_calculus(x, f), apply_calculus(y, f)
+    bound = schatten_norm(b, SchattenIndex.INF)
+    num = schatten_norm(b @ fx.entries + sign * fy.entries @ b, q / theta, x.trace_weight)
+    base = schatten_norm(b @ x.entries + sign * y.entries @ b, q, x.trace_weight)
+    den = base**theta * bound ** (1.0 - theta) if base > 0 else 0.0
+    params = {"p": "inf" if q.is_infinite else q.value, "theta": theta, "sign": sign,
+              "dim": x.dim}
+    return reference_sample(num, den, (x.entries, y.entries, b), params)
 
 
 class TestAndoRatio:
@@ -215,6 +245,11 @@ class TestEstimateConstant:
         with pytest.raises(ValueError):
             estimate_constant(1.0, 0.5, False, [2], trials=0)
 
+    @pytest.mark.parametrize("dims", [[], [0], [2, 0], [-1]])
+    def test_rejects_empty_or_nonpositive_dims(self, dims):
+        with pytest.raises(ValueError, match="dims must be a nonempty list of positive integers"):
+            estimate_constant(0.5, 0.5, True, dims, 5)
+
 
 class TestCommutator:
     def test_commuting_is_degenerate(self, rng):
@@ -268,6 +303,21 @@ class TestAnticommutator:
     def test_rejects_indefinite(self, rng):
         with pytest.raises(ValueError, match="positive"):
             anticommutator_ratio(np.diag([1.0, -1.0]), np.eye(2), np.eye(2), 1.0, 0.5, 1)
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_matches_reference_bitwise(self, dim):
+        rng = np.random.default_rng(np.random.SeedSequence([8, dim]))
+        for _ in range(10):
+            x, y = random_psd(dim, rng), random_psd(dim, rng)
+            b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for p, theta, sign in ((0.5, 0.5, 1), (1.0, 0.3, -1),
+                                   (SchattenIndex.INF, 0.75, 1), (2.0, 0.6, -1)):
+                s = anticommutator_ratio(x, y, b, p, theta, sign)
+                assert s == reference_anticommutator_ratio(x, y, b, p, theta, sign)
+        # the degenerate case: x = y, b = 1 and the minus sign
+        s = anticommutator_ratio(x, x, np.eye(dim), 1.0, 0.5, -1)
+        assert s.degenerate
+        assert s == reference_anticommutator_ratio(x, x, np.eye(dim), 1.0, 0.5, -1)
 
 
 class TestMazur:

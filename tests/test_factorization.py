@@ -474,6 +474,16 @@ class TestCatalog:
         with pytest.raises(KeyError):
             make_kernel("no-such-kernel")
 
+    @pytest.mark.parametrize("a", [0.3, 0.4999, -1.0, float("nan")])
+    def test_resolvent_pole_in_support_rejected(self, a):
+        # a + u_x + u_y vanishes inside the bumps' support (-1/4, 5/4)^2 when a < 1/2
+        with pytest.raises(ValueError, match="needs a >= 0.5"):
+            make_kernel("shifted-resolvent", grid_size=64, a=a)
+
+    def test_resolvent_at_half_is_finite(self):
+        kern = make_kernel("shifted-resolvent", grid_size=64, a=0.5)
+        assert np.isfinite(kern.samples()).all()
+
     def test_window_kernel_matches_integral(self):
         # window kernel values reproduce the divided-difference quotient
         kern = get_catalog_kernel("power-ratio-window", theta=0.5)

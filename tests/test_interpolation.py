@@ -12,9 +12,63 @@ from schurlab.interpolation import (
     weak_lp_check,
 )
 from schurlab.experiments import ando_ratio
-from schurlab.operators import SchattenIndex, schatten_norm
+from schurlab.operators import (
+    SchattenIndex,
+    SignedPowerFunction,
+    as_index,
+    calculus_stack,
+    decompose_stack,
+    schatten_norm,
+)
 
-from conftest import random_hermitian
+from conftest import random_hermitian, reference_sample
+
+
+def _label(q):
+    return "inf" if q.is_infinite else q.value
+
+
+def reference_kfonc_check(x, y, p0, p1, theta, signed, t, grid=128):
+    """Reference: kfonc_check as it was before it shared the pair-difference
+    path with weak_lp_check."""
+    p0 = as_index(p0)
+    p1 = as_index(p1)
+    f = SignedPowerFunction(theta, signed)
+    xy = decompose_stack([x, y])
+    fxy = calculus_stack(xy, f).entries
+    diff_f = fxy[1] - fxy[0]
+    diff = xy.entries[1] - xy.entries[0]
+    num = k_functional(diff_f, KFunctionalQuery(t**theta, p0 / theta, p1 / theta), grid)
+    den_base = k_functional(diff, KFunctionalQuery(t, p0, p1), grid)
+    den = den_base**theta if den_base > 0 else 0.0
+    params = {"p0": _label(p0), "p1": _label(p1), "theta": theta,
+              "signed": signed, "t": t, "dim": diff.shape[0]}
+    return reference_sample(num, den, xy.entries, params)
+
+
+def reference_weak_lp_check(x, y, p, q, theta, signed):
+    """Reference: weak_lp_check as it was before it shared the pair-difference
+    path with kfonc_check."""
+    f = SignedPowerFunction(theta, signed)
+    xy = decompose_stack([x, y])
+    qi = as_index(q)
+    q_scaled = SchattenIndex.INF if qi.is_infinite else SchattenIndex(qi.value * theta)
+    fxy = calculus_stack(xy, f).entries
+    diff_f = fxy[1] - fxy[0]
+    diff = xy.entries[1] - xy.entries[0]
+    num = lorentz_norm(rearrangement(diff_f, xy.trace_weight), p / theta, qi)
+    den_base = lorentz_norm(rearrangement(diff, xy.trace_weight), p, q_scaled)
+    den = den_base**theta if den_base > 0 else 0.0
+    params = {"p": p, "q": _label(qi), "theta": theta, "signed": signed,
+              "dim": diff.shape[0]}
+    return reference_sample(num, den, xy.entries, params)
+
+
+def _reference_pairs(dim, count, seed):
+    """Seeded Hermitian pairs of one dimension; the last pair is equal operands."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
+    pairs = [(random_hermitian(dim, rng), random_hermitian(dim, rng)) for _ in range(count)]
+    return pairs + [(pairs[0][0], pairs[0][0].copy())]
 
 
 def peetre_l1_linf(values, t):
@@ -197,6 +251,14 @@ class TestKfoncCheck:
                   for t in (0.1, 1.0, 10.0)]
         assert all(np.isfinite(r) for r in ratios)
 
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_matches_reference_bitwise(self, dim):
+        for x, y in _reference_pairs(dim, 3, seed=21):
+            for p0, p1, theta, signed, t in ((0.5, 2.0, 0.5, True, 0.1),
+                                             (1.0, SchattenIndex.INF, 0.3, False, 10.0)):
+                s = kfonc_check(x, y, p0, p1, theta, signed, t, grid=32)
+                assert s == reference_kfonc_check(x, y, p0, p1, theta, signed, t, grid=32)
+
 
 class TestWeakLp:
     def test_collapse_to_power_ratio(self, rng):
@@ -217,3 +279,11 @@ class TestWeakLp:
         for q in (0.5, 1.0, SchattenIndex.INF):
             s = weak_lp_check(x, y, 1.0, q, 0.5, signed=True)
             assert np.isfinite(s.ratio) and s.ratio > 0
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_matches_reference_bitwise(self, dim):
+        for x, y in _reference_pairs(dim, 5, seed=22):
+            for p, q, theta, signed in ((1.0, 0.5, 0.5, True), (0.5, SchattenIndex.INF, 0.3, False),
+                                        (2.0, 1.0, 0.75, True)):
+                s = weak_lp_check(x, y, p, q, theta, signed)
+                assert s == reference_weak_lp_check(x, y, p, q, theta, signed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,7 +36,7 @@ from .experiments import (
     random_hermitian,
     random_pair,
     random_psd,
-    trial_blocks,
+    sweep_trials,
     trial_rng,
 )
 from .factorization import (
@@ -45,7 +46,7 @@ from .factorization import (
     get_catalog_kernel,
     kernel_catalog,
 )
-from .interpolation import kfonc_check, weak_lp_check
+from .interpolation import kfonc_ratios, weak_lp_ratios
 from .multipliers import SymbolMatrix, divided_difference_symbol, multiplier_norm_lower, schur_apply
 from .operators import (
     InvariantViolation,
@@ -75,15 +76,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _parse_p(text: str):
-    if text in ("inf", "infinity"):
-        return SchattenIndex.INF
+def _parse_p(text: str) -> SchattenIndex:
     try:
         value = float(text)
     except ValueError as exc:
         raise InputError(f"bad Schatten index {text!r}") from exc
-    if value <= 0:
-        raise InputError(f"Schatten index must be positive, got {value}")
     return SchattenIndex(value)
 
 
@@ -112,47 +109,51 @@ def _require(cond, message):
         raise InputError(message)
 
 
-def _sweep(seed: int, trial_ids: range, draw, evaluate):
-    """Seeded block sweep over ``trial_ids``: one row per trial and the last
-    maximal witness.
+# The least value of each integer flag, for every command that has it.
+INT_MINIMA = {"trials": 1, "dim": 1, "samples": 1, "kmax": 1, "nystrom": 64, "sums_kmax": 10}
+# String flags holding comma lists of floats (estimate-constant's --theta).
+FLOAT_LISTS = ("t", "thetas", "sums_p", "theta")
 
-    ``draw(rng)`` returns one trial's matrices from its own
-    SeedSequence([seed, trial]); ``evaluate(*stacks, trials=ids)`` returns
-    the RatioBlock of a block of them. The witness is the last trial whose
-    nondegenerate ratio reaches the running maximum, as a serial ``>=``
-    scan would pick it.
-    """
+
+def _check_flags(ns) -> None:
+    """Reject, naming the flag, an integer below its minimum or a non-finite
+    float. --a is left to make_kernel, so the kernel that reads it names its range."""
+    for name, value in vars(ns).items():
+        flag = "--" + name.replace("_", "-")
+        if name in INT_MINIMA:
+            _require(value >= INT_MINIMA[name], f"{flag} must be >= {INT_MINIMA[name]}")
+        values = _parse_floats(value) if name in FLOAT_LISTS and isinstance(value, str) else [value]
+        _require(name == "a" or all(math.isfinite(v) for v in values if isinstance(v, float)),
+                 f"{flag} must be finite, got {value}")
+
+
+def _sweep(trial_ids: range, draw, evaluate):
+    """Rows, maximum nondegenerate ratio (0 if none) and witness of
+    ``sweep_trials``; the witness is the last trial to reach the running
+    maximum, as a serial ``>=`` scan would pick it."""
     best, witness, rows = 0.0, None, []
-    for block in trial_blocks(len(trial_ids)):
-        ids = trial_ids[block]
-        draws = [draw(trial_rng(seed, t)) for t in ids]
-        stacks = [np.array(m, dtype=complex) for m in zip(*draws)]
-        result = evaluate(*stacks, trials=ids)
-        ratios, degenerate = result.ratio.tolist(), result.degenerate.tolist()
-        for k, trial in enumerate(ids):
-            rows.append({"trial": trial, "ratio": ratios[k], "degenerate": degenerate[k]})
-            if not degenerate[k] and ratios[k] >= best:
-                best, witness = ratios[k], tuple(s[k] for s in stacks)
+    for trial, ratio, degenerate, matrices in sweep_trials(trial_ids, draw, evaluate):
+        rows.append({"trial": trial, "ratio": ratio, "degenerate": degenerate})
+        if not degenerate and ratio >= best:
+            best, witness = ratio, matrices
     return rows, best, witness
 
 
-def _pair_sweep(ns, cases, check):
-    """Seeded per-trial sweep over ``random_pair`` draws.
+def _case_sweeps(ns, cases, ratios):
+    """One sweep per (labels, argument) case over the same seeded ``random_pair``
+    draws, a block's ratios being ``ratios(x_stack, y_stack, argument)``.
+    Returns the rows, labels first and trial-major, and the maximum ratio."""
+    def draw(trial):
+        return random_pair(ns.dim, trial_rng(ns.seed, trial), kind=trial)
 
-    ``cases`` holds (labels, argument) pairs; a trial's row for a case is the
-    labels, the trial, and the ratio and degeneracy of
-    ``check(x, y, argument)``. Returns the rows and the maximum
-    nondegenerate ratio (0 when every row is degenerate).
-    """
-    rows = []
-    for trial in range(ns.trials):
-        x, y = random_pair(ns.dim, trial_rng(ns.seed, trial), kind=trial)
-        for labels, arg in cases:
-            sample = check(x, y, arg)
-            rows.append({**labels, "trial": trial, "ratio": sample.ratio,
-                         "degenerate": sample.degenerate})
-    finite = [r["ratio"] for r in rows if not r["degenerate"]]
-    return rows, float(np.max(finite)) if finite else 0.0
+    rows, best = [], 0.0
+    for labels, arg in cases:
+        case_rows, case_best, _ = _sweep(range(ns.trials), draw, lambda xs, ys, trials: ratios(
+            decompose_stack(xs, trials=trials), decompose_stack(ys, trials=trials), arg))
+        rows += [{**labels, **row} for row in case_rows]
+        best = max(best, case_best)
+    rows.sort(key=lambda row: row["trial"])  # stable: a trial's rows keep the case order
+    return rows, best
 
 
 # ----------------------------------------------------------------------------
@@ -163,8 +164,7 @@ def _pair_sweep(ns, cases, check):
 def _run_verify_ando(ns) -> dict:
     dims = _parse_dims(ns.dims)
     thetas = _parse_floats(ns.thetas)
-    _require(ns.trials >= 1, "trials must be >= 1")
-    _require(all(0 < t < 1 for t in thetas), "theta values must lie in (0,1)")
+    maps = [SignedPowerFunction(theta, signed) for theta in thetas for signed in (False, True)]
 
     def one(idx, dim):
         rng = trial_rng(ns.seed, idx)
@@ -172,16 +172,12 @@ def _run_verify_ando(ns) -> dict:
         x, y = xy.operand(0), xy.operand(1)
         worst = 0.0
         radius = max(x.spectral_radius, y.spectral_radius, 1e-300)
-        for theta in thetas:
-            scale = radius**theta
-            for signed in (False, True):
-                f = SignedPowerFunction(theta, signed)
-                sym = divided_difference_symbol(
-                    x.distinct_eigenvalues, y.distinct_eigenvalues, f)
-                fxy = calculus_stack(xy, f).entries
-                lhs = fxy[0] - fxy[1]
-                rhs = schur_apply(sym, x, y, x.entries - y.entries)
-                worst = max(worst, np.abs(lhs - rhs).max() / scale)
+        for f in maps:
+            sym = divided_difference_symbol(x.distinct_eigenvalues, y.distinct_eigenvalues, f)
+            fxy = calculus_stack(xy, f).entries
+            lhs = fxy[0] - fxy[1]
+            rhs = schur_apply(sym, x, y, x.entries - y.entries)
+            worst = max(worst, np.abs(lhs - rhs).max() / radius**f.theta)
         return worst
 
     # symbols depend on each operand's eigenvalue groups: one trial at a time
@@ -203,13 +199,10 @@ def _run_verify_ando(ns) -> dict:
 
 def _run_bks(ns) -> dict:
     dims = _parse_dims(ns.dims)
-    _require(ns.trials >= 1, "trials must be >= 1")
-    _require(0 < ns.theta < 1, "theta must lie in (0,1)")
     p = _parse_p(ns.p)
-    if not p.is_infinite:
-        _require(p.value >= ns.theta, "need p >= theta for the constant-1 inequality")
 
-    def psd_pair(dim, rng):
+    def psd_pair(dim, trial):
+        rng = trial_rng(ns.seed, trial)
         return random_psd(dim, rng), random_psd(dim, rng)
 
     def evaluate(xs, ys, trials):
@@ -219,12 +212,11 @@ def _run_bks(ns) -> dict:
     # trial i runs at dims[i % len(dims)]; each dim's trials go in blocks
     ratios = np.zeros(ns.trials)
     for di, dim in enumerate(dims):
-        rows, _, _ = _sweep(ns.seed, range(di, ns.trials, len(dims)),
-                            lambda rng, dim=dim: psd_pair(dim, rng), evaluate)
-        for row in rows:
-            ratios[row["trial"]] = row["ratio"]
+        trial_ids = range(di, ns.trials, len(dims))
+        for trial, ratio, _, _ in sweep_trials(trial_ids, lambda t: psd_pair(dim, t), evaluate):
+            ratios[trial] = ratio
     best = int(np.argmax(ratios))
-    wx, wy = psd_pair(dims[best % len(dims)], trial_rng(ns.seed, best))
+    wx, wy = psd_pair(dims[best % len(dims)], best)
     # the reported maximum is the single-pair check of the witness, which
     # the block evaluation reproduces bit for bit
     worst = bks_check(wx, wy, p, ns.theta).ratio
@@ -247,7 +239,6 @@ def _run_bks(ns) -> dict:
 
 def _run_estimate_constant(ns) -> dict:
     dims = _parse_dims(ns.dims)
-    _require(ns.trials >= 1, "trials must be >= 1")
     p_list = [_parse_p(v) for v in str(ns.p).split(",") if v]
     theta_list = _parse_floats(str(ns.theta))
     _require(all(0 < t < 1 for t in theta_list), "theta must lie in (0,1)")
@@ -300,14 +291,16 @@ def _run_estimate_constant(ns) -> dict:
     }
 
 
-def _run_multiplier_bound(ns) -> dict:
+def _certificate_inputs(ns):
+    """The catalog kernel, index p and Sobolev order d of a certificate command."""
     _require(ns.kernel in kernel_catalog(), f"unknown kernel {ns.kernel!r}")
     p = _parse_p(ns.p)
-    _require(not p.is_infinite and p.value <= 1, "certified bounds need p <= 1")
     d = ns.d if ns.d is not None else _default_order(p)
-    _require(d * p.value > 1, f"need d > 1/p (d={d}, 1/p={1 / p.value})")
-    _require(ns.samples >= 1, "--samples must be >= 1")
-    kernel = get_catalog_kernel(ns.kernel, theta=ns.theta, a=ns.a)
+    return get_catalog_kernel(ns.kernel, theta=ns.theta, a=ns.a), p, d
+
+
+def _run_multiplier_bound(ns) -> dict:
+    kernel, p, d = _certificate_inputs(ns)
     upper = certified_pcb_bound(kernel, d, p)
     rng = trial_rng(ns.seed, 0)
     xs = np.sort(rng.uniform(0.0, 2.0 * np.pi, ns.samples))
@@ -334,11 +327,7 @@ def _run_multiplier_bound(ns) -> dict:
 
 
 def _run_factorize(ns) -> dict:
-    _require(ns.kernel in kernel_catalog(), f"unknown kernel {ns.kernel!r}")
-    p = _parse_p(ns.p)
-    _require(not p.is_infinite and p.value <= 1, "factorized certificates need p <= 1")
-    d = ns.d if ns.d is not None else _default_order(p)
-    kernel = get_catalog_kernel(ns.kernel, theta=ns.theta, a=ns.a)
+    kernel, p, d = _certificate_inputs(ns)
     fact = build_factorization(kernel, d, p, mode_cutoff=ns.cutoff)
     payload = fact.to_json()
     payload["reconstruction_error"] = fact.reconstruction_error
@@ -348,9 +337,6 @@ def _run_factorize(ns) -> dict:
 
 
 def _run_kernel_spectrum(ns) -> dict:
-    _require(ns.kmax >= 1, "kmax must be >= 1")
-    _require(ns.nystrom >= 64, "nystrom size must be >= 64")
-    _require(ns.sums_kmax >= 10, "sums-kmax must be >= 10")
     _require(ns.kmax <= ns.nystrom,
              f"--kmax ({ns.kmax}) must not exceed --nystrom ({ns.nystrom}): "
              "the table compares each eigenvalue with a Nystrom eigenvalue")
@@ -384,15 +370,12 @@ def _run_kernel_spectrum(ns) -> dict:
 
 
 def _run_kfunctional(ns) -> dict:
-    _require(ns.trials >= 1, "trials must be >= 1")
-    _require(ns.dim >= 1, "--dim must be >= 1")
     p0 = _parse_p(ns.p0)
     p1 = _parse_p(ns.p1)
-    _require(p0 < p1, "need p0 < p1")
     cases = [({"t": t, "p0": index_label(p0), "p1": index_label(p1), "theta": ns.theta}, t)
              for t in _parse_floats(ns.t)]
-    rows, best = _pair_sweep(ns, cases, lambda x, y, t: kfonc_check(
-        x, y, p0, p1, ns.theta, ns.signed, t, grid=ns.grid))
+    rows, best = _case_sweeps(ns, cases, lambda xs, ys, t: kfonc_ratios(
+        xs, ys, p0, p1, ns.theta, ns.signed, t, grid=ns.grid))
     return {
         "dim": ns.dim, "trials": ns.trials, "grid": ns.grid, "theta": ns.theta,
         "signed": ns.signed, "table": rows, "max_ratio": best,
@@ -400,14 +383,10 @@ def _run_kfunctional(ns) -> dict:
 
 
 def _run_weak_lp(ns) -> dict:
-    _require(ns.trials >= 1, "trials must be >= 1")
-    _require(ns.dim >= 1, "--dim must be >= 1")
-    _require(ns.p > 0, "p must be positive")
-    qs = [SchattenIndex.INF if v == "inf" else SchattenIndex(float(v))
-          for v in ns.q.split(",") if v]
+    qs = [_parse_p(v) for v in ns.q.split(",") if v]
     cases = [({"p": ns.p, "q": index_label(q), "theta": ns.theta}, q) for q in qs]
-    rows, best = _pair_sweep(ns, cases, lambda x, y, q: weak_lp_check(
-        x, y, ns.p, q, ns.theta, ns.signed))
+    rows, best = _case_sweeps(ns, cases, lambda xs, ys, q: weak_lp_ratios(
+        xs, ys, ns.p, q, ns.theta, ns.signed))
     return {
         "dim": ns.dim, "trials": ns.trials, "theta": ns.theta, "signed": ns.signed,
         "table": rows, "max_ratio": best,
@@ -415,11 +394,10 @@ def _run_weak_lp(ns) -> dict:
 
 
 def _run_commutator(ns) -> dict:
-    _require(ns.trials >= 1, "trials must be >= 1")
-    _require(ns.dim >= 1, "--dim must be >= 1")
     p = _parse_p(ns.p)
 
-    def draw(rng):
+    def draw(trial):
+        rng = trial_rng(ns.seed, trial)
         x = random_hermitian(ns.dim, rng)
         return x, rng.standard_normal((ns.dim, ns.dim)) + 1j * rng.standard_normal((ns.dim, ns.dim))
 
@@ -428,7 +406,7 @@ def _run_commutator(ns) -> dict:
         bs /= np.maximum(schatten_norms(bs, SchattenIndex.INF, trials=trials), 1e-300)[:, None, None]
         return commutator_ratios(decompose_stack(xs, trials=trials), bs, p, ns.theta, ns.signed)
 
-    rows, best, witness = _sweep(ns.seed, range(ns.trials), draw, evaluate)
+    rows, best, witness = _sweep(range(ns.trials), draw, evaluate)
     results = {
         "dim": ns.dim, "trials": ns.trials, "p": index_label(p), "theta": ns.theta,
         "signed": ns.signed, "max_ratio": best, "table": rows,
@@ -440,19 +418,17 @@ def _run_commutator(ns) -> dict:
 
 
 def _run_mazur(ns) -> dict:
-    _require(ns.trials >= 1, "trials must be >= 1")
-    _require(ns.dim >= 1, "--dim must be >= 1")
-    _require(0 < ns.p < ns.q, "need q > p > 0")
     shape = (ns.dim, ns.dim)
 
-    def draw(rng):
+    def draw(trial):
+        rng = trial_rng(ns.seed, trial)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return x, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def evaluate(xs, ys, trials):
         return mazur_ratios(xs, ys, ns.p, ns.q, trials=trials)
 
-    rows, best, witness = _sweep(ns.seed, range(ns.trials), draw, evaluate)
+    rows, best, witness = _sweep(range(ns.trials), draw, evaluate)
     results = {
         "dim": ns.dim, "trials": ns.trials, "p": ns.p, "q": ns.q,
         "max_ratio": best, "table": rows,
@@ -634,6 +610,7 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         ns = parser.parse_args(argv)
+        _check_flags(ns)
         out = ns.out = ns.out or _default_out(ns.command, ns.format)
         try:
             results = RUNNERS[ns.command](ns)

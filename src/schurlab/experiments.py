@@ -45,7 +45,7 @@ __all__ = [
     "anticommutator_ratio",
     "mazur_ratio",
     "mazur_ratios",
-    "trial_blocks",
+    "sweep_trials",
     "random_hermitian",
     "random_pair",
     "random_psd",
@@ -68,10 +68,20 @@ def trial_rng(*entropy) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(e) for e in entropy]))
 
 
-def trial_blocks(count: int):
-    """Consecutive slices of at most BLOCK_TRIALS covering range(count)."""
-    for lo in range(0, int(count), BLOCK_TRIALS):
-        yield slice(lo, min(lo + BLOCK_TRIALS, int(count)))
+def sweep_trials(trial_ids, draw, evaluate):
+    """Yield (trial, ratio, degenerate, matrices) for ``trial_ids`` in order,
+    evaluated in blocks of BLOCK_TRIALS: ``draw(trial)`` returns the trial's
+    matrices from its own generator, ``evaluate(*stacks, trials=ids)`` the
+    RatioBlock of a block, one (B, ...) stack per matrix. ``matrices`` are the
+    trial's members of the stacks after ``evaluate``, which may normalise them
+    in place."""
+    for lo in range(0, len(trial_ids), BLOCK_TRIALS):
+        ids = trial_ids[lo:lo + BLOCK_TRIALS]
+        stacks = [np.array(m, dtype=complex) for m in zip(*(draw(t) for t in ids))]
+        result = evaluate(*stacks, trials=ids)
+        ratios, degenerate = result.ratio.tolist(), result.degenerate.tolist()
+        for k, trial in enumerate(ids):
+            yield trial, ratios[k], degenerate[k], tuple(s[k] for s in stacks)
 
 
 def index_label(p) -> object:
@@ -313,6 +323,10 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
     dims = [int(d) for d in dims]
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must be a nonempty list of positive integers, got {dims}")
+    # a repeated dim would replay the same seeded trials and climb
+    repeated = [d for i, d in enumerate(dims) if d in dims[:i]]
+    if repeated:
+        raise ValueError(f"dims must not repeat, got dim {repeated[0]} more than once in {dims}")
     trials = int(trials)
     config = _search_config_digest(q, theta, signed, dims, trials, seed)
     if resume is not None and resume.get("config") != config:
@@ -334,9 +348,9 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
     )
     start_dim, start_trial = state["position"]
 
-    def evaluate(xs, ys, labels) -> RatioBlock:
-        return ando_ratios(decompose_stack(xs, trials=labels),
-                           decompose_stack(ys, trials=labels), q, theta, signed)
+    def evaluate(xs, ys, trials) -> RatioBlock:
+        return ando_ratios(decompose_stack(xs, trials=trials),
+                           decompose_stack(ys, trials=trials), q, theta, signed)
 
     def evaluate_pair(x, y) -> tuple[float, bool]:
         # the single-pair path, without the digest that only reports need
@@ -375,23 +389,19 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
         if first_trial == 0:
             consider(*evaluate_pair(*opening), opening, dim)
         dim_best, dim_best_pair = -1.0, opening
-        for block in trial_blocks(trials):
-            ids = range(trials)[block]
-            pairs = [random_pair(dim, trial_rng(seed, dim, trial), kind=trial) for trial in ids]
-            result = evaluate(np.array([x for x, _ in pairs], dtype=complex),
-                              np.array([y for _, y in pairs], dtype=complex), ids)
-            ratios, degenerate = result.ratio.tolist(), result.degenerate.tolist()
-            for k, trial in enumerate(ids):
-                # trials before first_trial are replayed only for the bookkeeping
-                # the refinement needs; the checkpoint already counted them
-                if trial >= first_trial:
-                    counter += 1
-                    consider(ratios[k], degenerate[k], pairs[k], dim)
-                if not degenerate[k] and ratios[k] >= dim_best:
-                    dim_best, dim_best_pair = ratios[k], pairs[k]
-                if (trial >= first_trial and checkpoint_every and checkpoint_cb
-                        and counter % int(checkpoint_every) == 0):
-                    checkpoint_cb(snapshot((di, trial)))
+        pairs = sweep_trials(
+            range(trials), lambda t: random_pair(dim, trial_rng(seed, dim, t), kind=t), evaluate)
+        for trial, ratio, degenerate, pair in pairs:
+            # trials before first_trial are replayed only for the bookkeeping
+            # the refinement needs; the checkpoint already counted them
+            if trial >= first_trial:
+                counter += 1
+                consider(ratio, degenerate, pair, dim)
+            if not degenerate and ratio >= dim_best:
+                dim_best, dim_best_pair = ratio, pair
+            if (trial >= first_trial and checkpoint_every and checkpoint_cb
+                    and counter % int(checkpoint_every) == 0):
+                checkpoint_cb(snapshot((di, trial)))
         rng = trial_rng(seed, dim, 1 << 30)
         rx, ry, _ = _hill_climb(np.asarray(dim_best_pair[0], dtype=complex),
                                 np.asarray(dim_best_pair[1], dtype=complex),

@@ -468,7 +468,7 @@ def dyadic_block_bound(theta: float, p, k: int, base_bound: float) -> DyadicBloc
     q = as_index(p)
     if q.is_infinite or q.value > 1.0:
         raise ValueError("dyadic gathering requires p <= 1")
-    if base_bound < 0:
+    if not base_bound >= 0:
         raise ValueError("base_bound must be nonnegative")
     if k < -1:
         raise ValueError("k must be >= -1")
@@ -579,7 +579,12 @@ def make_kernel(name: str, **params) -> SmoothKernel:
     catalog = kernel_catalog()
     if name not in catalog:
         raise KeyError(f"unknown kernel {name!r}; catalog: {sorted(catalog)}")
-    return catalog[name](**params)
+    kernel = catalog[name](**params)
+    # after the builder, so a kernel that reads a parameter reports its own range
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"kernel parameter {key} must be finite, got {value}")
+    return kernel
 
 
 @lru_cache(maxsize=32)
@@ -626,8 +631,9 @@ def _family_sobolev_upper(theta: float, d: int) -> float:
 
 
 def _default_order(p) -> int:
+    """ceil(1/p) + 1, and its limit 2 at p = inf (which _prefactor rejects)."""
     q = as_index(p)
-    return int(math.ceil(1.0 / q.value)) + 1
+    return 2 if q.is_infinite else int(math.ceil(1.0 / q.value)) + 1
 
 
 @lru_cache(maxsize=32)
@@ -643,7 +649,7 @@ def plus_kernel_bound(a: float, p, d: int | None = None, grid_size: int = 2048) 
     general a is exactly bound(1)/a because the a-symbol is 1/a times a
     restriction of the a = 1 symbol.
     """
-    if a < 1.0:
+    if not a >= 1.0:
         raise ValueError("the shifted-resolvent bound requires a >= 1")
     q = as_index(p)
     if d is None:
@@ -662,7 +668,7 @@ def sum_quadrant_bound(a: float, b: float, theta: float, p,
     2 B1^p [2^(theta p) + (2 + 2^-p) 2^(2 theta p) / (1 - 2^(-p(1-theta)))].
     Scales exactly as max(a, b)^(theta-1).
     """
-    if a < 0 or b < 0 or a + b <= 0:
+    if not (a >= 0 and b >= 0 and a + b > 0):
         raise ValueError("need a, b >= 0 with a + b > 0")
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")

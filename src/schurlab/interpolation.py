@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiments import RatioBlock, RatioSample, _single_sample, index_label
+from .experiments import RatioBlock, RatioSample, _as_stack, _single_sample, index_label
 from .operators import (
     SchattenIndex,
     SignedPowerFunction,
+    SpectralStack,
     as_index,
     calculus_stack,
-    decompose_stack,
     singular_values,
     spectral_decompose,
 )
@@ -36,7 +36,9 @@ __all__ = [
     "k_functional",
     "selfadjoint_k_gap",
     "kfonc_check",
+    "kfonc_ratios",
     "weak_lp_check",
+    "weak_lp_ratios",
 ]
 
 MIN_GRID = 16
@@ -87,7 +89,7 @@ def lorentz_norm(mu, p: float, q) -> float:
     """
     if not isinstance(mu, RearrangementProfile):
         mu = rearrangement(mu)
-    if p <= 0:
+    if not p > 0:
         raise ValueError("p must be positive")
     qi = as_index(q)
     s = mu.values
@@ -111,7 +113,7 @@ class KFunctionalQuery:
     def __post_init__(self):
         object.__setattr__(self, "p0", as_index(self.p0))
         object.__setattr__(self, "p1", as_index(self.p1))
-        if self.t <= 0:
+        if not self.t > 0:
             raise ValueError("t must be positive")
         if not self.p0 < self.p1:
             raise ValueError("need p0 < p1")
@@ -215,35 +217,55 @@ def selfadjoint_k_gap(x, query: KFunctionalQuery, grid: int = 256) -> tuple[floa
     return plain, sa
 
 
-def _difference_sample(x, y, theta: float, signed: bool, measure_f, measure,
-                       **parameters) -> RatioSample:
-    """measure_f(f(y) - f(x)) / measure(y - x)^theta for the power map f, as
-    the one-member sample of the pair."""
-    xy = decompose_stack([x, y])
-    fxy = calculus_stack(xy, SignedPowerFunction(theta, signed)).entries
-    num = measure_f(fxy[1] - fxy[0])
-    den_base = measure(xy.entries[1] - xy.entries[0])
-    den = den_base**theta if den_base > 0 else 0.0
-    return _single_sample(RatioBlock(np.array([num]), np.array([den])), xy.entries,
-                          **parameters, theta=theta, signed=signed)
+def _difference_ratios(x: SpectralStack, y: SpectralStack, f: SignedPowerFunction,
+                       measure_f, measure) -> RatioBlock:
+    """measure_f(f(y) - f(x)) / measure(y - x)^theta for each member pair of
+    two stacks, one member at a time."""
+    fx = calculus_stack(x, f).entries
+    fy = calculus_stack(y, f).entries
+    num, den = [], []
+    for i in range(x.entries.shape[0]):
+        num.append(measure_f(fy[i] - fx[i]))
+        base = measure(y.entries[i] - x.entries[i])
+        # scalar (libm) powers: numpy's array power can round the other way
+        den.append(base**f.theta if base > 0 else 0.0)
+    return RatioBlock(np.array(num), np.array(den))
+
+
+def kfonc_ratios(x: SpectralStack, y: SpectralStack, p0, p1, theta: float, signed: bool,
+                 t: float, grid: int = 128) -> RatioBlock:
+    """K_{t^theta}(f(y) - f(x)) at indices (p0/theta, p1/theta) against
+    K_t(y - x)^theta at (p0, p1), for each member pair."""
+    f = SignedPowerFunction(theta, signed)
+    query = KFunctionalQuery(t, p0, p1)  # rejects t before t**theta is taken
+    query_f = KFunctionalQuery(t**theta, query.p0 / theta, query.p1 / theta)
+    return _difference_ratios(x, y, f, lambda d: k_functional(d, query_f, grid),
+                              lambda d: k_functional(d, query, grid))
 
 
 def kfonc_check(x, y, p0, p1, theta: float, signed: bool, t: float,
                 grid: int = 128) -> RatioSample:
-    """K_{t^theta}(f(y) - f(x)) at indices (p0/theta, p1/theta) against
-    K_t(y - x)^theta at (p0, p1)."""
-    p0 = as_index(p0)
-    p1 = as_index(p1)
-    return _difference_sample(
-        x, y, theta, signed,
-        lambda d: k_functional(d, KFunctionalQuery(t**theta, p0 / theta, p1 / theta), grid),
-        lambda d: k_functional(d, KFunctionalQuery(t, p0, p1), grid),
-        p0=index_label(p0), p1=index_label(p1), t=t)
+    """The kfonc_ratios sample of one pair x, y."""
+    xs, ys = _as_stack(x), _as_stack(y)
+    return _single_sample(kfonc_ratios(xs, ys, p0, p1, theta, signed, t, grid),
+                          (xs.entries[0], ys.entries[0]), p0=index_label(p0),
+                          p1=index_label(p1), t=t, theta=theta, signed=signed)
+
+
+def weak_lp_ratios(x: SpectralStack, y: SpectralStack, p: float, q, theta: float,
+                   signed: bool) -> RatioBlock:
+    """Lorentz-norm Hölder ratios ||f(y)-f(x)||_{p/theta, q} / ||y-x||_{p, q theta}^theta
+    for each member pair."""
+    f = SignedPowerFunction(theta, signed)
+    qi = as_index(q)
+    q_scaled = SchattenIndex.INF if qi.is_infinite else SchattenIndex(qi.value * theta)
+    return _difference_ratios(x, y, f, lambda d: lorentz_norm(d, p / theta, qi),
+                              lambda d: lorentz_norm(d, p, q_scaled))
 
 
 def weak_lp_check(x, y, p: float, q, theta: float, signed: bool) -> RatioSample:
-    """Lorentz-norm Hölder ratio ||f(y)-f(x)||_{p/theta, q} / ||y-x||_{p, q theta}^theta."""
-    qi = as_index(q)
-    q_scaled = SchattenIndex.INF if qi.is_infinite else SchattenIndex(qi.value * theta)
-    return _difference_sample(x, y, theta, signed, lambda d: lorentz_norm(d, p / theta, qi),
-                              lambda d: lorentz_norm(d, p, q_scaled), p=p, q=index_label(qi))
+    """The weak_lp_ratios sample of one pair x, y."""
+    xs, ys = _as_stack(x), _as_stack(y)
+    return _single_sample(weak_lp_ratios(xs, ys, p, q, theta, signed),
+                          (xs.entries[0], ys.entries[0]), p=p, q=index_label(q),
+                          theta=theta, signed=signed)

@@ -7,7 +7,8 @@ import pytest
 
 import schurlab.cli as cli
 from schurlab import serialize
-from schurlab.experiments import RatioSample
+from schurlab.experiments import RatioSample, random_pair, trial_rng
+from schurlab.interpolation import kfonc_check, weak_lp_check
 
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -158,6 +159,72 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv, message", [
+        # integer flags below their minimum, checked once after parsing
+        (["bks", "--p", "1", "--theta", "0.5", "--trials", "0"], "--trials must be >= 1"),
+        (["kernel-spectrum", "--kmax", "0"], "--kmax must be >= 1"),
+        (["kernel-spectrum", "--nystrom", "32", "--kmax", "3"], "--nystrom must be >= 64"),
+        (["kernel-spectrum", "--sums-kmax", "9"], "--sums-kmax must be >= 10"),
+        # ranges the library rejects before any ratio is computed
+        (["verify-ando", "--thetas", "0.5,1.5"], "theta must lie strictly inside (0, 1)"),
+        (["bks", "--p", "1", "--theta", "0"], "theta must lie strictly inside (0, 1)"),
+        (["bks", "--p", "0.25", "--theta", "0.5"], "needs p >= theta"),
+        (["multiplier-bound", "--kernel", "von-mises", "--p", "inf"], "require p <= 1"),
+        (["multiplier-bound", "--kernel", "von-mises", "--p", "2"], "require p <= 1"),
+        (["multiplier-bound", "--kernel", "von-mises", "--p", "0.5", "--d", "2"], "d > 1/p"),
+        (["factorize", "--kernel", "von-mises", "--p", "inf"], "require p <= 1"),
+        (["factorize", "--kernel", "von-mises", "--p", "0.5", "--d", "2"], "d > 1/p"),
+        (["kfunctional", "--p0", "2", "--p1", "1"], "need p0 < p1"),
+        (["kfunctional", "--p0", "1", "--p1", "2", "--t", "1,-1"], "t must be positive"),
+        (["kfunctional", "--p0", "1", "--p1", "2", "--t", "0"], "t must be positive"),
+        (["weak-lp", "--p", "0"], "p must be positive"),
+        (["weak-lp", "--p", "-1"], "p must be positive"),
+        (["mazur", "--p", "2", "--q", "1"], "need q > p > 0"),
+        (["mazur", "--p", "0", "--q", "1"], "need q > p > 0"),
+        (["estimate-constant", "--p", "0.5", "--theta", "0.5", "--dims", "3,2,3"],
+         "dim 3 more than once"),
+        # checks the command line keeps
+        (["estimate-constant", "--p", "0.5", "--theta", "0.5,1"], "theta must lie in (0,1)"),
+        (["multiplier-bound", "--kernel", "no-such-kernel", "--p", "0.5"], "unknown kernel"),
+        (["factorize", "--kernel", "no-such-kernel", "--p", "0.5"], "unknown kernel"),
+    ])
+    def test_out_of_range_input_exits_1_without_report(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "r.json"
+        assert cli.main(argv[:1] + ["--trials", "3"] + argv[1:] + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bks", "--p", "1", "--theta", "nan"], "--theta must be finite"),
+        (["commutator", "--p", "1", "--theta", "inf"], "--theta must be finite"),
+        (["multiplier-bound", "--kernel", "power-ratio-window", "--p", "0.5", "--theta", "nan"],
+         "--theta must be finite"),
+        (["multiplier-bound", "--kernel", "power-ratio-window", "--p", "0.5", "--a", "nan"],
+         "kernel parameter a must be finite"),
+        (["factorize", "--kernel", "von-mises", "--p", "1", "--a", "inf"],
+         "kernel parameter a must be finite"),
+        (["weak-lp", "--p", "inf"], "--p must be finite"),
+        (["mazur", "--p", "nan", "--q", "2"], "--p must be finite"),
+        (["mazur", "--p", "1", "--q", "inf"], "--q must be finite"),
+        (["kfunctional", "--p0", "1", "--p1", "2", "--t", "0.1,1e400"], "--t must be finite"),
+        (["kfunctional", "--p0", "1", "--p1", "2", "--t", "nan"], "--t must be finite"),
+        (["verify-ando", "--thetas", "0.5,nan"], "--thetas must be finite"),
+        (["kernel-spectrum", "--sums-p", "0.5,inf"], "--sums-p must be finite"),
+        (["estimate-constant", "--p", "0.5", "--theta", "0.5,nan"], "--theta must be finite"),
+    ])
+    def test_non_finite_value_exits_1_without_report(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "r.json"
+        assert cli.main(argv[:1] + ["--trials", "3"] + argv[1:] + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_schatten_index_stays_valid(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert cli.main(["bks", "--p", "inf", "--theta", "0.5", "--dims", "2", "--trials", "3",
+                         "--out", str(out)]) == 0
+        assert load_report(out)["body"]["results"]["p"] == "inf"
+
+
 class TestDeterminism:
     def test_byte_identical_bodies(self, tmp_path):
         args = ["verify-ando", "--trials", "10", "--dims", "2,3", "--seed", "3"]
@@ -240,6 +307,32 @@ class TestReports:
         assert cli.main(["weak-lp", "--p", "1", "--q", "0.5,inf", "--dim", "3",
                          "--trials", "2", "--out", str(out)]) == 0
         validate(out, "weak-lp")
+
+    @pytest.mark.parametrize("argv, labels, ratio", [
+        (["kfunctional", "--p0", "0.5", "--p1", "2", "--t", "0.5,4", "--grid", "16", "--dim", "2"],
+         [{"t": t, "p0": 0.5, "p1": 2.0, "theta": 0.5} for t in (0.5, 4.0)],
+         lambda x, y, case: kfonc_check(x, y, 0.5, 2.0, 0.5, False, case["t"], grid=16)),
+        (["weak-lp", "--p", "1", "--q", "0.5,1,inf", "--dim", "3"],
+         [{"p": 1.0, "q": q, "theta": 0.5} for q in (0.5, 1.0, "inf")],
+         lambda x, y, case: weak_lp_check(x, y, 1.0, case["q"], 0.5, False)),
+    ])
+    def test_case_rows_are_trial_major(self, tmp_path, argv, labels, ratio):
+        # 66 trials cross a block boundary; every trial has one row per case
+        out = tmp_path / "r.json"
+        assert cli.main(argv + ["--trials", "66", "--seed", "5", "--out", str(out)]) == 0
+        res = load_report(out)["body"]["results"]
+        rows = res["table"]
+        assert [row["trial"] for row in rows] == [t for t in range(66) for _ in labels]
+        assert [{k: row[k] for k in labels[0]} for row in rows] == labels * 66
+        assert res["max_ratio"] == max(row["ratio"] for row in rows if not row["degenerate"])
+        for row in rows[:2 * len(labels)] + rows[-len(labels):]:
+            x, y = random_pair(3 if argv[0] == "weak-lp" else 2, trial_rng(5, row["trial"]),
+                               kind=row["trial"])
+            assert row["ratio"] == ratio(x, y, row).ratio
+        csv = tmp_path / "r.csv"
+        assert cli.main(argv + ["--trials", "2", "--format", "csv", "--out", str(csv)]) == 0
+        header = [l for l in csv.read_text().splitlines() if not l.startswith("#")][0]
+        assert header == ",".join([*labels[0], "trial", "ratio", "degenerate"])
 
     def test_commutator_and_mazur(self, tmp_path):
         out = tmp_path / "c.json"

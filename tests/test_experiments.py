@@ -3,6 +3,7 @@ import pytest
 
 from schurlab.experiments import (
     BLOCK_TRIALS,
+    RatioBlock,
     ando_ratio,
     ando_ratios,
     anticommutator_ratio,
@@ -14,6 +15,7 @@ from schurlab.experiments import (
     mazur_ratio,
     mazur_ratios,
     random_pair,
+    sweep_trials,
 )
 from schurlab.operators import (
     SchattenIndex,
@@ -126,6 +128,27 @@ class TestBlocks:
             assert bks_check(xs[k], ys[k], 1.0, 0.5).ratio == bks.ratio[k]
             assert commutator_ratio(xs[k], bs[k], 0.5, 0.5, True).ratio == com.ratio[k]
             assert mazur_ratio(xs[k], bs[k], 1.0, 2.0).ratio == maz.ratio[k]
+
+    def test_sweep_trials_yields_members_after_evaluate_in_trial_order(self):
+        trial_ids = range(1, 2 * (2 * BLOCK_TRIALS + 5), 2)
+        blocks = []
+
+        def draw(trial):
+            return np.full((2, 2), float(trial)), 2.0 * np.eye(2)
+
+        def evaluate(xs, bs, trials):
+            blocks.append(list(trials))
+            bs /= 2.0  # in place, as the commutator sweep normalises b
+            return RatioBlock(xs[:, 0, 0].real, np.where(xs[:, 0, 0].real > 10, 1.0, 0.0))
+
+        out = list(sweep_trials(trial_ids, draw, evaluate))
+        assert [len(b) for b in blocks] == [BLOCK_TRIALS, BLOCK_TRIALS, 5]
+        assert sum(blocks, []) == [t for t, _, _, _ in out] == list(trial_ids)
+        for trial, ratio, degenerate, (x, b) in out:
+            assert degenerate == (trial <= 10)
+            assert ratio == (0.0 if trial <= 10 else float(trial))
+            assert np.array_equal(x, np.full((2, 2), float(trial)))
+            assert np.array_equal(b, np.eye(2))
 
     def test_degenerate_member_is_flagged_alone(self):
         xs, ys = _pair_stacks(4, 8)
@@ -248,6 +271,12 @@ class TestEstimateConstant:
     @pytest.mark.parametrize("dims", [[], [0], [2, 0], [-1]])
     def test_rejects_empty_or_nonpositive_dims(self, dims):
         with pytest.raises(ValueError, match="dims must be a nonempty list of positive integers"):
+            estimate_constant(0.5, 0.5, True, dims, 5)
+
+    @pytest.mark.parametrize("dims", [[2, 2], [3, 2, 3]])
+    def test_rejects_repeated_dims(self, dims):
+        # a repeated dim replays the same seeded trials and climb
+        with pytest.raises(ValueError, match=f"dim {dims[-1]} more than once"):
             estimate_constant(0.5, 0.5, True, dims, 5)
 
 

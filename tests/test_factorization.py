@@ -354,6 +354,10 @@ class TestDyadicBlocks:
         with pytest.raises(ValueError):
             dyadic_block_bound(0.5, 0.5, -2, 1.0)
 
+    def test_rejects_nan_base_bound(self):
+        with pytest.raises(ValueError, match="base_bound must be nonnegative"):
+            dyadic_block_bound(0.5, 0.5, 0, float("nan"))
+
 
 @pytest.fixture(scope="module")
 def plus_bound_half():
@@ -378,6 +382,10 @@ class TestPlusKernel:
     def test_rejects_small_shift(self):
         with pytest.raises(ValueError):
             plus_kernel_bound(0.5, 0.5)
+
+    def test_rejects_nan_shift(self):
+        with pytest.raises(ValueError, match="requires a >= 1"):
+            plus_kernel_bound(float("nan"), 1.0, None, 64)
 
 
 class TestSumQuadrant:
@@ -406,6 +414,11 @@ class TestSumQuadrant:
     def test_rejects_degenerate_corner(self):
         with pytest.raises(ValueError):
             sum_quadrant_bound(0.0, 0.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("a, b", [(float("nan"), 1.0), (1.0, float("nan"))])
+    def test_rejects_nan_corner(self, a, b):
+        with pytest.raises(ValueError, match="need a, b >= 0"):
+            sum_quadrant_bound(a, b, 0.5, 1.0)
 
 
 class TestPowerRatioBase:
@@ -479,6 +492,15 @@ class TestCatalog:
         # a + u_x + u_y vanishes inside the bumps' support (-1/4, 5/4)^2 when a < 1/2
         with pytest.raises(ValueError, match="needs a >= 0.5"):
             make_kernel("shifted-resolvent", grid_size=64, a=a)
+
+    @pytest.mark.parametrize("name, params", [
+        ("power-ratio-window", {"theta": float("nan")}),
+        ("von-mises", {"a": float("inf")}),
+        ("shifted-resolvent", {"a": float("inf")}),
+    ])
+    def test_non_finite_parameter_rejected(self, name, params):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_kernel(name, grid_size=64, **params)
 
     def test_resolvent_at_half_is_finite(self):
         kern = make_kernel("shifted-resolvent", grid_size=64, a=0.5)

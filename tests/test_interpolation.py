@@ -6,10 +6,12 @@ from schurlab.interpolation import (
     RearrangementProfile,
     k_functional,
     kfonc_check,
+    kfonc_ratios,
     lorentz_norm,
     rearrangement,
     selfadjoint_k_gap,
     weak_lp_check,
+    weak_lp_ratios,
 )
 from schurlab.experiments import ando_ratio
 from schurlab.operators import (
@@ -199,6 +201,11 @@ class TestKFunctional:
             fine = k_functional(prof, q, 2 * g)
             assert fine <= coarse + 1e-12
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_or_nan_t(self, t):
+        with pytest.raises(ValueError, match="t must be positive"):
+            KFunctionalQuery(t, 0.5, 2.0)
+
     def test_rejects_bad_query(self):
         with pytest.raises(ValueError, match="p0 < p1"):
             KFunctionalQuery(1.0, SchattenIndex(2.0), SchattenIndex(1.0))
@@ -287,3 +294,63 @@ class TestWeakLp:
                                         (2.0, 1.0, 0.75, True)):
                 s = weak_lp_check(x, y, p, q, theta, signed)
                 assert s == reference_weak_lp_check(x, y, p, q, theta, signed)
+
+
+def _blocks(pairs, size):
+    """The pairs cut into consecutive blocks of ``size``, as stacks with the
+    pair indices they hold, so each pair sits at a position set by ``size``."""
+    for lo in range(0, len(pairs), size):
+        chunk = pairs[lo:lo + size]
+        yield (range(lo, lo + len(chunk)), decompose_stack([x for x, _ in chunk]),
+               decompose_stack([y for _, y in chunk]))
+
+
+class TestBlockRatios:
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_kfonc_members_match_single_pairs_bitwise(self, dim):
+        pairs = _reference_pairs(dim, 4, seed=31)
+        for p0, p1, theta, signed, t in ((0.5, 2.0, 0.5, True, 0.1),
+                                         (1.0, SchattenIndex.INF, 0.3, False, 10.0)):
+            singles = [kfonc_check(x, y, p0, p1, theta, signed, t, grid=32) for x, y in pairs]
+            assert singles[0] == reference_kfonc_check(*pairs[0], p0, p1, theta, signed, t, grid=32)
+            for size in (1, 2, 3, 5):
+                for ids, xs, ys in _blocks(pairs, size):
+                    block = kfonc_ratios(xs, ys, p0, p1, theta, signed, t, grid=32)
+                    for k, i in enumerate(ids):
+                        assert block.numerator[k] == singles[i].numerator
+                        assert block.denominator[k] == singles[i].denominator
+                        assert block.ratio[k] == singles[i].ratio
+                        assert block.degenerate[k] == singles[i].degenerate
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_weak_lp_members_match_single_pairs_bitwise(self, dim):
+        pairs = _reference_pairs(dim, 6, seed=32)
+        for p, q, theta, signed in ((1.0, 0.5, 0.5, True), (0.5, SchattenIndex.INF, 0.3, False)):
+            singles = [weak_lp_check(x, y, p, q, theta, signed) for x, y in pairs]
+            assert singles[0] == reference_weak_lp_check(*pairs[0], p, q, theta, signed)
+            for size in (1, 3, 4, 7):
+                for ids, xs, ys in _blocks(pairs, size):
+                    block = weak_lp_ratios(xs, ys, p, q, theta, signed)
+                    for k, i in enumerate(ids):
+                        assert block.numerator[k] == singles[i].numerator
+                        assert block.denominator[k] == singles[i].denominator
+                        assert block.ratio[k] == singles[i].ratio
+                        assert block.degenerate[k] == singles[i].degenerate
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan")])
+    def test_weak_lp_rejects_nonpositive_or_nan_p(self, p):
+        xs = decompose_stack([np.diag([1.0, 0.0])])
+        with pytest.raises(ValueError, match="p must be positive"):
+            weak_lp_ratios(xs, decompose_stack([np.zeros((2, 2))]), p, 1.0, 0.5, False)
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0, float("nan")])
+    def test_kfonc_rejects_t_before_any_work(self, t, monkeypatch):
+        import schurlab.interpolation as interpolation
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the functional calculus ran before t was checked")
+
+        monkeypatch.setattr(interpolation, "calculus_stack", no_work)
+        xs = decompose_stack([np.eye(2)])
+        with pytest.raises(ValueError, match="t must be positive"):
+            kfonc_ratios(xs, xs, 0.5, 2.0, 0.5, True, t)

@@ -27,6 +27,7 @@ from .expkernel import (
     schatten_partial_sums,
 )
 from .experiments import (
+    RatioBlock,
     bks_check,
     bks_ratios,
     commutator_ratios,
@@ -61,10 +62,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 
-class InputError(Exception):
-    pass
-
-
 class VerificationError(Exception):
     def __init__(self, message, results):
         super().__init__(message)
@@ -73,14 +70,14 @@ class VerificationError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; spec wants 1
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def _parse_p(text: str) -> SchattenIndex:
     try:
         value = float(text)
     except ValueError as exc:
-        raise InputError(f"bad Schatten index {text!r}") from exc
+        raise ValueError(f"bad Schatten index {text!r}") from exc
     return SchattenIndex(value)
 
 
@@ -88,9 +85,9 @@ def _parse_dims(text: str) -> list[int]:
     try:
         dims = [int(v) for v in text.split(",") if v]
     except ValueError as exc:
-        raise InputError(f"bad dimension list {text!r}") from exc
+        raise ValueError(f"bad dimension list {text!r}") from exc
     if not dims or any(d < 1 for d in dims):
-        raise InputError(f"dimensions must be positive integers, got {text!r}")
+        raise ValueError(f"dimensions must be positive integers, got {text!r}")
     return dims
 
 
@@ -98,15 +95,15 @@ def _parse_floats(text: str) -> list[float]:
     try:
         vals = [float(v) for v in text.split(",") if v]
     except ValueError as exc:
-        raise InputError(f"bad float list {text!r}") from exc
+        raise ValueError(f"bad float list {text!r}") from exc
     if not vals:
-        raise InputError("empty list")
+        raise ValueError("empty list")
     return vals
 
 
 def _require(cond, message):
     if not cond:
-        raise InputError(message)
+        raise ValueError(message)
 
 
 # The least value of each integer flag, for every command that has it.
@@ -140,20 +137,20 @@ def _sweep(trial_ids: range, draw, evaluate):
 
 
 def _case_sweeps(ns, cases, ratios):
-    """One sweep per (labels, argument) case over the same seeded ``random_pair``
-    draws, a block's ratios being ``ratios(x_stack, y_stack, argument)``.
-    Returns the rows, labels first and trial-major, and the maximum ratio."""
+    """Rows, trial-major with each case's labels first, and maximum ratio of one
+    sweep over seeded ``random_pair`` draws that scores every (labels, argument)
+    case on the same block, as ``ratios(x_stack, y_stack, argument)``."""
     def draw(trial):
         return random_pair(ns.dim, trial_rng(ns.seed, trial), kind=trial)
 
-    rows, best = [], 0.0
-    for labels, arg in cases:
-        case_rows, case_best, _ = _sweep(range(ns.trials), draw, lambda xs, ys, trials: ratios(
-            decompose_stack(xs, trials=trials), decompose_stack(ys, trials=trials), arg))
-        rows += [{**labels, **row} for row in case_rows]
-        best = max(best, case_best)
-    rows.sort(key=lambda row: row["trial"])  # stable: a trial's rows keep the case order
-    return rows, best
+    def evaluate(xs, ys, trials):
+        xs, ys = decompose_stack(xs, trials=trials), decompose_stack(ys, trials=trials)
+        blocks = [ratios(xs, ys, arg) for _, arg in cases]
+        return RatioBlock(np.stack([b.numerator for b in blocks], axis=1),
+                          np.stack([b.denominator for b in blocks], axis=1))
+
+    rows, best, _ = _sweep(range(ns.trials), draw, evaluate)
+    return [{**cases[i % len(cases)][0], **row} for i, row in enumerate(rows)], best
 
 
 # ----------------------------------------------------------------------------
@@ -623,9 +620,6 @@ def main(argv=None) -> int:
         _write_report(out, ns.format, ns.command, _config_dict(ns), results, started)
         print(f"report: {out}")
         return EXIT_OK
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -74,14 +74,17 @@ def sweep_trials(trial_ids, draw, evaluate):
     matrices from its own generator, ``evaluate(*stacks, trials=ids)`` the
     RatioBlock of a block, one (B, ...) stack per matrix. ``matrices`` are the
     trial's members of the stacks after ``evaluate``, which may normalise them
-    in place."""
+    in place. A (B, cases) RatioBlock yields each trial once per case, in order."""
     for lo in range(0, len(trial_ids), BLOCK_TRIALS):
         ids = trial_ids[lo:lo + BLOCK_TRIALS]
         stacks = [np.array(m, dtype=complex) for m in zip(*(draw(t) for t in ids))]
         result = evaluate(*stacks, trials=ids)
-        ratios, degenerate = result.ratio.tolist(), result.degenerate.tolist()
+        ratios = result.ratio.reshape(len(ids), -1).tolist()
+        degenerate = result.degenerate.reshape(len(ids), -1).tolist()
         for k, trial in enumerate(ids):
-            yield trial, ratios[k], degenerate[k], tuple(s[k] for s in stacks)
+            matrices = tuple(s[k] for s in stacks)
+            for ratio, deg in zip(ratios[k], degenerate[k]):
+                yield trial, ratio, deg, matrices
 
 
 def index_label(p) -> object:
@@ -112,7 +115,7 @@ class RatioSample:
 
 @dataclass(frozen=True)
 class RatioBlock:
-    """Numerators and denominators of a block of ratios, one per trial."""
+    """Numerators and denominators of a block of ratios, one per trial (and case)."""
 
     numerator: np.ndarray
     denominator: np.ndarray
@@ -195,6 +198,7 @@ def _reject_indefinite(**stacks: SpectralStack) -> None:
 def bks_ratios(x: SpectralStack, y: SpectralStack, p, theta: float) -> RatioBlock:
     """Positive-operator ratios; the classical inequality makes them <= 1 for p >= theta."""
     q = as_index(p)
+    SignedPowerFunction(theta)  # rejects theta outside (0, 1) before it is compared with p
     if not q.is_infinite and q.value < theta:
         raise ValueError("the constant-1 inequality needs p >= theta")
     _reject_indefinite(x=x, y=y)
@@ -262,14 +266,14 @@ def _unitary_from(h: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
-def _hill_climb(x: np.ndarray, y: np.ndarray, objective, rng: np.random.Generator,
-                rounds: int = HILL_CLIMB_ROUNDS):
-    """Greedy Hermitian coordinate perturbations, scale halved on failure."""
+def _hill_climb(x: np.ndarray, y: np.ndarray, objective, rng: np.random.Generator):
+    """Greedy Hermitian coordinate perturbations, scale halved on failure.
+    Returns the end pair and its objective value."""
     best_x, best_y = x.copy(), y.copy()
     best = objective(best_x, best_y)
     scale = 0.25 * max(np.abs(x).max(), np.abs(y).max(), 1e-6)
     dim = x.shape[0]
-    for _ in range(rounds):
+    for _ in range(HILL_CLIMB_ROUNDS):
         if scale < HILL_CLIMB_MIN_SCALE:
             break
         i = int(rng.integers(dim))
@@ -403,11 +407,12 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
                     and counter % int(checkpoint_every) == 0):
                 checkpoint_cb(snapshot((di, trial)))
         rng = trial_rng(seed, dim, 1 << 30)
-        rx, ry, _ = _hill_climb(np.asarray(dim_best_pair[0], dtype=complex),
-                                np.asarray(dim_best_pair[1], dtype=complex),
-                                lambda a, b: evaluate_pair(a, b)[0], rng)
+        rx, ry, climbed = _hill_climb(np.asarray(dim_best_pair[0], dtype=complex),
+                                      np.asarray(dim_best_pair[1], dtype=complex),
+                                      lambda a, b: evaluate_pair(a, b)[0], rng)
         counter += 1
-        consider(*evaluate_pair(rx, ry), (rx, ry), dim)
+        # nondegenerate: the climb starts from such a pair and accepts only larger ratios
+        consider(climbed, False, (rx, ry), dim)
 
     best_sample = ando_ratio(best_pair[0], best_pair[1], q, theta, signed)
     return SearchReport(

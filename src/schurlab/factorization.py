@@ -524,6 +524,10 @@ def _singular_ratio_kernel(x, y):
 
 
 def _window_ratio_kernel(theta):
+    # written so that NaN passes on to make_kernel's finite check
+    if theta <= 0.0 or theta >= 1.0:
+        raise ValueError(f"theta must lie strictly inside (0, 1), got {theta}")
+
     def evaluate(x, y):
         xw, yw = _wrap_2pi(x), _wrap_2pi(y)
         w = _PHI_WINDOW(xw) * _PHI_WINDOW(yw)

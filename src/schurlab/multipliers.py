@@ -191,13 +191,13 @@ def hadamard_ratio(m: SymbolMatrix, a: np.ndarray, p) -> float:
 
 
 def _refine_witness(m: SymbolMatrix, a: np.ndarray, q: SchattenIndex,
-                    rng: np.random.Generator, steps: int = 50) -> tuple[np.ndarray, float]:
-    """Greedy coordinate perturbations with step halving on failure."""
+                    rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """At most 50 greedy coordinate perturbations, step halved on failure."""
     best = a.copy()
     best_ratio = hadamard_ratio(m, best, q)
     scale = 0.5 * max(np.abs(best).max(), 1e-12)
     nr, nc = best.shape
-    for step in range(steps):
+    for _ in range(50):
         i = int(rng.integers(nr))
         j = int(rng.integers(nc))
         delta = scale * (1.0 if rng.integers(2) else -1.0)

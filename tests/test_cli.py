@@ -187,6 +187,11 @@ class TestExitCodes:
         (["estimate-constant", "--p", "0.5", "--theta", "0.5,1"], "theta must lie in (0,1)"),
         (["multiplier-bound", "--kernel", "no-such-kernel", "--p", "0.5"], "unknown kernel"),
         (["factorize", "--kernel", "no-such-kernel", "--p", "0.5"], "unknown kernel"),
+        # theta's own range, checked before p >= theta and before any kernel sampling
+        (["bks", "--p", "1", "--theta", "1.5"], "theta must lie strictly inside (0, 1)"),
+        *[([command, "--kernel", "power-ratio-window", "--p", "0.5", "--theta", theta],
+           "theta must lie strictly inside (0, 1)")
+          for command in ("multiplier-bound", "factorize") for theta in ("1.5", "0")],
     ])
     def test_out_of_range_input_exits_1_without_report(self, tmp_path, capsys, argv, message):
         out = tmp_path / "r.json"
@@ -333,6 +338,23 @@ class TestReports:
         assert cli.main(argv + ["--trials", "2", "--format", "csv", "--out", str(csv)]) == 0
         header = [l for l in csv.read_text().splitlines() if not l.startswith("#")][0]
         assert header == ",".join([*labels[0], "trial", "ratio", "degenerate"])
+
+    @pytest.mark.parametrize("argv, pairs, decompositions", [
+        (["weak-lp", "--p", "1", "--q", "0.5,1,inf", "--trials", "100"], 100, 4),
+        (["kfunctional", "--p0", "1", "--p1", "2", "--t", "0.1,1,10", "--trials", "6"], 6, 2),
+    ])
+    def test_case_sweep_draws_and_decomposes_each_trial_once(self, tmp_path, monkeypatch,
+                                                             argv, pairs, decompositions):
+        # every case is scored from the same block: one draw per trial and one
+        # decomposition per operand stack, whatever the number of cases
+        calls = {"random_pair": 0, "decompose_stack": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        assert calls == {"random_pair": pairs, "decompose_stack": decompositions}
 
     def test_commutator_and_mazur(self, tmp_path):
         out = tmp_path / "c.json"

@@ -131,24 +131,31 @@ class TestBlocks:
 
     def test_sweep_trials_yields_members_after_evaluate_in_trial_order(self):
         trial_ids = range(1, 2 * (2 * BLOCK_TRIALS + 5), 2)
-        blocks = []
 
         def draw(trial):
             return np.full((2, 2), float(trial)), 2.0 * np.eye(2)
 
-        def evaluate(xs, bs, trials):
-            blocks.append(list(trials))
-            bs /= 2.0  # in place, as the commutator sweep normalises b
-            return RatioBlock(xs[:, 0, 0].real, np.where(xs[:, 0, 0].real > 10, 1.0, 0.0))
+        # a (B,) block, and a (B, 2) block of two cases, the second adding 0.5
+        for shifts in ((0.0,), (0.0, 0.5)):
+            blocks = []
 
-        out = list(sweep_trials(trial_ids, draw, evaluate))
-        assert [len(b) for b in blocks] == [BLOCK_TRIALS, BLOCK_TRIALS, 5]
-        assert sum(blocks, []) == [t for t, _, _, _ in out] == list(trial_ids)
-        for trial, ratio, degenerate, (x, b) in out:
-            assert degenerate == (trial <= 10)
-            assert ratio == (0.0 if trial <= 10 else float(trial))
-            assert np.array_equal(x, np.full((2, 2), float(trial)))
-            assert np.array_equal(b, np.eye(2))
+            def evaluate(xs, bs, trials):
+                blocks.append(list(trials))
+                bs /= 2.0  # in place, as the commutator sweep normalises b
+                x = xs[:, 0, 0].real
+                num = np.stack([x + shift for shift in shifts], axis=1)
+                den = np.stack([np.where(x > 10, 1.0, 0.0)] * len(shifts), axis=1)
+                return RatioBlock(num, den) if len(shifts) > 1 else RatioBlock(num[:, 0], den[:, 0])
+
+            out = list(sweep_trials(trial_ids, draw, evaluate))
+            assert [len(b) for b in blocks] == [BLOCK_TRIALS, BLOCK_TRIALS, 5]
+            assert sum(blocks, []) == list(trial_ids)
+            assert [t for t, _, _, _ in out] == [t for t in trial_ids for _ in shifts]
+            for (trial, ratio, degenerate, (x, b)), shift in zip(out, shifts * len(trial_ids)):
+                assert degenerate == (trial <= 10)
+                assert ratio == (0.0 if trial <= 10 else float(trial) + shift)
+                assert np.array_equal(x, np.full((2, 2), float(trial)))
+                assert np.array_equal(b, np.eye(2))
 
     def test_degenerate_member_is_flagged_alone(self):
         xs, ys = _pair_stacks(4, 8)

@@ -502,6 +502,12 @@ class TestCatalog:
         with pytest.raises(ValueError, match="must be finite"):
             make_kernel(name, grid_size=64, **params)
 
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, -2.0])
+    def test_window_theta_outside_unit_interval_rejected(self, theta):
+        # the kernel is the divided difference of the power map u^theta, 0 < theta < 1
+        with pytest.raises(ValueError, match=r"theta must lie strictly inside \(0, 1\)"):
+            make_kernel("power-ratio-window", grid_size=64, theta=theta)
+
     def test_resolvent_at_half_is_finite(self):
         kern = make_kernel("shifted-resolvent", grid_size=64, a=0.5)
         assert np.isfinite(kern.samples()).all()

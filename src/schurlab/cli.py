@@ -44,8 +44,8 @@ from .factorization import (
     _default_order,
     build_factorization,
     certified_pcb_bound,
-    get_catalog_kernel,
     kernel_catalog,
+    make_kernel,
 )
 from .interpolation import kfonc_ratios, weak_lp_ratios
 from .multipliers import SymbolMatrix, divided_difference_symbol, multiplier_norm_lower, schur_apply
@@ -139,13 +139,18 @@ def _sweep(trial_ids: range, draw, evaluate):
 def _case_sweeps(ns, cases, ratios):
     """Rows, trial-major with each case's labels first, and maximum ratio of one
     sweep over seeded ``random_pair`` draws that scores every (labels, argument)
-    case on the same block, as ``ratios(x_stack, y_stack, argument)``."""
+    case on the same block, as ``ratios(x_stack, y_stack, argument, images)``
+    with ``images`` the block's (f(x), f(y)) entry stacks, computed once for
+    all the cases from f = t -> t^theta (or its signed form)."""
+    f = SignedPowerFunction(ns.theta, ns.signed)
+
     def draw(trial):
         return random_pair(ns.dim, trial_rng(ns.seed, trial), kind=trial)
 
     def evaluate(xs, ys, trials):
         xs, ys = decompose_stack(xs, trials=trials), decompose_stack(ys, trials=trials)
-        blocks = [ratios(xs, ys, arg) for _, arg in cases]
+        images = calculus_stack(xs, f).entries, calculus_stack(ys, f).entries
+        blocks = [ratios(xs, ys, arg, images) for _, arg in cases]
         return RatioBlock(np.stack([b.numerator for b in blocks], axis=1),
                           np.stack([b.denominator for b in blocks], axis=1))
 
@@ -289,11 +294,14 @@ def _run_estimate_constant(ns) -> dict:
 
 
 def _certificate_inputs(ns):
-    """The catalog kernel, index p and Sobolev order d of a certificate command."""
+    """The catalog kernel, index p and Sobolev order d of a certificate command.
+    The kernel is built fresh, not memoised: a process runs one command, and
+    a memoised kernel would keep its coefficient grid alive while the report
+    is encoded."""
     _require(ns.kernel in kernel_catalog(), f"unknown kernel {ns.kernel!r}")
     p = _parse_p(ns.p)
     d = ns.d if ns.d is not None else _default_order(p)
-    return get_catalog_kernel(ns.kernel, theta=ns.theta, a=ns.a), p, d
+    return make_kernel(ns.kernel, theta=ns.theta, a=ns.a), p, d
 
 
 def _run_multiplier_bound(ns) -> dict:
@@ -326,6 +334,7 @@ def _run_multiplier_bound(ns) -> dict:
 def _run_factorize(ns) -> dict:
     kernel, p, d = _certificate_inputs(ns)
     fact = build_factorization(kernel, d, p, mode_cutoff=ns.cutoff)
+    del kernel  # frees the coefficient grid before the report's float lists are built
     payload = fact.to_json()
     payload["reconstruction_error"] = fact.reconstruction_error
     payload["kernel"] = ns.kernel
@@ -371,8 +380,8 @@ def _run_kfunctional(ns) -> dict:
     p1 = _parse_p(ns.p1)
     cases = [({"t": t, "p0": index_label(p0), "p1": index_label(p1), "theta": ns.theta}, t)
              for t in _parse_floats(ns.t)]
-    rows, best = _case_sweeps(ns, cases, lambda xs, ys, t: kfonc_ratios(
-        xs, ys, p0, p1, ns.theta, ns.signed, t, grid=ns.grid))
+    rows, best = _case_sweeps(ns, cases, lambda xs, ys, t, images: kfonc_ratios(
+        xs, ys, p0, p1, ns.theta, ns.signed, t, grid=ns.grid, images=images))
     return {
         "dim": ns.dim, "trials": ns.trials, "grid": ns.grid, "theta": ns.theta,
         "signed": ns.signed, "table": rows, "max_ratio": best,
@@ -382,8 +391,8 @@ def _run_kfunctional(ns) -> dict:
 def _run_weak_lp(ns) -> dict:
     qs = [_parse_p(v) for v in ns.q.split(",") if v]
     cases = [({"p": ns.p, "q": index_label(q), "theta": ns.theta}, q) for q in qs]
-    rows, best = _case_sweeps(ns, cases, lambda xs, ys, q: weak_lp_ratios(
-        xs, ys, ns.p, q, ns.theta, ns.signed))
+    rows, best = _case_sweeps(ns, cases, lambda xs, ys, q, images: weak_lp_ratios(
+        xs, ys, ns.p, q, ns.theta, ns.signed, images=images))
     return {
         "dim": ns.dim, "trials": ns.trials, "theta": ns.theta, "signed": ns.signed,
         "table": rows, "max_ratio": best,

@@ -51,13 +51,14 @@ RAMP_STEEPNESS = 8.0
 COORDINATE_STRETCH = 0.5        # u = COORDINATE_STRETCH * x for catalog kernels
 PERIODICITY_TOL = 1e-9
 DEFAULT_MODE_CUTOFF = 256
-# Rows (or columns) per pass of the blocked 2-D FFT and of the self-check.
-# Below 128 nothing changes; above it the temporaries grow: at grid 2048
-# (power-ratio-singular, d = 2, cutoff 64; 2-vCPU x86 VM) the FFT took
-# 0.15-0.18 s and the factorization peaked at 213.8 MB RSS in blocks of 64,
-# 0.17-0.19 s / 213.7 MB at 128, 0.20-0.21 s / 215.6 MB at 256 and
-# 0.18-0.22 s / 215.6 MB at 512 (np.fft.fft2: 0.20-0.26 s, 274 MB).
-ROW_BLOCK = 128
+# Rows (or columns) per pass of the blocked sampling, 2-D FFT, |coeffs|^2
+# weights and self-check; every block size gives the same bits. At grid 2048
+# (power-ratio-singular, d = 2, cutoff 64; 2-vCPU x86 VM, one BLAS thread)
+# sampling and FFT took 0.19-0.29 s at every size from 32 to 512, while the
+# `factorize` command peaked at 117.6 MB RSS in blocks of 32, 119.2 MB at
+# 64, 126.5 MB at 128 and 142.4 MB at 256: the per-block temporaries sit on
+# top of the 64 MiB coefficient grid, and below 64 they stop mattering.
+ROW_BLOCK = 64
 
 
 # ----------------------------------------------------------------------------
@@ -132,24 +133,19 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK)]
 
 
-def _abs_max(a: np.ndarray) -> float:
-    """max |a_ij|, one block of rows at a time (no whole-grid temporary)."""
-    return max(float(np.abs(a[block]).max()) for block in _row_blocks(a.shape[0]))
-
-
 def _mode_numbers(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, 1.0 / n).astype(int)
 
 
-def _on_grid(fn, x: np.ndarray) -> np.ndarray:
-    """fn(x_i, x_j) for every grid pair, by broadcasting the two axes; an
-    evaluator that ignores an axis is broadcast (not copied) to (n, n).
-    Real values stay float64 (half the memory of complex128); complex
-    values are complex128."""
-    vals = np.asarray(fn(x[:, None], x[None, :]))
+def _on_grid(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fn(x_i, y_j) for every pair, by broadcasting the two axes; an
+    evaluator that ignores an axis is broadcast (not copied) to
+    (x.size, y.size). Real values stay float64 (half the memory of
+    complex128); complex values are complex128."""
+    vals = np.asarray(fn(x[:, None], y[None, :]))
     vals = vals.astype(complex if np.iscomplexobj(vals) else float, copy=False)
-    if vals.shape != (x.size, x.size):
-        vals = np.broadcast_to(vals, (x.size, x.size))
+    if vals.shape != (x.size, y.size):
+        vals = np.broadcast_to(vals, (x.size, y.size))
     return vals
 
 
@@ -166,7 +162,7 @@ class SmoothKernel:
     grid_size: int = 1024
     derivative_evaluators: dict | None = None
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
+    _coeffs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = int(self.grid_size)
@@ -192,29 +188,33 @@ class SmoothKernel:
     def grid(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
 
+    def _sample_rows(self, rows: slice) -> np.ndarray:
+        """K(x_i, x_j) for the grid rows i in ``rows`` and every column j."""
+        x = self.grid()
+        return _on_grid(self.evaluator, x[rows], x)
+
     def samples(self) -> np.ndarray:
-        """K(x_i, x_j) on the grid, cached: float64 for a real evaluator,
-        complex128 for a complex one."""
-        if "samples" not in self._cache:
-            self._cache["samples"] = _on_grid(self.evaluator, self.grid())
-        return self._cache["samples"]
+        """K(x_i, x_j) on the whole grid, built from the ROW_BLOCK row blocks
+        of ``_sample_rows`` and not cached: float64 for a real evaluator,
+        complex128 for a complex one. The certificate path never calls it."""
+        return np.concatenate([self._sample_rows(block) for block in _row_blocks(self.grid_size)])
 
     def coefficients(self) -> np.ndarray:
-        """fft2(samples) / n^2 (complex128, cached), filled in place by the
-        1-D transforms fft2 runs: along axis 1 over ROW_BLOCK rows at a
-        time, then along axis 0 over ROW_BLOCK columns, so no whole-grid
-        temporary is made and every bit equals np.fft.fft2."""
-        if "coeffs" not in self._cache:
+        """fft2(samples) / n^2 (complex128, cached; the only grid a kernel
+        keeps), filled in place by the 1-D transforms fft2 runs: along
+        axis 1 over each block of ROW_BLOCK rows as it is sampled, then
+        along axis 0 over ROW_BLOCK columns, so no other whole-grid array
+        is made and every bit equals np.fft.fft2."""
+        if self._coeffs is None:
             n = self.grid_size
-            vals = self.samples()
             coeffs = np.empty((n, n), dtype=complex)
             for block in _row_blocks(n):
-                np.fft.fft(vals[block], axis=1, out=coeffs[block])
+                np.fft.fft(self._sample_rows(block), axis=1, out=coeffs[block])
             for block in _row_blocks(n):
                 np.fft.fft(coeffs[:, block], axis=0, out=coeffs[:, block])
             coeffs /= n**2
-            self._cache["coeffs"] = coeffs
-        return self._cache["coeffs"]
+            self._coeffs = coeffs
+        return self._coeffs
 
 
 def fourier_coefficients(kernel: SmoothKernel) -> np.ndarray:
@@ -222,10 +222,10 @@ def fourier_coefficients(kernel: SmoothKernel) -> np.ndarray:
 
     Entry [k mod N, l mod N] is alpha_{k,l}; exact to rounding for
     trigonometric polynomials within the grid's Nyquist range. Aperiodic
-    evaluators are rejected at kernel construction. The array is complex128
-    and comes from the row-blocked transform of ``SmoothKernel.coefficients``
-    (the 1-D FFTs of np.fft.fft2, same bits) of the float64 or complex128
-    samples.
+    evaluators are rejected at kernel construction. The array is the
+    complex128 grid cached by ``SmoothKernel.coefficients``: the 1-D FFTs of
+    np.fft.fft2 (same bits), fed one block of float64 or complex128 sample
+    rows at a time, so the whole sample grid is never formed.
     """
     return kernel.coefficients()
 
@@ -234,9 +234,23 @@ def _closed_form_l2(kernel: SmoothKernel, a: int, b: int) -> float:
     if a == 0 and b == 0:
         vals = kernel.samples()
     else:
-        vals = _on_grid(kernel.derivative_evaluators[(a, b)], kernel.grid())
+        x = kernel.grid()
+        vals = _on_grid(kernel.derivative_evaluators[(a, b)], x, x)
     # RMS over the grid is the L2 norm for the normalized torus measure
     return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+
+
+def _weighted_power(coeffs: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
+    """Row i is weights[i] @ |coeffs|^2, formed ROW_BLOCK columns at a time
+    so no whole-grid |coeffs|^2 is made; the bits equal the whole-grid
+    products."""
+    out = np.empty((len(weights), coeffs.shape[1]))
+    for block in _row_blocks(coeffs.shape[1]):
+        power = np.abs(coeffs[:, block])
+        power *= power
+        for i, w in enumerate(weights):
+            out[i, block] = w @ power
+    return out
 
 
 def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
@@ -255,13 +269,11 @@ def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
         return float(sum(_closed_form_l2(kernel, a, b) for a, b in needed))
     if kernel.grid_size < 64:
         raise ValueError("no derivative data and grid too small for spectral differentiation")
-    # ||d^(a+b)K/dx^a dy^b||_2^2 = sum_kl |k|^2a |alpha_kl|^2 |l|^2b. |alpha|^2
-    # lives only for this call: kept on the kernel it would raise peak memory
-    power = np.abs(kernel.coefficients())
-    power *= power
+    # ||d^(a+b)K/dx^a dy^b||_2^2 = sum_kl |k|^2a |alpha_kl|^2 |l|^2b
     modes = np.abs(_mode_numbers(kernel.grid_size).astype(float))
     weights = {order: modes ** (2 * order) for order in {0, 1, d}}
-    return float(sum(float(np.sqrt(weights[a] @ power @ weights[b])) for a, b in needed))
+    rows = dict(zip((1, 0), _weighted_power(kernel.coefficients(), [weights[1], weights[0]])))
+    return float(sum(float(np.sqrt(rows[a] @ weights[b])) for a, b in needed))
 
 
 def _prefactor(d: int, p) -> float:
@@ -323,13 +335,20 @@ class RankOneFactorization:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return np.exp(1j * np.outer(y, self.g_labels.astype(float)))
 
+    def _grid_phases(self) -> np.ndarray:
+        """e_l(y_j) = exp(i l y_j) for every retained mode l and grid point y_j."""
+        return np.exp(1j * np.outer(self.g_labels.astype(float),
+                                    2.0 * np.pi * np.arange(self.grid_size) / self.grid_size))
+
+    def grid_rows(self, rows: slice, phases: np.ndarray) -> np.ndarray:
+        """sum_l alpha_l f_l(x_i) e_l(y_j) for the grid rows i in ``rows``
+        and every grid column j, given ``phases = _grid_phases()``."""
+        return (self.f_samples.T[rows] * self.alphas) @ phases
+
     def reconstruct(self, x=None, y=None) -> np.ndarray:
-        """sum_l alpha_l f_l(x) e_l(y) on the grid or at given points."""
+        """sum_l alpha_l f_l(x) e_l(y) on the whole grid or at given points."""
         if x is None and y is None:
-            fx = self.f_samples.T
-            gy = np.exp(1j * np.outer(self.g_labels.astype(float),
-                                      2.0 * np.pi * np.arange(self.grid_size) / self.grid_size))
-            return (fx * self.alphas) @ gy
+            return self.grid_rows(slice(None), self._grid_phases())
         fx = self.f_at(x)
         gy = self.g_at(y)
         return (fx * self.alphas) @ gy.T
@@ -407,10 +426,7 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
     pv = as_index(p).value
     tail = 0.0       # plain sum: bounds the sup-norm reconstruction gap
     tail_power = 0.0  # p-power sum: enters the certificate
-    power = np.abs(coeffs)
-    power *= power
-    col_k_weighted = np.sqrt((kvec**2) @ power)  # per column l
-    del power  # freed before the reconstruction below allocates its grid
+    col_k_weighted = np.sqrt(_weighted_power(coeffs, [kvec**2])[0])  # per column l
     for idx, l in enumerate(modes):
         if l in retained_set or l == 0:
             continue
@@ -428,11 +444,16 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
         g_labels=np.array(retained, dtype=int), certified_bound=float(certified),
         truncation_error=float(tail), grid_size=n, _fourier_columns=cols,
     )
-    samples = kernel.samples()
-    gap = fact.reconstruct()
-    gap -= samples
-    fact.reconstruction_error = _abs_max(gap)
-    scale = max(_abs_max(samples), 1.0)
+    # max |reconstruction - samples| and max |samples|, one block of rows at a time
+    phases = fact._grid_phases()
+    gap, scale = 0.0, 1.0
+    for block in _row_blocks(n):
+        samples = kernel._sample_rows(block)
+        diff = fact.grid_rows(block, phases)
+        diff -= samples
+        gap = max(gap, float(np.abs(diff).max()))
+        scale = max(scale, float(np.abs(samples).max()))
+    fact.reconstruction_error = gap
     if fact.reconstruction_error > tail + 1e-9 * scale:
         raise InvariantViolation(
             f"factorization self-check failed: reconstruction gap "
@@ -594,7 +615,11 @@ def make_kernel(name: str, **params) -> SmoothKernel:
 @lru_cache(maxsize=32)
 def get_catalog_kernel(name: str, grid_size: int | None = None, theta: float = 0.5,
                        a: float = 1.0) -> SmoothKernel:
-    """Memoized catalog access (FFTs of the big kernels are computed once)."""
+    """Memoized catalog access: the FFT of a big kernel is computed once.
+
+    Each cached kernel keeps only its coefficient grid (complex128, 64 MiB
+    at 2048^2) once ``coefficients`` has run; its samples are never kept.
+    The cache holds up to 32 kernels and is not bounded by bytes."""
     params = {"theta": theta, "a": a}
     if grid_size is not None:
         params["grid_size"] = grid_size

@@ -218,11 +218,13 @@ def selfadjoint_k_gap(x, query: KFunctionalQuery, grid: int = 256) -> tuple[floa
 
 
 def _difference_ratios(x: SpectralStack, y: SpectralStack, f: SignedPowerFunction,
-                       measure_f, measure) -> RatioBlock:
+                       images, measure_f, measure) -> RatioBlock:
     """measure_f(f(y) - f(x)) / measure(y - x)^theta for each member pair of
-    two stacks, one member at a time."""
-    fx = calculus_stack(x, f).entries
-    fy = calculus_stack(y, f).entries
+    two stacks, one member at a time; ``images`` is the pair of entry stacks
+    (f(x), f(y)), or None to compute them here."""
+    if images is None:
+        images = calculus_stack(x, f).entries, calculus_stack(y, f).entries
+    fx, fy = images
     num, den = [], []
     for i in range(x.entries.shape[0]):
         num.append(measure_f(fy[i] - fx[i]))
@@ -233,13 +235,15 @@ def _difference_ratios(x: SpectralStack, y: SpectralStack, f: SignedPowerFunctio
 
 
 def kfonc_ratios(x: SpectralStack, y: SpectralStack, p0, p1, theta: float, signed: bool,
-                 t: float, grid: int = 128) -> RatioBlock:
+                 t: float, grid: int = 128, images=None) -> RatioBlock:
     """K_{t^theta}(f(y) - f(x)) at indices (p0/theta, p1/theta) against
-    K_t(y - x)^theta at (p0, p1), for each member pair."""
+    K_t(y - x)^theta at (p0, p1), for each member pair. ``images`` may pass
+    in the entry stacks (f(x), f(y)) that a caller scoring several cases
+    on the same stacks computed once."""
     f = SignedPowerFunction(theta, signed)
     query = KFunctionalQuery(t, p0, p1)  # rejects t before t**theta is taken
     query_f = KFunctionalQuery(t**theta, query.p0 / theta, query.p1 / theta)
-    return _difference_ratios(x, y, f, lambda d: k_functional(d, query_f, grid),
+    return _difference_ratios(x, y, f, images, lambda d: k_functional(d, query_f, grid),
                               lambda d: k_functional(d, query, grid))
 
 
@@ -253,13 +257,13 @@ def kfonc_check(x, y, p0, p1, theta: float, signed: bool, t: float,
 
 
 def weak_lp_ratios(x: SpectralStack, y: SpectralStack, p: float, q, theta: float,
-                   signed: bool) -> RatioBlock:
+                   signed: bool, images=None) -> RatioBlock:
     """Lorentz-norm Hölder ratios ||f(y)-f(x)||_{p/theta, q} / ||y-x||_{p, q theta}^theta
-    for each member pair."""
+    for each member pair; ``images`` as in ``kfonc_ratios``."""
     f = SignedPowerFunction(theta, signed)
     qi = as_index(q)
     q_scaled = SchattenIndex.INF if qi.is_infinite else SchattenIndex(qi.value * theta)
-    return _difference_ratios(x, y, f, lambda d: lorentz_norm(d, p / theta, qi),
+    return _difference_ratios(x, y, f, images, lambda d: lorentz_norm(d, p / theta, qi),
                               lambda d: lorentz_norm(d, p, q_scaled))
 
 

@@ -87,8 +87,8 @@ class TestExitCodes:
 
     def test_factorization_self_check_exits_2_with_report(self, tmp_path, monkeypatch):
         from schurlab.factorization import RankOneFactorization
-        monkeypatch.setattr(RankOneFactorization, "reconstruct",
-                            lambda self: np.full((self.grid_size, self.grid_size), 1e6))
+        monkeypatch.setattr(RankOneFactorization, "grid_rows",
+                            lambda self, rows, phases: np.full((self.grid_size,) * 2, 1e6)[rows])
         out = tmp_path / "r.json"
         code = cli.main(["factorize", "--kernel", "cosine-product", "--p", "1",
                          "--cutoff", "8", "--out", str(out)])
@@ -355,6 +355,23 @@ class TestReports:
             monkeypatch.setattr(cli, name, counted)
         assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 0
         assert calls == {"random_pair": pairs, "decompose_stack": decompositions}
+
+    @pytest.mark.parametrize("argv, calculi", [
+        (["weak-lp", "--p", "1", "--q", "0.5,1,inf", "--trials", "100"], 4),
+        (["kfunctional", "--p0", "1", "--p1", "2", "--t", "0.1,1,10", "--trials", "6"], 2),
+    ])
+    def test_case_sweep_applies_the_calculus_once_per_stack(self, tmp_path, monkeypatch,
+                                                            argv, calculi):
+        # f(x) and f(y) are formed once per block and shared by every case
+        import schurlab.interpolation as interpolation
+        calls = []
+        for module in (cli, interpolation):
+            def counted(*args, _real=module.calculus_stack, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, "calculus_stack", counted)
+        assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == calculi
 
     def test_commutator_and_mazur(self, tmp_path):
         out = tmp_path / "c.json"

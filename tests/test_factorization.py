@@ -30,6 +30,7 @@ from schurlab.factorization import (
     sum_quadrant_bound,
     _mode_numbers,
     _power_diff,
+    _weighted_power,
 )
 from schurlab.multipliers import SymbolMatrix, multiplier_norm_lower
 
@@ -571,6 +572,18 @@ class TestWholeGridOracles:
         fact = build_factorization(kern, 2, 1.0, mode_cutoff=64)
         assert same_bits(fact.reconstruction_error, whole_grid_gap(fact, kern))
 
+    @pytest.mark.parametrize("name,params",
+                             [(name, {"grid_size": 256}) for name in sorted(kernel_catalog())]
+                             + BIG_KERNELS)
+    def test_weighted_power_by_column_block(self, name, params):
+        # the tail and Sobolev weights w @ |coeffs|^2, against the whole grid
+        coeffs = make_kernel(name, **params).coefficients()
+        modes = np.abs(_mode_numbers(coeffs.shape[0]).astype(float))
+        weights = [modes**2, modes**0, modes**6]
+        power = np.abs(coeffs)
+        power *= power
+        assert same_bits(_weighted_power(coeffs, weights), np.array([w @ power for w in weights]))
+
     @pytest.mark.parametrize("theta", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("n", [256, 2048])
     def test_power_diff_midpoint(self, theta, n):
@@ -585,15 +598,24 @@ class TestWholeGridOracles:
             assert same_bits(_power_diff(u, v, 0.5), full_grid_power_diff(u, v, 0.5))
 
 
-def test_factorization_memory_guard():
-    # real-valued samples, the row-blocked FFT and the in-place self-check keep
-    # the traced peak of a 2048^2 factorization near 176 MiB; the whole-grid
-    # complex pipeline reached 232 MiB
+def traced_peak(step) -> float:
+    """Peak MiB that tracemalloc sees while ``step()`` runs."""
     tracemalloc.start()
     try:
-        kern = make_kernel("power-ratio-singular")
-        build_factorization(kern, 2, 1.0, mode_cutoff=64)
-        peak = tracemalloc.get_traced_memory()[1]
+        step()
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak <= 190 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_factorization_memory_guard():
+    # the coefficient grid (64 MiB at 2048^2) is the only whole grid: samples
+    # go into the FFT and the self-check, and |coeffs|^2 into the weights, one
+    # block at a time. The traced peaks are about 82 MiB for the factorization
+    # and 68 MiB for the Sobolev constant; with whole-grid samples,
+    # reconstruction and |coeffs|^2 they were 176 and 132 MiB
+    peak = traced_peak(lambda: build_factorization(
+        make_kernel("power-ratio-singular"), 2, 1.0, mode_cutoff=64))
+    assert peak <= 100, f"factorization traced peak {peak:.1f} MiB"
+    peak = traced_peak(lambda: sobolev_constant(make_kernel("power-ratio-window"), 3))
+    assert peak <= 80, f"Sobolev constant traced peak {peak:.1f} MiB"

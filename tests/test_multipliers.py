@@ -178,13 +178,16 @@ class TestMultiplierNormLower:
         assert est.lower == 1.0
 
     def test_rank_one_symbol_bounded(self, rng):
+        # m = f g^T has norm exactly max|f| max|g| at every p: the single-entry
+        # witness attains it and ||D_f x D_g||_p <= ||f||_inf ||x||_p ||g||_inf
         f = rng.standard_normal(3)
         g = rng.standard_normal(4)
         m = SymbolMatrix(np.arange(3.0), np.arange(4.0), np.outer(f, g))
         cap = np.abs(f).max() * np.abs(g).max()
-        for seed in range(5):
-            est = multiplier_norm_lower(m, 0.5, trials=4, seed=seed)
-            assert est.lower <= cap + 1e-9
+        for p in (0.25, 0.5, 1.0, 2.0, "inf"):
+            for seed in range(5):
+                est = multiplier_norm_lower(m, p, trials=4, seed=seed)
+                assert est.lower == pytest.approx(cap, rel=1e-12, abs=0), (p, seed)
 
     def test_monotone_in_trials(self):
         vals = np.array([[1.0, 2.0, 0.3], [0.5, -1.0, 2.5]])

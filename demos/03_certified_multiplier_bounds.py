@@ -11,13 +11,13 @@ kernel obeys the exact 1/a law.
 import numpy as np
 
 import schurlab as sl
-from schurlab.factorization import get_catalog_kernel
+from schurlab.factorization import make_kernel
 
 print("=== sandwich on the kernel catalog (p = 1, d = 2) ===")
 rng = np.random.default_rng(3)
 for name in ("cosine-product", "von-mises", "shifted-resolvent",
              "power-ratio-singular"):
-    kernel = get_catalog_kernel(name)
+    kernel = make_kernel(name)
     upper = sl.certified_pcb_bound(kernel, d=2, p=1.0)
     xs = np.sort(rng.uniform(0, 2 * np.pi, 16))
     sym = sl.SymbolMatrix(xs, xs, np.real(np.asarray(kernel.evaluator(xs[:, None], xs[None, :]))))
@@ -25,7 +25,7 @@ for name in ("cosine-product", "von-mises", "shifted-resolvent",
     print(f"  {name:<22} lower {lower:9.4f}  <=  certified {upper:12.4f}")
 
 print("\n=== truncated factorization of the windowed power-ratio kernel ===")
-kernel = get_catalog_kernel("power-ratio-singular")
+kernel = make_kernel("power-ratio-singular")
 fact = sl.build_factorization(kernel, d=2, p=1.0, mode_cutoff=256)
 print(f"  retained modes: {fact.alphas.size}, certified bound {fact.certified_bound:.3f}")
 print(f"  truncation allowance {fact.truncation_error:.2e}, measured reconstruction "

@@ -167,14 +167,12 @@ def ando_ratios(x: SpectralStack, y: SpectralStack, p, theta: float,
     """||f(x) - f(y)||_{p/theta} / ||x - y||_p^theta for each member pair."""
     if x.entries.shape != y.entries.shape:
         raise ValueError("operands must share a dimension")
-    if x.trace_weight != y.trace_weight:
-        raise ValueError("operands must share a trace weight")
     q = as_index(p)
     f = SignedPowerFunction(theta, signed)
     fx = calculus_stack(x, f)
     fy = calculus_stack(y, f)
-    num = schatten_norms(fx.entries - fy.entries, q / theta, x.trace_weight, x.trials)
-    base = schatten_norms(x.entries - y.entries, q, x.trace_weight, x.trials)
+    num = schatten_norms(fx.entries - fy.entries, q / theta, x.trials)
+    base = schatten_norms(x.entries - y.entries, q, x.trials)
     return RatioBlock(num, _power_or_zero(base, theta))
 
 
@@ -306,6 +304,14 @@ def _search_config_digest(q: SchattenIndex, theta: float, signed: bool, dims: li
     return hashlib.sha256(serialize.dumps_canonical(config).encode()).hexdigest()
 
 
+def _pair_to_json(pair) -> tuple:
+    return tuple(None if m is None else serialize.matrix_to_json(m) for m in pair)
+
+
+def _pair_from_json(x, y) -> tuple:
+    return tuple(None if m is None else serialize.matrix_from_json(m) for m in (x, y))
+
+
 def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
                       seed: int = 0, checkpoint_every: int | None = None,
                       checkpoint_cb=None, resume: dict | None = None) -> SearchReport:
@@ -333,23 +339,26 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
         raise ValueError(f"dims must not repeat, got dim {repeated[0]} more than once in {dims}")
     trials = int(trials)
     config = _search_config_digest(q, theta, signed, dims, trials, seed)
-    if resume is not None and resume.get("config") != config:
-        raise ValueError(
-            "checkpoint was written for a different search configuration "
-            "(p, theta, signed, dims, trials, seed)")
-    state = resume if resume is not None else {
+    state = {
         "counter": 0, "history": [], "per_dim": {},
         "best_ratio": -1.0, "best_x": None, "best_y": None,
+        "dim_best": -1.0, "dim_best_x": None, "dim_best_y": None,
         "position": [0, -1],
     }
+    if resume is not None:
+        if resume.get("config") != config:
+            raise ValueError(
+                "checkpoint was written for a different search configuration "
+                "(p, theta, signed, dims, trials, seed)")
+        missing = sorted(state.keys() - resume.keys())
+        if missing:
+            raise ValueError(f"checkpoint lacks the fields {missing}; start the search afresh")
+        state = resume
     counter = int(state["counter"])
     history = [tuple(h) for h in state["history"]]
     per_dim = {int(k): float(v) for k, v in state["per_dim"].items()}
     best_ratio = float(state["best_ratio"])
-    best_pair = (
-        None if state["best_x"] is None else serialize.matrix_from_json(state["best_x"]),
-        None if state["best_y"] is None else serialize.matrix_from_json(state["best_y"]),
-    )
+    best_pair = _pair_from_json(state["best_x"], state["best_y"])
     start_dim, start_trial = state["position"]
 
     def evaluate(xs, ys, trials) -> RatioBlock:
@@ -373,38 +382,42 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
             history.append((counter, ratio))
 
     def snapshot(position):
+        best_x, best_y = _pair_to_json(best_pair)
+        dim_best_x, dim_best_y = _pair_to_json(dim_best_pair)
         return {
             "config": config,
             "counter": counter,
             "history": [list(h) for h in history],
             "per_dim": {str(k): v for k, v in per_dim.items()},
             "best_ratio": best_ratio,
-            "best_x": None if best_pair[0] is None else serialize.matrix_to_json(best_pair[0]),
-            "best_y": None if best_pair[1] is None else serialize.matrix_to_json(best_pair[1]),
+            "best_x": best_x,
+            "best_y": best_y,
+            "dim_best": dim_best,
+            "dim_best_x": dim_best_x,
+            "dim_best_y": dim_best_y,
             "position": list(position),
         }
 
     for di in range(start_dim, len(dims)):
         dim = dims[di]
         first_trial = start_trial + 1 if di == start_dim else 0
-        # (diag(1, 0, ...), 0) also seeds the refinement if every trial is degenerate
-        opening = (np.zeros((dim, dim), dtype=complex), np.zeros((dim, dim), dtype=complex))
-        opening[0][0, 0] = 1.0
         if first_trial == 0:
+            # (diag(1, 0, ...), 0) also seeds the refinement if every trial is degenerate
+            opening = (np.zeros((dim, dim), dtype=complex), np.zeros((dim, dim), dtype=complex))
+            opening[0][0, 0] = 1.0
             consider(*evaluate_pair(*opening), opening, dim)
-        dim_best, dim_best_pair = -1.0, opening
-        pairs = sweep_trials(
-            range(trials), lambda t: random_pair(dim, trial_rng(seed, dim, t), kind=t), evaluate)
+            dim_best, dim_best_pair = -1.0, opening
+        else:
+            dim_best = float(state["dim_best"])
+            dim_best_pair = _pair_from_json(state["dim_best_x"], state["dim_best_y"])
+        pairs = sweep_trials(range(first_trial, trials),
+                             lambda t: random_pair(dim, trial_rng(seed, dim, t), kind=t), evaluate)
         for trial, ratio, degenerate, pair in pairs:
-            # trials before first_trial are replayed only for the bookkeeping
-            # the refinement needs; the checkpoint already counted them
-            if trial >= first_trial:
-                counter += 1
-                consider(ratio, degenerate, pair, dim)
+            counter += 1
+            consider(ratio, degenerate, pair, dim)
             if not degenerate and ratio >= dim_best:
                 dim_best, dim_best_pair = ratio, pair
-            if (trial >= first_trial and checkpoint_every and checkpoint_cb
-                    and counter % int(checkpoint_every) == 0):
+            if checkpoint_every and checkpoint_cb and counter % int(checkpoint_every) == 0:
                 checkpoint_cb(snapshot((di, trial)))
         rng = trial_rng(seed, dim, 1 << 30)
         rx, ry, climbed = _hill_climb(np.asarray(dim_best_pair[0], dtype=complex),
@@ -431,8 +444,8 @@ def commutator_ratios(x: SpectralStack, b, p, theta: float, signed: bool) -> Rat
     xb = x.entries @ b - b @ x.entries
     fb = fx.entries @ b - b @ fx.entries
     bound = schatten_norms(b, SchattenIndex.INF, trials=x.trials)
-    num = schatten_norms(fb, q / theta, x.trace_weight, x.trials)
-    base = schatten_norms(xb, q, x.trace_weight, x.trials)
+    num = schatten_norms(fb, q / theta, x.trials)
+    base = schatten_norms(xb, q, x.trials)
     return RatioBlock(num, _power_or_zero(base, theta) * bound ** (1.0 - theta))
 
 
@@ -454,8 +467,8 @@ def anticommutator_ratio(x, y, b, p, theta: float, sign: int) -> RatioSample:
     q = as_index(p)
     f = SignedPowerFunction(theta, signed=False)
     fx, fy = calculus_stack(xs, f), calculus_stack(ys, f)
-    num = schatten_norms(b @ fx.entries + sign * fy.entries @ b, q / theta, xs.trace_weight)
-    base = float(schatten_norms(b @ xs.entries + sign * ys.entries @ b, q, xs.trace_weight)[0])
+    num = schatten_norms(b @ fx.entries + sign * fy.entries @ b, q / theta)
+    base = float(schatten_norms(b @ xs.entries + sign * ys.entries @ b, q)[0])
     bound = float(schatten_norms(b, SchattenIndex.INF)[0])
     # scalar (libm) powers: numpy's array power can round the other way
     den = base**theta * bound ** (1.0 - theta) if base > 0 else 0.0

@@ -72,7 +72,7 @@ def solve_theta(k: int, tol: float = 1e-10) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     lo, hi = 1e-12, math.pi / 2 - 1e-15
     flo, fhi = _bracket_residual(lo, k), _bracket_residual(hi, k)
@@ -233,8 +233,8 @@ def schatten_partial_sums(p: float, K_list) -> np.ndarray:
     (asymptotic acceleration for K up to 10^6 and more). The eigenvalues
     come from a table memoized for the last max(K_list), shared by every p.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 0 < p < math.inf:
+        raise ValueError("p must be positive and finite")
     ks = [int(k) for k in K_list]
     if not ks or min(ks) < 1:
         raise ValueError("each K must be >= 1")

@@ -42,7 +42,6 @@ __all__ = [
     "power_ratio_base_bound",
     "kernel_catalog",
     "make_kernel",
-    "get_catalog_kernel",
 ]
 
 CAUCHY_SCHWARZ_CONST = math.pi / math.sqrt(3.0)   # (sum_{k!=0} k^-2)^(1/2)
@@ -612,20 +611,6 @@ def make_kernel(name: str, **params) -> SmoothKernel:
     return kernel
 
 
-@lru_cache(maxsize=32)
-def get_catalog_kernel(name: str, grid_size: int | None = None, theta: float = 0.5,
-                       a: float = 1.0) -> SmoothKernel:
-    """Memoized catalog access: the FFT of a big kernel is computed once.
-
-    Each cached kernel keeps only its coefficient grid (complex128, 64 MiB
-    at 2048^2) once ``coefficients`` has run; its samples are never kept.
-    The cache holds up to 32 kernels and is not bounded by bytes."""
-    params = {"theta": theta, "a": a}
-    if grid_size is not None:
-        params["grid_size"] = grid_size
-    return make_kernel(name, **params)
-
-
 # ----------------------------------------------------------------------------
 # corollary-level certified bounds
 # ----------------------------------------------------------------------------
@@ -666,9 +651,12 @@ def _default_order(p) -> int:
 
 
 @lru_cache(maxsize=32)
-def _plus_base_bound(p_value: float, d: int, grid_size: int) -> float:
-    kernel = get_catalog_kernel("shifted-resolvent", grid_size=grid_size, a=1.0)
-    return certified_pcb_bound(kernel, d, p_value)
+def _catalog_bound(name: str, grid_size: int, d: int, p_value: float) -> float:
+    """certified_pcb_bound of a catalog kernel at its default parameters.
+
+    Only the float is memoised: the kernel, and with it its coefficient grid
+    (64 MiB at 2048^2), is dropped when the call returns."""
+    return certified_pcb_bound(make_kernel(name, grid_size=grid_size), d, p_value)
 
 
 def plus_kernel_bound(a: float, p, d: int | None = None, grid_size: int = 2048) -> float:
@@ -684,7 +672,7 @@ def plus_kernel_bound(a: float, p, d: int | None = None, grid_size: int = 2048) 
     if d is None:
         d = _default_order(q)
     _prefactor(d, q)
-    return _plus_base_bound(q.value, int(d), int(grid_size)) / float(a)
+    return _catalog_bound("shifted-resolvent", int(grid_size), int(d), q.value) / float(a)
 
 
 def sum_quadrant_bound(a: float, b: float, theta: float, p,
@@ -731,7 +719,7 @@ def power_ratio_base_bound(theta: float, p, d: int | None = None,
     # the family bound first: it rejects an order beyond the ramp table
     # before the singular kernel is sampled
     piece2 = _prefactor(d, q) * UNIVERSAL_CONST * _family_sobolev_upper(theta, d)
-    singular = get_catalog_kernel("power-ratio-singular", grid_size=grid_size)
-    piece1 = certified_pcb_bound(singular, d, q) * 2.0 ** (1.0 / pv) * 2.0**theta
+    piece1 = (_catalog_bound("power-ratio-singular", int(grid_size), int(d), pv)
+              * 2.0 ** (1.0 / pv) * 2.0**theta)
     window_bound = (piece1**pv + piece2**pv) ** (1.0 / pv)
     return 2.0 ** (1.0 - theta) * window_bound

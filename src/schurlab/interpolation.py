@@ -1,7 +1,7 @@
 """Decreasing rearrangements, Lorentz quasi-norms, and K-functionals.
 
 The rearrangement of a finite matrix is the step function of its singular
-values with a fixed step width, so every Lorentz integral reduces to an exact
+values with unit step width, so every Lorentz integral reduces to an exact
 finite sum. K-functionals are evaluated on the rearrangement side only (the
 operator/profile equivalence constants are not reproduced) by a grid search
 over coordinatewise splits: both quasi-norms are absolute and monotone, so
@@ -46,10 +46,9 @@ MIN_GRID = 16
 
 @dataclass(eq=False)
 class RearrangementProfile:
-    """Nonincreasing singular-value step function mu_t with step width ``weight``."""
+    """Nonincreasing singular-value step function mu_t with unit step width."""
 
     values: np.ndarray
-    weight: float = 1.0
 
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -60,32 +59,30 @@ class RearrangementProfile:
         self.values = np.maximum(self.values, 0.0)
         if np.any(np.diff(self.values) > 1e-12 * max(1.0, self.values[0])):
             raise ValueError("profile must be nonincreasing")
-        if self.weight <= 0:
-            raise ValueError("step width must be positive")
 
     def schatten(self, p) -> float:
         q = as_index(p)
         if q.is_infinite:
             return float(self.values[0])
-        return float((self.weight * np.sum(self.values ** q.value)) ** (1.0 / q.value))
+        return float(np.sum(self.values ** q.value) ** (1.0 / q.value))
 
 
-def rearrangement(a, weight: float = 1.0) -> RearrangementProfile:
+def rearrangement(a) -> RearrangementProfile:
     """Descending singular values as a step profile."""
     a = np.asarray(a)
     if a.ndim == 1:
         vals = np.sort(np.abs(np.asarray(a, dtype=float)))[::-1]
     else:
         vals = singular_values(a)
-    return RearrangementProfile(vals, weight)
+    return RearrangementProfile(vals)
 
 
 def lorentz_norm(mu, p: float, q) -> float:
     """|| t^(1/p) mu_t ||_{L_q(dt/t)} evaluated exactly on the step profile.
 
-    For q < infinity this is (sum_i s_i^q (p/q)((i w)^{q/p} - ((i-1) w)^{q/p}))^{1/q};
+    For q < infinity this is (sum_i s_i^q (p/q)(i^{q/p} - (i-1)^{q/p}))^{1/q};
     at q = infinity the supremum over each step is attained at its right
-    endpoint, giving max_i (i w)^{1/p} s_i.
+    endpoint, giving max_i i^{1/p} s_i.
     """
     if not isinstance(mu, RearrangementProfile):
         mu = rearrangement(mu)
@@ -93,8 +90,7 @@ def lorentz_norm(mu, p: float, q) -> float:
         raise ValueError("p must be positive")
     qi = as_index(q)
     s = mu.values
-    w = mu.weight
-    edges = w * np.arange(s.size + 1, dtype=float)
+    edges = np.arange(s.size + 1, dtype=float)
     if qi.is_infinite:
         return float(np.max(edges[1:] ** (1.0 / p) * s))
     qv = qi.value
@@ -122,19 +118,19 @@ class KFunctionalQuery:
 
 
 def _split_objective(sigma: np.ndarray, target: np.ndarray, t: float,
-                     p0: SchattenIndex, p1: SchattenIndex, w: float) -> float:
+                     p0: SchattenIndex, p1: SchattenIndex) -> float:
     a = np.abs(sigma)
     b = np.abs(target - sigma)
-    n0 = (w * np.sum(a ** p0.value)) ** (1.0 / p0.value)
+    n0 = np.sum(a ** p0.value) ** (1.0 / p0.value)
     if p1.is_infinite:
         n1 = b.max(initial=0.0)
     else:
-        n1 = (w * np.sum(b ** p1.value)) ** (1.0 / p1.value)
+        n1 = np.sum(b ** p1.value) ** (1.0 / p1.value)
     return float(n0 + t * n1)
 
 
 def _descend(target: np.ndarray, t: float, p0: SchattenIndex, p1: SchattenIndex,
-             w: float, grid: int) -> float:
+             grid: int) -> float:
     """Coordinate-descent grid search over aligned splits sigma_i in [0, v_i]."""
     n = target.size
     inits = [target.copy(), np.zeros(n)]
@@ -147,20 +143,20 @@ def _descend(target: np.ndarray, t: float, p0: SchattenIndex, p1: SchattenIndex,
     p1v = None if p1.is_infinite else p1.value
     for sigma in inits:
         sigma = sigma.copy()
-        val = _split_objective(sigma, target, t, p0, p1, w)
+        val = _split_objective(sigma, target, t, p0, p1)
         for _ in range(8):
             improved = False
             for i in range(n):
                 cands = np.linspace(0.0, target[i], grid + 1)
                 others0 = np.sum(np.abs(np.delete(sigma, i)) ** p0v)
-                n0 = (w * (others0 + np.abs(cands) ** p0v)) ** (1.0 / p0v)
+                n0 = (others0 + np.abs(cands) ** p0v) ** (1.0 / p0v)
                 rest = np.abs(np.delete(target - sigma, i))
                 if p1v is None:
                     m = rest.max(initial=0.0)
                     n1 = np.maximum(m, np.abs(target[i] - cands))
                 else:
                     others1 = np.sum(rest ** p1v)
-                    n1 = (w * (others1 + np.abs(target[i] - cands) ** p1v)) ** (1.0 / p1v)
+                    n1 = (others1 + np.abs(target[i] - cands) ** p1v) ** (1.0 / p1v)
                 obj = n0 + t * n1
                 k = int(np.argmin(obj))
                 if obj[k] < val - 1e-15 * (1.0 + val):
@@ -182,19 +178,14 @@ def _grid_ladder(grid: int) -> list[int]:
     return grids or [MIN_GRID]
 
 
-def _kfunc_values(target: np.ndarray, t: float, p0: SchattenIndex, p1: SchattenIndex,
-                  w: float, grid: int) -> float:
-    if not np.any(target):
-        return 0.0
-    return min(_descend(target, t, p0, p1, w, g) for g in _grid_ladder(grid))
-
-
 def k_functional(x, query: KFunctionalQuery, grid: int = 256) -> float:
     """Grid-search K_t(mu(x); l_{p0}, l_{p1}); an upper bound tightening with grid."""
     if grid < MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID}")
     mu = x if isinstance(x, RearrangementProfile) else rearrangement(x)
-    return _kfunc_values(mu.values, query.t, query.p0, query.p1, mu.weight, grid)
+    if not np.any(mu.values):
+        return 0.0
+    return min(_descend(mu.values, query.t, query.p0, query.p1, g) for g in _grid_ladder(grid))
 
 
 def selfadjoint_k_gap(x, query: KFunctionalQuery, grid: int = 256) -> tuple[float, float]:
@@ -206,14 +197,11 @@ def selfadjoint_k_gap(x, query: KFunctionalQuery, grid: int = 256) -> tuple[floa
     diagonal operands).
     """
     op = x if hasattr(x, "eigenvalues") else spectral_decompose(np.asarray(x))
-    plain = k_functional(rearrangement(op.entries, op.trace_weight), query, grid)
+    plain = k_functional(rearrangement(op.entries), query, grid)
     # sign-aligned splits are optimal, so the constrained search runs on the
     # magnitudes; sorting makes it comparable with the rearrangement side
     mags = np.sort(np.abs(op.eigenvalues))[::-1]
-    sa = min(
-        _descend(mags, query.t, query.p0, query.p1, op.trace_weight, g)
-        for g in _grid_ladder(grid)
-    )
+    sa = min(_descend(mags, query.t, query.p0, query.p1, g) for g in _grid_ladder(grid))
     return plain, sa
 
 

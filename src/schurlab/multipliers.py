@@ -114,7 +114,7 @@ def divided_difference_integral(x: float, y: float, theta: float,
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
-    if x <= 0 or y <= 0:
+    if not (x > 0 and y > 0):
         raise ValueError("divided-difference integral requires x > 0 and y > 0")
     if quadrature_points < 2:
         raise ValueError("need at least 2 quadrature points")
@@ -162,8 +162,11 @@ def rank_one_sum_bound(alphas, f_sups, g_sups, p) -> float:
         raise ValueError(
             f"length mismatch: {a.size} coefficients, {fs.size} f-sups, {gs.size} g-sups"
         )
-    if np.any(fs < 0) or np.any(gs < 0):
-        raise ValueError("sup-norms must be nonnegative")
+    if not np.isfinite(a).all():
+        raise ValueError("coefficients must be finite")
+    sups = np.concatenate([fs, gs])
+    if not np.all(np.isfinite(sups) & (sups >= 0)):
+        raise ValueError("sup-norms must be finite and nonnegative")
     lp = float(np.sum(np.abs(a) ** q.value) ** (1.0 / q.value))
     return lp * float(np.max(fs * gs))
 

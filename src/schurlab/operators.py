@@ -1,11 +1,11 @@
-"""Spectral functional calculus and Schatten/weighted quasi-norms on finite
-Hermitian matrices.
+"""Spectral functional calculus and Schatten quasi-norms on finite Hermitian
+matrices.
 
-All operands carry a cached eigendecomposition (descending eigenvalues) and a
-``trace_weight`` scaling the trace, so ``norm_p(x)^p = weight * sum(s_i^p)``.
-Eigenvalues closer than ``GROUP_RTOL`` times the spectral radius are merged
-into one spectral projection: divided-difference symbols are singular across
-spuriously split eigenvalues.
+All operands carry a cached eigendecomposition (descending eigenvalues). The
+trace is the plain one, so ``norm_p(x)^p = sum(s_i^p)`` over the singular
+values. Eigenvalues closer than ``GROUP_RTOL`` times the spectral radius are
+merged into one spectral projection: divided-difference symbols are singular
+across spuriously split eigenvalues.
 
 The core works on (B, n, n) stacks: ``decompose_stack``, ``calculus_stack``
 and ``schatten_norms`` run batched ``eigh``/``svd`` and check every member.
@@ -224,24 +224,22 @@ class SpectralStack:
     entries: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    trace_weight: float = 1.0
     trials: tuple | None = None
 
     @classmethod
     def of(cls, x: "HermitianOperand") -> "SpectralStack":
         """The one-member stack of an already validated operand."""
-        return cls(x.entries[None], x.eigenvalues[None], x.eigenvectors[None],
-                   x.trace_weight)
+        return cls(x.entries[None], x.eigenvalues[None], x.eigenvectors[None])
 
     def operand(self, i: int) -> "HermitianOperand":
         return HermitianOperand(
             dim=self.entries.shape[-1], entries=self.entries[i],
             eigenvalues=self.eigenvalues[i], eigenvectors=self.eigenvectors[i],
-            trace_weight=self.trace_weight, validated=True,
+            validated=True,
         )
 
 
-def decompose_stack(matrices, trace_weight: float = 1.0, trials=None) -> SpectralStack:
+def decompose_stack(matrices, trials=None) -> SpectralStack:
     """Batched eigendecomposition of a (B, n, n) stack of Hermitian matrices.
 
     Rejects non-finite and non-Hermitian members (naming the offending
@@ -251,8 +249,6 @@ def decompose_stack(matrices, trace_weight: float = 1.0, trials=None) -> Spectra
     a = np.asarray(matrices, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (B, n, n) stack of square matrices, got shape {a.shape}")
-    if trace_weight <= 0:
-        raise ValueError("trace_weight must be positive")
     trials = None if trials is None else tuple(trials)
     _check_hermitian(a, trials)
     vals, vecs = np.linalg.eigh(0.5 * (a + _adjoint(a)))
@@ -260,7 +256,7 @@ def decompose_stack(matrices, trace_weight: float = 1.0, trials=None) -> Spectra
     vals = np.ascontiguousarray(vals[:, ::-1])
     vecs = np.ascontiguousarray(vecs[:, :, ::-1])
     _check_spectral(a, vals, vecs, trials)
-    return SpectralStack(a, vals, vecs, float(trace_weight), trials)
+    return SpectralStack(a, vals, vecs, trials)
 
 
 def calculus_stack(x: SpectralStack, f: "SignedPowerFunction") -> SpectralStack:
@@ -280,11 +276,11 @@ def calculus_stack(x: SpectralStack, f: "SignedPowerFunction") -> SpectralStack:
     entries = 0.5 * (entries + _adjoint(entries))
     _check_hermitian(entries, x.trials)
     _check_spectral(entries, vals, u, x.trials)
-    return SpectralStack(entries, vals, u, x.trace_weight, x.trials)
+    return SpectralStack(entries, vals, u, x.trials)
 
 
-def _schatten_from_singular(s: np.ndarray, p, trace_weight: float) -> np.ndarray:
-    """Per-row (weight * sum s_i^p)^(1/p) of singular values s (..., k).
+def _schatten_from_singular(s: np.ndarray, p) -> np.ndarray:
+    """Per-row (sum s_i^p)^(1/p) of singular values s (..., k).
 
     Values below SV_NOISE_RTOL times a row's largest are exact zeros.
     """
@@ -295,16 +291,16 @@ def _schatten_from_singular(s: np.ndarray, p, trace_weight: float) -> np.ndarray
     if q.is_infinite:
         return top
     kept = np.where(s > SV_NOISE_RTOL * top[..., None], s, 0.0)
-    return (trace_weight * (kept ** q.value).sum(axis=-1)) ** (1.0 / q.value)
+    return (kept ** q.value).sum(axis=-1) ** (1.0 / q.value)
 
 
-def schatten_norms(matrices, p, trace_weight: float = 1.0, trials=None) -> np.ndarray:
+def schatten_norms(matrices, p, trials=None) -> np.ndarray:
     """Schatten quasi-norm of every member of a (B, m, n) stack (batched SVD)."""
     a = np.asarray(matrices, dtype=complex)
     if a.ndim != 3:
         raise ValueError(f"expected a (B, m, n) stack, got shape {a.shape}")
     _check_finite(a, trials)
-    return _schatten_from_singular(np.linalg.svd(a, compute_uv=False), p, trace_weight)
+    return _schatten_from_singular(np.linalg.svd(a, compute_uv=False), p)
 
 
 @dataclass(eq=False)
@@ -312,24 +308,20 @@ class HermitianOperand:
     """A finite Hermitian matrix with cached spectral decomposition.
 
     ``eigenvalues`` are descending; ``eigenvectors`` hold the matching
-    orthonormal columns; ``trace_weight`` scales the trace functional. A
-    hand-built operand is checked like a decomposed one; ``validated``
-    marks data that already passed those checks in a stack.
+    orthonormal columns. A hand-built operand is checked like a decomposed
+    one; ``validated`` marks data that already passed those checks in a stack.
     """
 
     dim: int
     entries: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    trace_weight: float = 1.0
     validated: InitVar[bool] = False
 
     def __post_init__(self, validated: bool):
         self.entries = np.asarray(self.entries, dtype=complex)
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
         self.eigenvectors = np.asarray(self.eigenvectors, dtype=complex)
-        if self.trace_weight <= 0:
-            raise ValueError("trace_weight must be positive")
         if not validated:
             self._validate()
 
@@ -383,7 +375,7 @@ class HermitianOperand:
         return [u[:, g] @ u[:, g].conj().T for g in self._groups]
 
 
-def spectral_decompose(matrix, trace_weight: float = 1.0) -> HermitianOperand:
+def spectral_decompose(matrix) -> HermitianOperand:
     """Eigen-decompose a Hermitian matrix into a validated operand.
 
     The one-member case of decompose_stack: rejects non-Hermitian input
@@ -392,7 +384,7 @@ def spectral_decompose(matrix, trace_weight: float = 1.0) -> HermitianOperand:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return decompose_stack(a[None], trace_weight).operand(0)
+    return decompose_stack(a[None]).operand(0)
 
 
 def apply_calculus(x: HermitianOperand, f: SignedPowerFunction) -> HermitianOperand:
@@ -407,20 +399,16 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def schatten_norm(a, p, trace_weight: float = 1.0) -> float:
-    """(weight * sum s_i^p)^(1/p); the operator norm max(s_i) at p = inf.
+def schatten_norm(a, p) -> float:
+    """(sum s_i^p)^(1/p) of a matrix; the operator norm max(s_i) at p = inf.
 
-    ``a`` may be a matrix or a HermitianOperand (which supplies its own
-    trace weight). Singular values below SV_NOISE_RTOL times the largest are
-    treated as exact zeros. The one-member case of schatten_norms.
+    Singular values below SV_NOISE_RTOL times the largest are treated as
+    exact zeros. The one-member case of schatten_norms.
     """
-    if isinstance(a, HermitianOperand):
-        s = np.abs(a.eigenvalues)[None]
-        return float(_schatten_from_singular(s, p, a.trace_weight)[0])
-    return float(schatten_norms(np.asarray(a, dtype=complex)[None], p, trace_weight)[0])
+    return float(schatten_norms(np.asarray(a, dtype=complex)[None], p)[0])
 
 
-def p_triangle_defect(parts, p, trace_weight: float = 1.0) -> float:
+def p_triangle_defect(parts, p) -> float:
     """sum_k ||a_k||_p^p - ||sum_k a_k||_p^p  (nonnegative for p <= 1)."""
     q = as_index(p)
     if q.is_infinite or q.value > 1.0:
@@ -433,6 +421,6 @@ def p_triangle_defect(parts, p, trace_weight: float = 1.0) -> float:
         if m.shape != shape:
             raise ValueError(f"shape mismatch: {m.shape} vs {shape}")
     pw = q.value
-    total = sum(schatten_norm(m, q, trace_weight) ** pw for m in mats)
-    whole = schatten_norm(sum(mats), q, trace_weight) ** pw
+    total = sum(schatten_norm(m, q) ** pw for m in mats)
+    whole = schatten_norm(sum(mats), q) ** pw
     return float(total - whole)

@@ -17,7 +17,7 @@ import pytest
 import schurlab as sl
 import schurlab.cli as cli
 from schurlab import serialize
-from schurlab.factorization import get_catalog_kernel
+from schurlab.factorization import make_kernel
 from schurlab.interpolation import KFunctionalQuery
 
 from conftest import exp_kernel_tail, random_hermitian, random_psd
@@ -149,7 +149,7 @@ def test_criterion_5_certification_sandwich():
     started = time.time()
     details = []
     for name, params in CORPUS:
-        kernel = get_catalog_kernel(name, **params)
+        kernel = make_kernel(name, **params)
         n = kernel.grid_size
         xs = 2.0 * np.pi * (np.arange(24) + 0.5) / 24.0
         values = np.real(np.asarray(kernel.evaluator(xs[:, None], xs[None, :])))

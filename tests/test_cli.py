@@ -7,7 +7,7 @@ import pytest
 
 import schurlab.cli as cli
 from schurlab import serialize
-from schurlab.experiments import RatioSample, random_pair, trial_rng
+from schurlab.experiments import RatioBlock, random_pair, trial_rng
 from schurlab.interpolation import kfonc_check, weak_lp_check
 
 
@@ -54,8 +54,9 @@ class TestExitCodes:
 
     def test_violation_exits_2(self, tmp_path, monkeypatch):
         def fake_bks(x, y, p, theta):
-            return RatioSample(2.0, 1.0, 2.0, False, "deadbeef", {})
-        monkeypatch.setattr(cli, "bks_check", fake_bks)
+            ones = np.ones(x.entries.shape[0])
+            return RatioBlock(2.0 * ones, ones)
+        monkeypatch.setattr(cli, "bks_ratios", fake_bks)
         out = tmp_path / "r.json"
         code = cli.main(["bks", "--p", "1", "--theta", "0.5", "--trials", "3",
                          "--out", str(out)])
@@ -394,6 +395,18 @@ class TestReports:
         replay = bks_check(x, y, 1.0, 0.5)
         assert replay.ratio == pytest.approx(res["max_ratio"], rel=1e-12)
 
+    def test_bks_max_is_the_witness_check_bit_for_bit(self, tmp_path):
+        # the sweep's maximum is reported as is; the witness's single-pair
+        # check gives the same bits
+        from schurlab.experiments import bks_check
+        out = tmp_path / "r.json"
+        assert cli.main(["bks", "--p", "0.75", "--theta", "0.5", "--dims", "2,5",
+                         "--trials", "70", "--seed", "3", "--out", str(out)]) == 0
+        res = load_report(out)["body"]["results"]
+        x = serialize.matrix_from_json(res["witness_x"])
+        y = serialize.matrix_from_json(res["witness_y"])
+        assert bks_check(x, y, 0.75, 0.5).ratio == res["max_ratio"]
+
     def test_bks_dim_without_trials(self, tmp_path):
         # two trials over three dims: trial i runs at dims[i % 3], so dim 6 gets none
         out = tmp_path / "r.json"
@@ -486,3 +499,21 @@ class TestResume:
         assert code == 1
         assert not out.exists()
         assert ckpt.exists()
+
+
+def test_resume_rejects_checkpoint_without_dimension_best(tmp_path, capsys):
+    # a checkpoint from before the running per-dimension best was saved
+    from schurlab.experiments import estimate_constant
+    snaps = []
+    estimate_constant(0.5, 0.5, False, [2, 3], 30, seed=4,
+                      checkpoint_every=20, checkpoint_cb=snaps.append)
+    old = {k: v for k, v in snaps[0].items() if not k.startswith("dim_best")}
+    out = tmp_path / "r.json"
+    ckpt = Path(str(out) + ".ckpt.json")
+    ckpt.write_text(serialize.dumps_canonical(old))
+    code = cli.main(["estimate-constant", "--p", "0.5", "--theta", "0.5", "--dims", "2,3",
+                     "--trials", "30", "--seed", "4", "--resume", "--out", str(out)])
+    assert code == 1
+    assert "checkpoint lacks the fields ['dim_best', 'dim_best_x', 'dim_best_y']" in (
+        capsys.readouterr().err)
+    assert not out.exists()

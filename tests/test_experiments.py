@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+import schurlab.experiments as experiments
+from schurlab import serialize
 from schurlab.experiments import (
     BLOCK_TRIALS,
     RatioBlock,
@@ -44,8 +48,8 @@ def reference_anticommutator_ratio(x, y, b, p, theta, sign):
     f = SignedPowerFunction(theta, signed=False)
     fx, fy = apply_calculus(x, f), apply_calculus(y, f)
     bound = schatten_norm(b, SchattenIndex.INF)
-    num = schatten_norm(b @ fx.entries + sign * fy.entries @ b, q / theta, x.trace_weight)
-    base = schatten_norm(b @ x.entries + sign * y.entries @ b, q, x.trace_weight)
+    num = schatten_norm(b @ fx.entries + sign * fy.entries @ b, q / theta)
+    base = schatten_norm(b @ x.entries + sign * y.entries @ b, q)
     den = base**theta * bound ** (1.0 - theta) if base > 0 else 0.0
     params = {"p": "inf" if q.is_infinite else q.value, "theta": theta, "sign": sign,
               "dim": x.dim}
@@ -252,6 +256,27 @@ class TestEstimateConstant:
             assert np.array_equal(resumed.witness_x, full.witness_x)
             assert np.array_equal(resumed.witness_y, full.witness_y)
             assert resumed.best.ratio == full.best.ratio
+
+    def test_resume_draws_only_the_remaining_trials(self, monkeypatch):
+        kw = dict(p=0.5, theta=0.5, signed=True, dims=[2], trials=1000, seed=3)
+        full = estimate_constant(**kw)
+        snaps = []
+        estimate_constant(**kw, checkpoint_every=900, checkpoint_cb=snaps.append)
+        assert [s["position"] for s in snaps] == [[0, 899]]
+        snap = json.loads(serialize.dumps_canonical(snaps[0]))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return random_pair(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "random_pair", counted)
+        resumed = estimate_constant(**kw, resume=snap)
+        assert len(calls) == 100
+        assert resumed.history == full.history
+        assert resumed.per_dim == full.per_dim
+        assert np.array_equal(resumed.witness_x, full.witness_x)
+        assert np.array_equal(resumed.witness_y, full.witness_y)
 
     def test_resume_rejects_other_config(self):
         kw = dict(p=0.5, theta=0.5, signed=False, dims=[2], trials=25, seed=9)

@@ -34,6 +34,14 @@ def fixed_step_theta(k: int) -> float:
 
 
 class TestSolveTheta:
+    @pytest.mark.parametrize("solve", [lambda tol: solve_theta(1, tol=tol),
+                                       lambda tol: analytic_eigenvalues(3, tol=tol)],
+                             ids=["solve_theta", "analytic_eigenvalues"])
+    def test_nan_tolerance_rejected(self, solve):
+        # a NaN tolerance would pass every residual unchecked
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(float("nan"))
+
     def test_bracket_sign_change(self):
         g = lambda t: math.tan(t) + 2.0 * t - math.pi
         assert g(0.85) < 0 < g(0.95)

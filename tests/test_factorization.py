@@ -21,7 +21,6 @@ from schurlab.factorization import (
     certified_pcb_bound,
     dyadic_block_bound,
     fourier_coefficients,
-    get_catalog_kernel,
     kernel_catalog,
     make_kernel,
     plus_kernel_bound,
@@ -110,7 +109,7 @@ class TestFourierCoefficients:
         assert np.abs(c).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine_product(self):
-        kern = get_catalog_kernel("cosine-product")
+        kern = make_kernel("cosine-product")
         c = fourier_coefficients(kern)
         for k in (1, -1):
             for l in (1, -1):
@@ -139,7 +138,7 @@ class TestSobolevConstant:
 
     def test_closed_form_oracle(self):
         spectral = SmoothKernel(lambda x, y: np.cos(x) * np.cos(y), grid_size=256)
-        closed = get_catalog_kernel("cosine-product")
+        closed = make_kernel("cosine-product")
         for d in (1, 2, 3):
             assert sobolev_constant(spectral, d) == pytest.approx(
                 sobolev_constant(closed, d), abs=1e-10)
@@ -147,12 +146,12 @@ class TestSobolevConstant:
     def test_cross_check_tolerance(self):
         # spectral and closed-form routes agree to 1e-8 relative on smooth input
         spectral = SmoothKernel(lambda x, y: np.cos(x) * np.cos(y), grid_size=256)
-        closed = get_catalog_kernel("cosine-product")
+        closed = make_kernel("cosine-product")
         s, c = sobolev_constant(spectral, 1), sobolev_constant(closed, 1)
         assert abs(s - c) <= 1e-8 * c
 
     def test_rejects_bad_order(self):
-        kern = get_catalog_kernel("cosine-product")
+        kern = make_kernel("cosine-product")
         with pytest.raises(ValueError):
             sobolev_constant(kern, 0)
 
@@ -178,7 +177,7 @@ class TestCertifiedBound:
         assert est.lower <= bound
 
     def test_rejects_d_below_1_over_p(self):
-        kern = get_catalog_kernel("cosine-product")
+        kern = make_kernel("cosine-product")
         with pytest.raises(ValueError, match="d > 1/p"):
             certified_pcb_bound(kern, 2, 0.5)
         with pytest.raises(ValueError, match="d > 1/p"):
@@ -199,13 +198,13 @@ class TestBuildFactorization:
         assert fact.truncation_error <= 1e-12
 
     def test_von_mises_reconstruction(self):
-        kern = get_catalog_kernel("von-mises")
+        kern = make_kernel("von-mises")
         fact = build_factorization(kern, 2, 1.0, mode_cutoff=32)
         gap = np.abs(fact.reconstruct() - kern.samples()).max()
         assert gap <= fact.truncation_error + 1e-9
 
     def test_action_matches_direct_hadamard(self, rng):
-        kern = get_catalog_kernel("von-mises")
+        kern = make_kernel("von-mises")
         fact = build_factorization(kern, 2, 1.0, mode_cutoff=48)
         xs = rng.uniform(0, 2 * np.pi, 20)
         ys = rng.uniform(0, 2 * np.pi, 20)
@@ -215,7 +214,7 @@ class TestBuildFactorization:
         assert np.abs(via_factors - direct).max() <= 1e-6
 
     def test_certified_dominates_own_rank_one_data(self):
-        kern = get_catalog_kernel("von-mises")
+        kern = make_kernel("von-mises")
         for p in (0.5, 1.0):
             fact = build_factorization(kern, 3, p, mode_cutoff=32)
             from schurlab.multipliers import rank_one_sum_bound
@@ -228,7 +227,7 @@ class TestBuildFactorization:
     def test_cutoff_stability(self, p, d):
         # certified bounds nonincreasing under refinement, reconstruction
         # error shrinking toward zero
-        kern = get_catalog_kernel("shifted-resolvent")
+        kern = make_kernel("shifted-resolvent")
         prev_bound = None
         errs = []
         for cutoff in (32, 64, 128, 256):
@@ -241,7 +240,7 @@ class TestBuildFactorization:
         assert errs[-1] <= 1e-6
 
     def test_json_export(self):
-        kern = get_catalog_kernel("cosine-product")
+        kern = make_kernel("cosine-product")
         fact = build_factorization(kern, 2, 1.0, mode_cutoff=8)
         payload = fact.to_json()
         assert set(payload) >= {"d", "alphas", "f_samples", "certified_bound",
@@ -249,7 +248,7 @@ class TestBuildFactorization:
         assert payload["d"] == 2
 
     def test_rejects_bad_cutoff(self):
-        kern = get_catalog_kernel("cosine-product")
+        kern = make_kernel("cosine-product")
         with pytest.raises(ValueError):
             build_factorization(kern, 2, 1.0, mode_cutoff=0)
 
@@ -465,7 +464,7 @@ def test_thousand_symbol_sandwich(rng):
     for name, p, d in (("cosine-product", 1.0, 2), ("von-mises", 1.0, 2),
                        ("shifted-resolvent", 0.5, 3), ("power-ratio-window", 1.0, 2),
                        ("complex-mode", 0.5, 3)):
-        kernel = get_catalog_kernel(name)
+        kernel = make_kernel(name)
         corpus.append((kernel, p, certified_pcb_bound(kernel, d, p)))
     for i in range(1000):
         kernel, p, upper = corpus[i % len(corpus)]
@@ -515,7 +514,7 @@ class TestCatalog:
 
     def test_window_kernel_matches_integral(self):
         # window kernel values reproduce the divided-difference quotient
-        kern = get_catalog_kernel("power-ratio-window", theta=0.5)
+        kern = make_kernel("power-ratio-window", theta=0.5)
         x = np.array([2.5])   # u = 1.25, inside the flat region
         y = np.array([3.0])   # u = 1.5
         val = float(np.real(kern.evaluator(x[:, None], y[None, :])[0, 0]))

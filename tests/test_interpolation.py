@@ -58,8 +58,8 @@ def reference_weak_lp_check(x, y, p, q, theta, signed):
     fxy = calculus_stack(xy, f).entries
     diff_f = fxy[1] - fxy[0]
     diff = xy.entries[1] - xy.entries[0]
-    num = lorentz_norm(rearrangement(diff_f, xy.trace_weight), p / theta, qi)
-    den_base = lorentz_norm(rearrangement(diff, xy.trace_weight), p, q_scaled)
+    num = lorentz_norm(rearrangement(diff_f), p / theta, qi)
+    den_base = lorentz_norm(rearrangement(diff), p, q_scaled)
     den = den_base**theta if den_base > 0 else 0.0
     params = {"p": p, "q": _label(qi), "theta": theta, "signed": signed,
               "dim": diff.shape[0]}
@@ -123,13 +123,6 @@ class TestLorentzNorm:
         n = 7
         prof = RearrangementProfile(np.ones(n))
         assert lorentz_norm(prof, 2.0, SchattenIndex.INF) == pytest.approx(np.sqrt(n))
-
-    def test_weight_scaling(self):
-        prof1 = RearrangementProfile(np.array([2.0, 1.0]), weight=1.0)
-        prof3 = RearrangementProfile(np.array([2.0, 1.0]), weight=3.0)
-        p, q = 1.5, 0.7
-        assert lorentz_norm(prof3, p, q) == pytest.approx(
-            3.0 ** (1.0 / p) * lorentz_norm(prof1, p, q), rel=1e-12)
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):

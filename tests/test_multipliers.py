@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from schurlab.expkernel import schatten_partial_sums
 from schurlab.multipliers import (
     MultiplierNormEstimate,
     SymbolMatrix,
@@ -81,6 +82,25 @@ class TestDividedDifferenceIntegral:
             divided_difference_integral(-1.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             divided_difference_integral(1.0, 0.0, 0.5)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: schatten_partial_sums(NAN, [10]), "p must be positive and finite"),
+    (lambda: schatten_partial_sums(math.inf, [10]), "p must be positive and finite"),
+    (lambda: divided_difference_integral(NAN, 1.0, 0.5), "requires x > 0 and y > 0"),
+    (lambda: divided_difference_integral(1.0, NAN, 0.5), "requires x > 0 and y > 0"),
+    (lambda: rank_one_sum_bound([1.0], [NAN], [1.0], 0.5), "sup-norms must be finite"),
+    (lambda: rank_one_sum_bound([1.0], [1.0], [math.inf], 0.5), "sup-norms must be finite"),
+    (lambda: rank_one_sum_bound([NAN], [1.0], [1.0], 0.5), "coefficients must be finite"),
+], ids=["partial-sums-nan-p", "partial-sums-inf-p", "integral-nan-x", "integral-nan-y",
+        "rank-one-nan-sup", "rank-one-inf-sup", "rank-one-nan-coefficient"])
+def test_non_finite_inputs_rejected(call, message):
+    # each of these returned a value (NaN, or 0 for p = inf) instead of failing
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestSchurApply:

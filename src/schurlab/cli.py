@@ -10,7 +10,6 @@ success, 1 on input errors, 2 when a verified invariant is violated.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -19,13 +18,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+# Only the modules every search command runs are imported here; the
+# certificate, multiplier, interpolation and kernel-spectrum modules are
+# imported by the runners that use them, so a command compiles what it runs.
 from . import __version__, serialize
-from .expkernel import (
-    analytic_eigenvalues,
-    eigenfunction_residual,
-    nystrom_spectrum,
-    schatten_partial_sums,
-)
 from .experiments import (
     RatioBlock,
     bks_ratios,
@@ -39,15 +35,6 @@ from .experiments import (
     sweep_trials,
     trial_rng,
 )
-from .factorization import (
-    _default_order,
-    build_factorization,
-    certified_pcb_bound,
-    kernel_catalog,
-    make_kernel,
-)
-from .interpolation import kfonc_ratios, weak_lp_ratios
-from .multipliers import SymbolMatrix, divided_difference_symbol, multiplier_norm_lower, schur_apply
 from .operators import (
     InvariantViolation,
     SchattenIndex,
@@ -163,27 +150,42 @@ def _case_sweeps(ns, cases, ratios):
 # ----------------------------------------------------------------------------
 
 def _run_verify_ando(ns) -> dict:
+    from .multipliers import divided_difference_symbol, schur_apply
+
     dims = _parse_dims(ns.dims)
     thetas = _parse_floats(ns.thetas)
     maps = [SignedPowerFunction(theta, signed) for theta in thetas for signed in (False, True)]
 
-    def one(idx, dim):
-        rng = trial_rng(ns.seed, idx)
-        xy = decompose_stack([random_hermitian(dim, rng), random_hermitian(dim, rng)])
-        x, y = xy.operand(0), xy.operand(1)
-        worst = 0.0
-        radius = max(x.spectral_radius, y.spectral_radius, 1e-300)
-        for f in maps:
-            sym = divided_difference_symbol(x.distinct_eigenvalues, y.distinct_eigenvalues, f)
-            fxy = calculus_stack(xy, f).entries
-            lhs = fxy[0] - fxy[1]
-            rhs = schur_apply(sym, x, y, x.entries - y.entries)
-            worst = max(worst, np.abs(lhs - rhs).max() / radius**f.theta)
-        return worst
+    def hermitian_pair(dim, trial):
+        rng = trial_rng(ns.seed, trial)
+        return random_hermitian(dim, rng), random_hermitian(dim, rng)
 
-    # symbols depend on each operand's eigenvalue groups: one trial at a time
-    defects = [one(i, dims[i % len(dims)]) for i in range(ns.trials)]
-    worst = float(np.max(defects))
+    def evaluate(xs, ys, trials):
+        """Defect max|f(x) - f(y) - M_f(x - y)| over radius^theta per trial
+        and map. The block is decomposed once, and each map's calculus runs
+        once; the symbols depend on each operand's eigenvalue groups, so they
+        are formed one trial at a time. The radius floor keeps every
+        denominator above the degenerate floor, so no defect reads as 0."""
+        b = len(trials)
+        xy = decompose_stack(np.concatenate((xs, ys)), trials=(*trials, *trials))
+        images = [calculus_stack(xy, f).entries for f in maps]
+        num, den = np.empty((b, len(maps))), np.empty((b, len(maps)))
+        for k in range(b):
+            x, y = xy.operand(k), xy.operand(b + k)
+            radius = max(x.spectral_radius, y.spectral_radius, 1e-300)
+            for j, (f, fxy) in enumerate(zip(maps, images)):
+                sym = divided_difference_symbol(x.distinct_eigenvalues, y.distinct_eigenvalues, f)
+                rhs = schur_apply(sym, x, y, x.entries - y.entries)
+                num[k, j] = np.abs(fxy[k] - fxy[b + k] - rhs).max()
+                den[k, j] = radius**f.theta
+        return RatioBlock(num, den)
+
+    # trial i runs at dims[i % len(dims)]; each dim's trials go in blocks
+    worst = 0.0
+    for di, dim in enumerate(dims):
+        trial_ids = range(di, ns.trials, len(dims))
+        for _, defect, _, _ in sweep_trials(trial_ids, lambda t: hermitian_pair(dim, t), evaluate):
+            worst = max(worst, defect)
     results = {
         "trials": ns.trials,
         "dims": dims,
@@ -260,6 +262,8 @@ def _run_estimate_constant(ns) -> dict:
     resume = None
     if ns.resume:
         _require(os.path.exists(ckpt_path), f"no checkpoint at {ckpt_path}")
+        import json
+
         with open(ckpt_path, encoding="utf-8") as fh:
             resume = json.load(fh)
 
@@ -295,6 +299,8 @@ def _certificate_inputs(ns):
     The kernel is built fresh, not memoised: a process runs one command, and
     a memoised kernel would keep its coefficient grid alive while the report
     is encoded."""
+    from .factorization import _default_order, kernel_catalog, make_kernel
+
     _require(ns.kernel in kernel_catalog(), f"unknown kernel {ns.kernel!r}")
     p = _parse_p(ns.p)
     d = ns.d if ns.d is not None else _default_order(p)
@@ -302,6 +308,9 @@ def _certificate_inputs(ns):
 
 
 def _run_multiplier_bound(ns) -> dict:
+    from .factorization import certified_pcb_bound
+    from .multipliers import SymbolMatrix, multiplier_norm_lower
+
     kernel, p, d = _certificate_inputs(ns)
     upper = certified_pcb_bound(kernel, d, p)
     rng = trial_rng(ns.seed, 0)
@@ -329,6 +338,8 @@ def _run_multiplier_bound(ns) -> dict:
 
 
 def _run_factorize(ns) -> dict:
+    from .factorization import build_factorization
+
     kernel, p, d = _certificate_inputs(ns)
     fact = build_factorization(kernel, d, p, mode_cutoff=ns.cutoff)
     del kernel  # frees the coefficient grid before the report's float lists are built
@@ -340,6 +351,9 @@ def _run_factorize(ns) -> dict:
 
 
 def _run_kernel_spectrum(ns) -> dict:
+    from .expkernel import (analytic_eigenvalues, eigenfunction_residual, nystrom_spectrum,
+                            schatten_partial_sums)
+
     _require(ns.kmax <= ns.nystrom,
              f"--kmax ({ns.kmax}) must not exceed --nystrom ({ns.nystrom}): "
              "the table compares each eigenvalue with a Nystrom eigenvalue")
@@ -373,6 +387,8 @@ def _run_kernel_spectrum(ns) -> dict:
 
 
 def _run_kfunctional(ns) -> dict:
+    from .interpolation import kfonc_ratios
+
     p0 = _parse_p(ns.p0)
     p1 = _parse_p(ns.p1)
     cases = [({"t": t, "p0": index_label(p0), "p1": index_label(p1), "theta": ns.theta}, t)
@@ -386,6 +402,8 @@ def _run_kfunctional(ns) -> dict:
 
 
 def _run_weak_lp(ns) -> dict:
+    from .interpolation import weak_lp_ratios
+
     qs = [_parse_p(v) for v in ns.q.split(",") if v]
     cases = [({"p": ns.p, "q": index_label(q), "theta": ns.theta}, q) for q in qs]
     rows, best = _case_sweeps(ns, cases, lambda xs, ys, q, images: weak_lp_ratios(

@@ -12,6 +12,7 @@ maxima rather than divided.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -490,6 +491,8 @@ def mazur_ratios(x, y, p: float, q: float, trials=None) -> RatioBlock:
     q = float(q)
     if not (0.0 < p < q):
         raise ValueError("need q > p > 0")
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite (theta = p/q would be 0), got q={q!r}")
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape != y.shape:

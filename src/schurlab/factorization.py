@@ -260,6 +260,7 @@ def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
     on the normalized torus. Closed-form partials override spectral
     differentiation when all required orders are supplied.
     """
+    _check_order(d)
     if d < 1:
         raise ValueError("the Sobolev order d must be >= 1")
     needed = [(1, d), (0, d), (1, 0), (0, 0)]
@@ -275,7 +276,15 @@ def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
     return float(sum(float(np.sqrt(rows[a] @ weights[b])) for a, b in needed))
 
 
+def _check_order(d) -> None:
+    """Reject a Sobolev order that is not a finite integer: NaN slips past
+    every range comparison, and a fractional d has no derivative to bound."""
+    if not float(d).is_integer():
+        raise ValueError(f"the Sobolev order d must be a finite integer, got d={d!r}")
+
+
 def _prefactor(d: int, p) -> float:
+    _check_order(d)
     q = as_index(p)
     if q.is_infinite or q.value > 1.0:
         raise ValueError("certified bounds require p <= 1")

@@ -13,6 +13,7 @@ which makes refinement monotone by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,8 @@ def lorentz_norm(mu, p: float, q) -> float:
     """
     if not isinstance(mu, RearrangementProfile):
         mu = rearrangement(mu)
-    if not p > 0:
-        raise ValueError("p must be positive")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got p={p!r}")
     qi = as_index(q)
     s = mu.values
     edges = np.arange(s.size + 1, dtype=float)
@@ -109,8 +110,8 @@ class KFunctionalQuery:
     def __post_init__(self):
         object.__setattr__(self, "p0", as_index(self.p0))
         object.__setattr__(self, "p1", as_index(self.p1))
-        if not self.t > 0:
-            raise ValueError("t must be positive")
+        if not 0 < self.t < math.inf:
+            raise ValueError(f"t must be positive and finite, got t={self.t!r}")
         if not self.p0 < self.p1:
             raise ValueError("need p0 < p1")
         if self.p0.is_infinite:
@@ -129,11 +130,24 @@ def _split_objective(sigma: np.ndarray, target: np.ndarray, t: float,
     return float(n0 + t * n1)
 
 
+def _clipped_starts(target: np.ndarray, cands: list[np.ndarray]) -> list[np.ndarray]:
+    """The splits (v - v_j)_+ for j >= 1, each coordinate rounded up onto its
+    candidate grid, so that ||v - sigma||_inf <= v_j.
+
+    At p1 = inf, K is the least over lambda of ||(v - lambda)_+||_{p0} + t lambda,
+    attained at a breakpoint v_j (the p0 term is concave in lambda between
+    them), so these starts lie within one grid step of the optimum. From the
+    prefix starts alone, one-coordinate moves can stall far above it at p0 < 1.
+    """
+    return [np.array([c[np.searchsorted(c, target[i] - lam)] for i, c in enumerate(cands)])
+            for lam in target[1:]]
+
+
 def _descend(target: np.ndarray, t: float, p0: SchattenIndex, p1: SchattenIndex,
              grid: int) -> float:
     """Coordinate-descent grid search over aligned splits sigma_i in [0, v_i]."""
     n = target.size
-    inits = [target.copy(), np.zeros(n)]
+    inits = [target, np.zeros(n)]
     for j in range(1, n):
         sig = target.copy()
         sig[j:] = 0.0
@@ -141,27 +155,36 @@ def _descend(target: np.ndarray, t: float, p0: SchattenIndex, p1: SchattenIndex,
     best_val = np.inf
     p0v = p0.value
     p1v = None if p1.is_infinite else p1.value
+
+    def p1_part(a):  # |a|^p1, or |a| when p1 = inf (the max-norm keeps it unpowered)
+        return np.abs(a) if p1v is None else np.abs(a) ** p1v
+
+    # each coordinate's candidates and their terms, formed once: a move
+    # only swaps one coordinate's term for another of its candidates'
+    cands = [np.linspace(0.0, target[i], grid + 1) for i in range(n)]
+    if p1v is None:
+        inits += _clipped_starts(target, cands)
+    terms0 = [np.abs(c) ** p0v for c in cands]
+    terms1 = [p1_part(target[i] - c) for i, c in enumerate(cands)]
     for sigma in inits:
-        sigma = sigma.copy()
         val = _split_objective(sigma, target, t, p0, p1)
+        cur0, cur1 = np.abs(sigma) ** p0v, p1_part(target - sigma)
         for _ in range(8):
             improved = False
             for i in range(n):
-                cands = np.linspace(0.0, target[i], grid + 1)
-                others0 = np.sum(np.abs(np.delete(sigma, i)) ** p0v)
-                n0 = (others0 + np.abs(cands) ** p0v) ** (1.0 / p0v)
-                rest = np.abs(np.delete(target - sigma, i))
+                # the other coordinates' terms, summed in coordinate order
+                others0 = np.sum(np.concatenate((cur0[:i], cur0[i + 1:])))
+                n0 = (others0 + terms0[i]) ** (1.0 / p0v)
+                rest = np.concatenate((cur1[:i], cur1[i + 1:]))
                 if p1v is None:
-                    m = rest.max(initial=0.0)
-                    n1 = np.maximum(m, np.abs(target[i] - cands))
+                    n1 = np.maximum(rest.max(initial=0.0), terms1[i])
                 else:
-                    others1 = np.sum(rest ** p1v)
-                    n1 = (others1 + np.abs(target[i] - cands) ** p1v) ** (1.0 / p1v)
+                    n1 = (np.sum(rest) + terms1[i]) ** (1.0 / p1v)
                 obj = n0 + t * n1
                 k = int(np.argmin(obj))
                 if obj[k] < val - 1e-15 * (1.0 + val):
                     val = float(obj[k])
-                    sigma[i] = cands[k]
+                    cur0[i], cur1[i] = terms0[i][k], terms1[i][k]
                     improved = True
             if not improved:
                 break

@@ -76,7 +76,8 @@ class TestExitCodes:
                          "--out", str(tmp_path / "r.json")]) == 1
 
     def test_certificate_below_witness_exits_2_with_report(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "certified_pcb_bound", lambda kernel, d, p: 1e-6)
+        import schurlab.factorization as factorization
+        monkeypatch.setattr(factorization, "certified_pcb_bound", lambda kernel, d, p: 1e-6)
         out = tmp_path / "r.json"
         code = cli.main(["multiplier-bound", "--kernel", "cosine-product", "--p", "1",
                          "--trials", "2", "--samples", "8", "--out", str(out)])
@@ -373,6 +374,51 @@ class TestReports:
             monkeypatch.setattr(module, "calculus_stack", counted)
         assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 0
         assert len(calls) == calculi
+
+    def test_verify_ando_blocks_equal_one_pair_at_a_time(self, tmp_path, monkeypatch):
+        # reference: each trial's pair decomposed on its own, the calculus and
+        # the defect formed per map, as the sweep ran before it went in blocks
+        from schurlab.experiments import random_hermitian
+        from schurlab.multipliers import divided_difference_symbol, schur_apply
+        from schurlab.operators import SignedPowerFunction, calculus_stack, decompose_stack
+
+        seed, trials, dims, thetas = 5, 70, [2, 5, 3], [0.3, 0.8]
+        maps = [SignedPowerFunction(t, s) for t in thetas for s in (False, True)]
+
+        def reference(idx):
+            rng = trial_rng(seed, idx)
+            dim = dims[idx % len(dims)]
+            xy = decompose_stack([random_hermitian(dim, rng), random_hermitian(dim, rng)])
+            x, y = xy.operand(0), xy.operand(1)
+            radius = max(x.spectral_radius, y.spectral_radius, 1e-300)
+            defects = []
+            for f in maps:
+                sym = divided_difference_symbol(x.distinct_eigenvalues, y.distinct_eigenvalues, f)
+                fxy = calculus_stack(xy, f).entries
+                rhs = schur_apply(sym, x, y, x.entries - y.entries)
+                defects.append(np.abs(fxy[0] - fxy[1] - rhs).max() / radius**f.theta)
+            return defects
+
+        seen, decompositions = {}, []
+
+        def recording(trial_ids, draw, evaluate, _real=cli.sweep_trials):
+            for row in _real(trial_ids, draw, evaluate):
+                seen.setdefault(row[0], []).append(row[1])
+                yield row
+
+        def counted(*args, _real=cli.decompose_stack, **kwargs):
+            decompositions.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep_trials", recording)
+        monkeypatch.setattr(cli, "decompose_stack", counted)
+        out = tmp_path / "r.json"
+        assert cli.main(["verify-ando", "--trials", str(trials), "--dims", "2,5,3",
+                         "--thetas", "0.3,0.8", "--seed", str(seed), "--out", str(out)]) == 0
+        assert len(decompositions) == len(dims)  # one block per dim at 70 trials
+        assert seen == {i: reference(i) for i in range(trials)}
+        worst = load_report(out)["body"]["results"]["max_relative_defect"]
+        assert worst == max(max(d) for d in seen.values())
 
     def test_commutator_and_mazur(self, tmp_path):
         out = tmp_path / "c.json"

@@ -407,3 +407,8 @@ class TestMazur:
     def test_rejects_bad_indices(self, rng):
         with pytest.raises(ValueError):
             mazur_ratio(np.eye(2), np.zeros((2, 2)), 2.0, 1.0)
+
+    def test_rejects_infinite_q(self):
+        # theta = p/q would be 0: the map sends every matrix to a partial isometry
+        with pytest.raises(ValueError, match="q must be finite"):
+            mazur_ratio(np.eye(2), np.zeros((2, 2)), 1.0, float("inf"))

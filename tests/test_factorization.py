@@ -155,6 +155,12 @@ class TestSobolevConstant:
         with pytest.raises(ValueError):
             sobolev_constant(kern, 0)
 
+    @pytest.mark.parametrize("d", [float("nan"), float("inf"), 2.5])
+    def test_rejects_non_integer_order(self, d):
+        kern = make_kernel("von-mises", grid_size=64)
+        with pytest.raises(ValueError, match=r"finite integer, got d="):
+            sobolev_constant(kern, d)
+
 
 class TestCertifiedBound:
     def test_prefactor_p1_d2(self):
@@ -182,6 +188,17 @@ class TestCertifiedBound:
             certified_pcb_bound(kern, 2, 0.5)
         with pytest.raises(ValueError, match="d > 1/p"):
             certified_pcb_bound(kern, 1, 1.0)
+
+    @pytest.mark.parametrize("d", [float("nan"), 2.5])
+    def test_rejects_non_integer_order(self, d):
+        # NaN passed every range check, and d = 2.5 gave a "certified" 1864.87
+        kern = make_kernel("von-mises", grid_size=64)
+        with pytest.raises(ValueError, match=r"finite integer, got d="):
+            certified_pcb_bound(kern, d, 0.5)
+
+    def test_integral_float_order_is_the_integer_order(self):
+        kern = make_kernel("von-mises", grid_size=64)
+        assert certified_pcb_bound(kern, 3.0, 0.5) == certified_pcb_bound(kern, 3, 0.5)
 
     def test_cauchy_schwarz_constant(self):
         assert CAUCHY_SCHWARZ_CONST == pytest.approx(math.pi / math.sqrt(3.0))

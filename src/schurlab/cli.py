@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__, serialize
 from .experiments import (
     RatioBlock,
+    _complex_gaussian,
     bks_ratios,
     commutator_ratios,
     estimate_constant,
@@ -39,6 +40,7 @@ from .operators import (
     InvariantViolation,
     SchattenIndex,
     SignedPowerFunction,
+    _check_theta,
     calculus_stack,
     decompose_stack,
     schatten_norms,
@@ -144,6 +146,21 @@ def _case_sweeps(ns, cases, ratios):
     return [{**cases[i % len(cases)][0], **row} for i, row in enumerate(rows)], best
 
 
+def _seeded_pair(random_matrix, dim: int, seed: int, trial: int):
+    """Two draws of ``random_matrix(dim, rng)`` from the trial's generator."""
+    rng = trial_rng(seed, trial)
+    return random_matrix(dim, rng), random_matrix(dim, rng)
+
+
+def _pair_sweep(ns, dims, random_matrix, evaluate):
+    """``sweep_trials`` over the seeded pairs of ``random_matrix``, trial i at
+    dims[i % len(dims)]: each dim's trials run in blocks of their own, so
+    every block is one stack."""
+    for di, dim in enumerate(dims):
+        yield from sweep_trials(range(di, ns.trials, len(dims)),
+                                lambda t: _seeded_pair(random_matrix, dim, ns.seed, t), evaluate)
+
+
 # ----------------------------------------------------------------------------
 # command implementations (each returns a results dict, raising
 # VerificationError when the run itself proves an invariant violation)
@@ -155,10 +172,6 @@ def _run_verify_ando(ns) -> dict:
     dims = _parse_dims(ns.dims)
     thetas = _parse_floats(ns.thetas)
     maps = [SignedPowerFunction(theta, signed) for theta in thetas for signed in (False, True)]
-
-    def hermitian_pair(dim, trial):
-        rng = trial_rng(ns.seed, trial)
-        return random_hermitian(dim, rng), random_hermitian(dim, rng)
 
     def evaluate(xs, ys, trials):
         """Defect max|f(x) - f(y) - M_f(x - y)| over radius^theta per trial
@@ -180,12 +193,9 @@ def _run_verify_ando(ns) -> dict:
                 den[k, j] = radius**f.theta
         return RatioBlock(num, den)
 
-    # trial i runs at dims[i % len(dims)]; each dim's trials go in blocks
     worst = 0.0
-    for di, dim in enumerate(dims):
-        trial_ids = range(di, ns.trials, len(dims))
-        for _, defect, _, _ in sweep_trials(trial_ids, lambda t: hermitian_pair(dim, t), evaluate):
-            worst = max(worst, defect)
+    for _, defect, _, _ in _pair_sweep(ns, dims, random_hermitian, evaluate):
+        worst = max(worst, defect)
     results = {
         "trials": ns.trials,
         "dims": dims,
@@ -204,23 +214,16 @@ def _run_bks(ns) -> dict:
     dims = _parse_dims(ns.dims)
     p = _parse_p(ns.p)
 
-    def psd_pair(dim, trial):
-        rng = trial_rng(ns.seed, trial)
-        return random_psd(dim, rng), random_psd(dim, rng)
-
     def evaluate(xs, ys, trials):
         return bks_ratios(decompose_stack(xs, trials=trials),
                           decompose_stack(ys, trials=trials), p, ns.theta)
 
-    # trial i runs at dims[i % len(dims)]; each dim's trials go in blocks
     ratios = np.zeros(ns.trials)
-    for di, dim in enumerate(dims):
-        trial_ids = range(di, ns.trials, len(dims))
-        for trial, ratio, _, _ in sweep_trials(trial_ids, lambda t: psd_pair(dim, t), evaluate):
-            ratios[trial] = ratio
+    for trial, ratio, _, _ in _pair_sweep(ns, dims, random_psd, evaluate):
+        ratios[trial] = ratio
     best = int(np.argmax(ratios))
     worst = float(ratios[best])
-    wx, wy = psd_pair(dims[best % len(dims)], best)
+    wx, wy = _seeded_pair(random_psd, dims[best % len(dims)], ns.seed, best)
     results = {
         "trials": ns.trials,
         "dims": dims,
@@ -241,8 +244,7 @@ def _run_bks(ns) -> dict:
 def _run_estimate_constant(ns) -> dict:
     dims = _parse_dims(ns.dims)
     p_list = [_parse_p(v) for v in str(ns.p).split(",") if v]
-    theta_list = _parse_floats(str(ns.theta))
-    _require(all(0 < t < 1 for t in theta_list), "theta must lie in (0,1)")
+    theta_list = [_check_theta(t) for t in _parse_floats(str(ns.theta))]
     if len(p_list) > 1 or len(theta_list) > 1:
         # (p, theta) sweep grid: one summary row per combination
         _require(not ns.resume, "--resume only supports a single (p, theta) pair")
@@ -299,11 +301,11 @@ def _certificate_inputs(ns):
     The kernel is built fresh, not memoised: a process runs one command, and
     a memoised kernel would keep its coefficient grid alive while the report
     is encoded."""
-    from .factorization import _default_order, kernel_catalog, make_kernel
+    from .factorization import kernel_catalog, make_kernel, sobolev_order
 
     _require(ns.kernel in kernel_catalog(), f"unknown kernel {ns.kernel!r}")
     p = _parse_p(ns.p)
-    d = ns.d if ns.d is not None else _default_order(p)
+    d = sobolev_order(p, ns.d)
     return make_kernel(ns.kernel, theta=ns.theta, a=ns.a), p, d
 
 
@@ -419,8 +421,7 @@ def _run_commutator(ns) -> dict:
 
     def draw(trial):
         rng = trial_rng(ns.seed, trial)
-        x = random_hermitian(ns.dim, rng)
-        return x, rng.standard_normal((ns.dim, ns.dim)) + 1j * rng.standard_normal((ns.dim, ns.dim))
+        return random_hermitian(ns.dim, rng), _complex_gaussian(rng, (ns.dim, ns.dim))
 
     def evaluate(xs, bs, trials):
         # normalised in place, so the witness is reported normalised
@@ -443,8 +444,7 @@ def _run_mazur(ns) -> dict:
 
     def draw(trial):
         rng = trial_rng(ns.seed, trial)
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return x, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return _complex_gaussian(rng, shape), _complex_gaussian(rng, shape)
 
     def evaluate(xs, ys, trials):
         return mazur_ratios(xs, ys, ns.p, ns.q, trials=trials)
@@ -607,9 +607,7 @@ def _write_report(path: str, fmt: str, command: str, config: dict, results: dict
 
 
 def _config_dict(ns) -> dict:
-    skip = {"command", "out", "func"}
-    cfg = {k: v for k, v in vars(ns).items() if k not in skip and v is not None}
-    return cfg
+    return {k: v for k, v in vars(ns).items() if k not in ("command", "out") and v is not None}
 
 
 RUNNERS = {

@@ -23,6 +23,7 @@ from .operators import (
     SchattenIndex,
     SignedPowerFunction,
     SpectralStack,
+    _check_theta,
     as_index,
     calculus_stack,
     decompose_stack,
@@ -67,6 +68,11 @@ def trial_rng(*entropy) -> np.random.Generator:
     """The generator of one trial, seeded by SeedSequence(entropy), for
     instance (seed, dim, trial); independent of every other trial."""
     return np.random.default_rng(np.random.SeedSequence([int(e) for e in entropy]))
+
+
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex Gaussian entries x + iy, every x drawn before every y."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def sweep_trials(trial_ids, draw, evaluate):
@@ -197,7 +203,7 @@ def _reject_indefinite(**stacks: SpectralStack) -> None:
 def bks_ratios(x: SpectralStack, y: SpectralStack, p, theta: float) -> RatioBlock:
     """Positive-operator ratios; the classical inequality makes them <= 1 for p >= theta."""
     q = as_index(p)
-    SignedPowerFunction(theta)  # rejects theta outside (0, 1) before it is compared with p
+    _check_theta(theta)  # before theta is compared with p
     if not q.is_infinite and q.value < theta:
         raise ValueError("the constant-1 inequality needs p >= theta")
     _reject_indefinite(x=x, y=y)
@@ -212,18 +218,18 @@ def bks_check(x, y, p, theta: float) -> RatioSample:
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = _complex_gaussian(rng, (dim, dim))
     return 0.5 * (g + g.conj().T)
 
 
 def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = _complex_gaussian(rng, (dim, dim))
     return (g @ g.conj().T) / dim
 
 
 def _random_projection(dim: int, rng: np.random.Generator) -> np.ndarray:
     rank = int(rng.integers(1, dim + 1))
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    g = _complex_gaussian(rng, (dim, rank))
     qmat, _ = np.linalg.qr(g)
     return qmat[:, :rank] @ qmat[:, :rank].conj().T
 
@@ -247,8 +253,7 @@ def random_pair(dim: int, rng: np.random.Generator, kind: int) -> tuple[np.ndarr
         # the sign crossing, where the signed power map is least regular
         center = 0.0 if rng.integers(2) else float(rng.standard_normal())
         lams = center + 1e-3 * rng.standard_normal(dim)
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        u, _ = np.linalg.qr(g)
+        u, _ = np.linalg.qr(_complex_gaussian(rng, (dim, dim)))
         x = (u * lams) @ u.conj().T
         x = 0.5 * (x + x.conj().T)
         eps = 10.0 ** rng.uniform(-4, 0)

@@ -70,8 +70,8 @@ def solve_theta(k: int, tol: float = 1e-10) -> float:
     below about 3e-16 k^2 are unattainable; the default holds through
     k ~ 100.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not k >= 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not tol > 0:
         raise ValueError("tol must be positive")
     lo, hi = 1e-12, math.pi / 2 - 1e-15
@@ -117,8 +117,8 @@ def _root_table(k_max: int, tol_of) -> np.ndarray:
 
 def analytic_eigenvalues(k_max: int, tol: float = 1e-8) -> KernelSpectrum:
     """First k_max eigenvalues 2 cos^2(theta_k), descending."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not k_max >= 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     thetas = _root_table(k_max, lambda k: tol)
     alphas = np.tan(thetas)
     lambdas = 2.0 * np.cos(thetas) ** 2

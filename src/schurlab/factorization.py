@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import InvariantViolation, as_index
+from .operators import InvariantViolation, _check_theta, as_index, p_triangle_exponent
 
 __all__ = [
     "SmoothKernel",
@@ -267,8 +267,6 @@ def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
     have = kernel.derivative_evaluators or {}
     if all(k in have for k in needed if k != (0, 0)):
         return float(sum(_closed_form_l2(kernel, a, b) for a, b in needed))
-    if kernel.grid_size < 64:
-        raise ValueError("no derivative data and grid too small for spectral differentiation")
     # ||d^(a+b)K/dx^a dy^b||_2^2 = sum_kl |k|^2a |alpha_kl|^2 |l|^2b
     modes = np.abs(_mode_numbers(kernel.grid_size).astype(float))
     weights = {order: modes ** (2 * order) for order in {0, 1, d}}
@@ -283,21 +281,30 @@ def _check_order(d) -> None:
         raise ValueError(f"the Sobolev order d must be a finite integer, got d={d!r}")
 
 
-def _prefactor(d: int, p) -> float:
+def sobolev_order(p, d: int | None = None) -> int:
+    """The Sobolev order of a certificate at index p: d, or ceil(1/p) + 1
+    when d is None. Rejects p > 1, a d that is not a finite integer, and
+    d <= 1/p, where the coefficients l^-d of the factorization leave l^p."""
+    pv = p_triangle_exponent(p)
+    if d is None:
+        return int(math.ceil(1.0 / pv)) + 1
     _check_order(d)
-    q = as_index(p)
-    if q.is_infinite or q.value > 1.0:
-        raise ValueError("certified bounds require p <= 1")
-    pv = q.value
     if d * pv <= 1.0:
         raise ValueError(
             f"the Sobolev order must satisfy d > 1/p (got d={d}, 1/p={1.0 / pv})"
         )
+    return d
+
+
+def _prefactor(d: int, p) -> float:
+    """(2/(dp-1) + 2)^(1/p) for an order d that ``sobolev_order`` accepted at p."""
+    pv = as_index(p).value
     return (2.0 / (d * pv - 1.0) + 2.0) ** (1.0 / pv)
 
 
 def certified_pcb_bound(kernel: SmoothKernel, d: int, p) -> float:
     """(2/(dp-1) + 2)^(1/p) * (pi/sqrt(3) + 1) * sobolev_constant(kernel, d)."""
+    d = sobolev_order(p, d)
     return _prefactor(d, p) * UNIVERSAL_CONST * sobolev_constant(kernel, d)
 
 
@@ -410,7 +417,7 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
     coefficients, so reconstruction of the samples is certified to within
     ``truncation_error`` (plus rounding).
     """
-    _prefactor(d, p)  # validates d > 1/p and p <= 1
+    d = sobolev_order(p, d)
     if mode_cutoff < 1:
         raise ValueError("mode_cutoff must be >= 1")
     n = kernel.grid_size
@@ -492,11 +499,8 @@ def dyadic_block_bound(theta: float, p, k: int, base_bound: float) -> DyadicBloc
     k = -1 gathers every block with y >= 1 through the p-triangle series
     (sum_j 2^(j p (theta-1)))^(1/p).
     """
-    if not (0.0 < theta < 1.0):
-        raise ValueError("theta must lie in (0, 1)")
-    q = as_index(p)
-    if q.is_infinite or q.value > 1.0:
-        raise ValueError("dyadic gathering requires p <= 1")
+    _check_theta(theta)
+    pv = p_triangle_exponent(p)
     if not base_bound >= 0:
         raise ValueError("base_bound must be nonnegative")
     if k < -1:
@@ -504,8 +508,8 @@ def dyadic_block_bound(theta: float, p, k: int, base_bound: float) -> DyadicBloc
     if k >= 0:
         bound = 2.0 ** (-k * (theta - 1.0)) * base_bound
         return DyadicBlock(k, (0.0, math.inf), (2.0 ** (-k - 1), 2.0 ** (-k)), bound)
-    ratio = 2.0 ** (q.value * (theta - 1.0))
-    gathered = base_bound * (1.0 / (1.0 - ratio)) ** (1.0 / q.value)
+    ratio = 2.0 ** (pv * (theta - 1.0))
+    gathered = base_bound * (1.0 / (1.0 - ratio)) ** (1.0 / pv)
     return DyadicBlock(-1, (0.0, math.inf), (1.0, math.inf), gathered)
 
 
@@ -553,9 +557,7 @@ def _singular_ratio_kernel(x, y):
 
 
 def _window_ratio_kernel(theta):
-    # written so that NaN passes on to make_kernel's finite check
-    if theta <= 0.0 or theta >= 1.0:
-        raise ValueError(f"theta must lie strictly inside (0, 1), got {theta}")
+    _check_theta(theta)
 
     def evaluate(x, y):
         xw, yw = _wrap_2pi(x), _wrap_2pi(y)
@@ -653,12 +655,6 @@ def _family_sobolev_upper(theta: float, d: int) -> float:
     return total
 
 
-def _default_order(p) -> int:
-    """ceil(1/p) + 1, and its limit 2 at p = inf (which _prefactor rejects)."""
-    q = as_index(p)
-    return 2 if q.is_infinite else int(math.ceil(1.0 / q.value)) + 1
-
-
 @lru_cache(maxsize=32)
 def _catalog_bound(name: str, grid_size: int, d: int, p_value: float) -> float:
     """certified_pcb_bound of a catalog kernel at its default parameters.
@@ -677,11 +673,8 @@ def plus_kernel_bound(a: float, p, d: int | None = None, grid_size: int = 2048) 
     """
     if not a >= 1.0:
         raise ValueError("the shifted-resolvent bound requires a >= 1")
-    q = as_index(p)
-    if d is None:
-        d = _default_order(q)
-    _prefactor(d, q)
-    return _catalog_bound("shifted-resolvent", int(grid_size), int(d), q.value) / float(a)
+    d = sobolev_order(p, d)
+    return _catalog_bound("shifted-resolvent", int(grid_size), int(d), as_index(p).value) / float(a)
 
 
 def sum_quadrant_bound(a: float, b: float, theta: float, p,
@@ -694,15 +687,11 @@ def sum_quadrant_bound(a: float, b: float, theta: float, p,
     2 B1^p [2^(theta p) + (2 + 2^-p) 2^(2 theta p) / (1 - 2^(-p(1-theta)))].
     Scales exactly as max(a, b)^(theta-1).
     """
-    if not (a >= 0 and b >= 0 and a + b > 0):
-        raise ValueError("need a, b >= 0 with a + b > 0")
-    if not (0.0 < theta < 1.0):
-        raise ValueError("theta must lie in (0, 1)")
-    q = as_index(p)
-    if d is None:
-        d = _default_order(q)
-    pv = q.value
-    b1 = plus_kernel_bound(1.0, q, d)
+    if not (0 <= a < math.inf and 0 <= b < math.inf and a + b > 0):
+        raise ValueError(f"need a, b >= 0 with a + b > 0, both finite; got a={a}, b={b}")
+    _check_theta(theta)
+    pv = p_triangle_exponent(p)
+    b1 = plus_kernel_bound(1.0, p, d)
     series = 2.0 ** (2.0 * theta * pv) / (1.0 - 2.0 ** (-pv * (1.0 - theta)))
     g_pow = 2.0 * b1**pv * (2.0 ** (theta * pv) + (2.0 + 2.0 ** (-pv)) * series)
     return max(a, b) ** (theta - 1.0) * g_pow ** (1.0 / pv)
@@ -719,15 +708,12 @@ def power_ratio_base_bound(theta: float, p, d: int | None = None,
 
     then rescaled from the y in [1, 2] window by exact homogeneity.
     """
-    if not (0.0 < theta < 1.0):
-        raise ValueError("theta must lie in (0, 1)")
-    q = as_index(p)
-    if d is None:
-        d = _default_order(q)
-    pv = q.value
+    _check_theta(theta)
+    d = sobolev_order(p, d)
+    pv = as_index(p).value
     # the family bound first: it rejects an order beyond the ramp table
     # before the singular kernel is sampled
-    piece2 = _prefactor(d, q) * UNIVERSAL_CONST * _family_sobolev_upper(theta, d)
+    piece2 = _prefactor(d, p) * UNIVERSAL_CONST * _family_sobolev_upper(theta, d)
     piece1 = (_catalog_bound("power-ratio-singular", int(grid_size), int(d), pv)
               * 2.0 ** (1.0 / pv) * 2.0**theta)
     window_bound = (piece1**pv + piece2**pv) ** (1.0 / pv)

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperand, SchattenIndex, SignedPowerFunction, as_index, schatten_norms
+from .experiments import _complex_gaussian, trial_rng
+from .operators import (HermitianOperand, SchattenIndex, SignedPowerFunction, _check_theta,
+                        as_index, p_triangle_exponent, schatten_norms)
 from . import serialize
 
 __all__ = [
@@ -112,8 +114,7 @@ def divided_difference_integral(x: float, y: float, theta: float,
     x = y; both arguments must be positive (the integrand is singular
     otherwise).
     """
-    if not (0.0 < theta < 1.0):
-        raise ValueError("theta must lie in (0, 1)")
+    _check_theta(theta)
     if not (x > 0 and y > 0):
         raise ValueError("divided-difference integral requires x > 0 and y > 0")
     if quadrature_points < 2:
@@ -152,9 +153,7 @@ def schur_apply(m: SymbolMatrix, x: HermitianOperand, y: HermitianOperand, z) ->
 
 def rank_one_sum_bound(alphas, f_sups, g_sups, p) -> float:
     """Certified bound ||alpha||_p * max_k(f_sup_k * g_sup_k) for p <= 1."""
-    q = as_index(p)
-    if q.is_infinite or q.value > 1.0:
-        raise ValueError("rank-one sum bounds require p <= 1")
+    pv = p_triangle_exponent(p)
     a = np.atleast_1d(np.asarray(alphas, dtype=float))
     fs = np.atleast_1d(np.asarray(f_sups, dtype=float))
     gs = np.atleast_1d(np.asarray(g_sups, dtype=float))
@@ -167,7 +166,7 @@ def rank_one_sum_bound(alphas, f_sups, g_sups, p) -> float:
     sups = np.concatenate([fs, gs])
     if not np.all(np.isfinite(sups) & (sups >= 0)):
         raise ValueError("sup-norms must be finite and nonnegative")
-    lp = float(np.sum(np.abs(a) ** q.value) ** (1.0 / q.value))
+    lp = float(np.sum(np.abs(a) ** pv) ** (1.0 / pv))
     return lp * float(np.max(fs * gs))
 
 
@@ -242,15 +241,12 @@ def multiplier_norm_lower(m: SymbolMatrix, p, trials: int = 16,
         best_witness = np.zeros(m.shape, dtype=complex)
         best_witness[ij] = 1.0
     for trial in range(int(trials)):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), trial]))
+        rng = trial_rng(seed, trial)
         nr, nc = m.shape
-        candidates = []
-        g = rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc))
-        candidates.append(g)
-        u = rng.standard_normal(nr) + 1j * rng.standard_normal(nr)
-        v = rng.standard_normal(nc) + 1j * rng.standard_normal(nc)
-        candidates.append(np.outer(u, v.conj()))
-        for cand in candidates:
+        g = _complex_gaussian(rng, (nr, nc))
+        u = _complex_gaussian(rng, nr)
+        v = _complex_gaussian(rng, nc)
+        for cand in (g, np.outer(u, v.conj())):
             a, r = _refine_witness(m, cand, q, rng)
             if r > best_ratio:
                 best_ratio, best_witness = r, a

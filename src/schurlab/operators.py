@@ -118,6 +118,25 @@ def as_index(p) -> SchattenIndex:
     return p if isinstance(p, SchattenIndex) else SchattenIndex(p)
 
 
+def p_triangle_exponent(p) -> float:
+    """p's finite value; p must be <= 1, where ||.||_p^p is subadditive."""
+    q = as_index(p)
+    if q.is_infinite or q.value > 1.0:
+        raise ValueError(f"the p-triangle inequality and the bounds built on it "
+                         f"require p <= 1, got p={'inf' if q.is_infinite else q.value}")
+    return q.value
+
+
+def _check_theta(theta) -> float:
+    """theta as a float; the power maps need it finite and inside (0, 1)."""
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie strictly inside (0, 1), got {theta}")
+    return theta
+
+
 @dataclass(frozen=True)
 class SignedPowerFunction:
     """The homogeneous maps t -> |t|^theta (unsigned) or sgn(t)|t|^theta."""
@@ -126,8 +145,7 @@ class SignedPowerFunction:
     signed: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie strictly inside (0, 1), got {self.theta}")
+        _check_theta(self.theta)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -410,9 +428,7 @@ def schatten_norm(a, p) -> float:
 
 def p_triangle_defect(parts, p) -> float:
     """sum_k ||a_k||_p^p - ||sum_k a_k||_p^p  (nonnegative for p <= 1)."""
-    q = as_index(p)
-    if q.is_infinite or q.value > 1.0:
-        raise ValueError("the p-triangle inequality requires p <= 1")
+    pw = p_triangle_exponent(p)
     mats = [np.asarray(m, dtype=complex) for m in parts]
     if not mats:
         raise ValueError("need at least one part")
@@ -420,7 +436,6 @@ def p_triangle_defect(parts, p) -> float:
     for m in mats:
         if m.shape != shape:
             raise ValueError(f"shape mismatch: {m.shape} vs {shape}")
-    pw = q.value
-    total = sum(schatten_norm(m, q) ** pw for m in mats)
-    whole = schatten_norm(sum(mats), q) ** pw
+    total = sum(schatten_norm(m, pw) ** pw for m in mats)
+    whole = schatten_norm(sum(mats), pw) ** pw
     return float(total - whole)

@@ -186,7 +186,8 @@ class TestExitCodes:
         (["estimate-constant", "--p", "0.5", "--theta", "0.5", "--dims", "3,2,3"],
          "dim 3 more than once"),
         # checks the command line keeps
-        (["estimate-constant", "--p", "0.5", "--theta", "0.5,1"], "theta must lie in (0,1)"),
+        (["estimate-constant", "--p", "0.5", "--theta", "0.5,1"],
+         "theta must lie strictly inside (0, 1), got 1.0"),
         (["multiplier-bound", "--kernel", "no-such-kernel", "--p", "0.5"], "unknown kernel"),
         (["factorize", "--kernel", "no-such-kernel", "--p", "0.5"], "unknown kernel"),
         # theta's own range, checked before p >= theta and before any kernel sampling

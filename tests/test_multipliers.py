@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from schurlab.expkernel import schatten_partial_sums
+from schurlab.expkernel import analytic_eigenvalues, schatten_partial_sums, solve_theta
+from schurlab.factorization import sum_quadrant_bound
 from schurlab.multipliers import (
     MultiplierNormEstimate,
     SymbolMatrix,
@@ -95,10 +96,17 @@ NAN = float("nan")
     (lambda: rank_one_sum_bound([1.0], [NAN], [1.0], 0.5), "sup-norms must be finite"),
     (lambda: rank_one_sum_bound([1.0], [1.0], [math.inf], 0.5), "sup-norms must be finite"),
     (lambda: rank_one_sum_bound([NAN], [1.0], [1.0], 0.5), "coefficients must be finite"),
+    (lambda: solve_theta(NAN), "k must be >= 1, got nan"),
+    (lambda: analytic_eigenvalues(NAN), "k_max must be >= 1, got nan"),
+    (lambda: sum_quadrant_bound(math.inf, 2.0, 0.5, 0.5), "both finite; got a=inf, b=2.0"),
+    (lambda: sum_quadrant_bound(1.0, math.inf, 0.5, 0.5), "both finite; got a=1.0, b=inf"),
 ], ids=["partial-sums-nan-p", "partial-sums-inf-p", "integral-nan-x", "integral-nan-y",
-        "rank-one-nan-sup", "rank-one-inf-sup", "rank-one-nan-coefficient"])
+        "rank-one-nan-sup", "rank-one-inf-sup", "rank-one-nan-coefficient",
+        "solve-theta-nan-k", "eigenvalues-nan-kmax", "quadrant-inf-a", "quadrant-inf-b"])
 def test_non_finite_inputs_rejected(call, message):
-    # each of these returned a value (NaN, or 0 for p = inf) instead of failing
+    # each of these returned a value (NaN, or 0 for an infinite p or a) or
+    # failed with something other than a ValueError: an InvariantViolation
+    # (exit 2) from solve_theta, a TypeError from analytic_eigenvalues
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -208,6 +216,29 @@ class TestMultiplierNormLower:
             for seed in range(5):
                 est = multiplier_norm_lower(m, p, trials=4, seed=seed)
                 assert est.lower == pytest.approx(cap, rel=1e-12, abs=0), (p, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_frobenius_norm_is_largest_entry(self, seed):
+        # at p = 2 the multiplier norm is max|m_ij|, which the single-entry
+        # witness attains and no refinement can beat
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 5
+        spec = np.arange(dim + 0.0)
+        m = SymbolMatrix(spec, spec, rng.standard_normal((dim, dim)))
+        est = multiplier_norm_lower(m, 2.0, trials=4, seed=seed)
+        assert est.lower == pytest.approx(np.abs(m.values).max(), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p", [1.0, "inf"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_psd_symbol_bounded_by_largest_diagonal(self, seed, p):
+        # a positive semidefinite symbol has norm max_i m_ii at p = 1 and p = inf
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 5
+        b = rng.standard_normal((dim, dim))
+        spec = np.arange(dim + 0.0)
+        m = SymbolMatrix(spec, spec, b @ b.T)
+        est = multiplier_norm_lower(m, p, trials=4, seed=seed)
+        assert est.lower <= np.diag(m.values).max() * (1 + 1e-12)
 
     def test_monotone_in_trials(self):
         vals = np.array([[1.0, 2.0, 0.3], [0.5, -1.0, 2.5]])

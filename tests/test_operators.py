@@ -1,8 +1,24 @@
+import argparse
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schurlab import cli
+from schurlab.experiments import bks_ratios
+from schurlab.factorization import (
+    build_factorization,
+    certified_pcb_bound,
+    dyadic_block_bound,
+    make_kernel,
+    plus_kernel_bound,
+    power_ratio_base_bound,
+    sum_quadrant_bound,
+)
+from schurlab.multipliers import divided_difference_integral, rank_one_sum_bound
 from schurlab.operators import (
     HermitianOperand,
     SchattenIndex,
@@ -292,3 +308,65 @@ class TestStacks:
             assert np.array_equal(x.eigenvectors, stack.eigenvectors[k])
             assert np.array_equal(apply_calculus(x, f).entries, powered.entries[k])
             assert schatten_norm(a[k], 0.5) == norms[k]
+
+
+def _bks_one_pair(theta):
+    unit = decompose_stack(np.eye(2)[None])
+    return bks_ratios(unit, unit, 1.0, theta)
+
+
+def _window_kernel(theta):
+    return make_kernel("power-ratio-window", grid_size=64, theta=theta)
+
+
+def _von_mises():
+    return make_kernel("von-mises", grid_size=64)
+
+
+def _estimate_constant_runner(theta):
+    return cli._run_estimate_constant(argparse.Namespace(dims="2", p="0.5", theta=f"0.5,{theta}"))
+
+
+# every function that takes the exponent theta of the power maps and checks it itself
+THETA_ENTRY_POINTS = {
+    "SignedPowerFunction": SignedPowerFunction,
+    "bks_ratios": _bks_one_pair,
+    "divided_difference_integral": lambda theta: divided_difference_integral(1.0, 2.0, theta),
+    "dyadic_block_bound": lambda theta: dyadic_block_bound(theta, 0.5, 0, 1.0),
+    "power-ratio-window": _window_kernel,
+    "sum_quadrant_bound": lambda theta: sum_quadrant_bound(1.0, 1.0, theta, 0.5),
+    "power_ratio_base_bound": lambda theta: power_ratio_base_bound(theta, 0.5),
+    "estimate-constant": _estimate_constant_runner,
+}
+
+# every function whose result rests on the p-triangle inequality
+CERTIFICATE_ENTRY_POINTS = {
+    "certified_pcb_bound": lambda p: certified_pcb_bound(_von_mises(), 3, p),
+    "build_factorization": lambda p: build_factorization(_von_mises(), 3, p),
+    "plus_kernel_bound": lambda p: plus_kernel_bound(1.0, p),
+    "sum_quadrant_bound": lambda p: sum_quadrant_bound(1.0, 2.0, 0.5, p),
+    "power_ratio_base_bound": lambda p: power_ratio_base_bound(0.5, p),
+    "dyadic_block_bound": lambda p: dyadic_block_bound(0.5, p, 0, 1.0),
+    "rank_one_sum_bound": lambda p: rank_one_sum_bound([1.0], [1.0], [1.0], p),
+    "p_triangle_defect": lambda p: p_triangle_defect([np.eye(2)], p),
+}
+
+
+class TestSharedParameterChecks:
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, -2.0, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", sorted(THETA_ENTRY_POINTS))
+    def test_theta_outside_unit_interval(self, entry, theta):
+        if math.isfinite(theta):
+            message = f"theta must lie strictly inside (0, 1), got {theta}"
+        else:
+            message = f"theta must be finite, got {theta}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            THETA_ENTRY_POINTS[entry](theta)
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    @pytest.mark.parametrize("entry", sorted(CERTIFICATE_ENTRY_POINTS))
+    def test_certificate_index_above_one(self, entry, p):
+        message = ("the p-triangle inequality and the bounds built on it require p <= 1, "
+                   f"got p={p}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CERTIFICATE_ENTRY_POINTS[entry](p)

@@ -112,12 +112,12 @@ def _check_flags(ns) -> None:
                  f"{flag} must be finite, got {value}")
 
 
-def _sweep(trial_ids: range, draw, evaluate):
-    """Rows, maximum nondegenerate ratio (0 if none) and witness of
-    ``sweep_trials``; the witness is the last trial to reach the running
-    maximum, as a serial ``>=`` scan would pick it."""
+def _sweep(trials):
+    """Rows, maximum nondegenerate ratio (0 if none) and witness of a stream
+    of ``sweep_trials`` tuples; the witness is the last trial to reach the
+    running maximum in stream order, as a serial ``>=`` scan would pick it."""
     best, witness, rows = 0.0, None, []
-    for trial, ratio, degenerate, matrices in sweep_trials(trial_ids, draw, evaluate):
+    for trial, ratio, degenerate, matrices in trials:
         rows.append({"trial": trial, "ratio": ratio, "degenerate": degenerate})
         if not degenerate and ratio >= best:
             best, witness = ratio, matrices
@@ -142,23 +142,27 @@ def _case_sweeps(ns, cases, ratios):
         return RatioBlock(np.stack([b.numerator for b in blocks], axis=1),
                           np.stack([b.denominator for b in blocks], axis=1))
 
-    rows, best, _ = _sweep(range(ns.trials), draw, evaluate)
+    rows, best, _ = _sweep(sweep_trials(range(ns.trials), draw, evaluate))
     return [{**cases[i % len(cases)][0], **row} for i, row in enumerate(rows)], best
 
 
-def _seeded_pair(random_matrix, dim: int, seed: int, trial: int):
-    """Two draws of ``random_matrix(dim, rng)`` from the trial's generator."""
-    rng = trial_rng(seed, trial)
-    return random_matrix(dim, rng), random_matrix(dim, rng)
-
-
 def _pair_sweep(ns, dims, random_matrix, evaluate):
-    """``sweep_trials`` over the seeded pairs of ``random_matrix``, trial i at
-    dims[i % len(dims)]: each dim's trials run in blocks of their own, so
-    every block is one stack."""
+    """``sweep_trials`` over two draws of ``random_matrix(dim, rng)`` from each
+    trial's generator, trial i at dims[i % len(dims)]: each dim's trials run
+    in blocks of their own, so every block is one stack."""
     for di, dim in enumerate(dims):
-        yield from sweep_trials(range(di, ns.trials, len(dims)),
-                                lambda t: _seeded_pair(random_matrix, dim, ns.seed, t), evaluate)
+        def draw(trial):
+            rng = trial_rng(ns.seed, trial)
+            return random_matrix(dim, rng), random_matrix(dim, rng)
+        yield from sweep_trials(range(di, ns.trials, len(dims)), draw, evaluate)
+
+
+def _witness_keys(witness, names=("x", "y")) -> dict:
+    """The ``witness_<name>`` report entries of a sweep's witness matrices
+    (none when every trial was degenerate)."""
+    if witness is None:
+        return {}
+    return {f"witness_{n}": serialize.matrix_to_json(m) for n, m in zip(names, witness)}
 
 
 # ----------------------------------------------------------------------------
@@ -193,9 +197,7 @@ def _run_verify_ando(ns) -> dict:
                 den[k, j] = radius**f.theta
         return RatioBlock(num, den)
 
-    worst = 0.0
-    for _, defect, _, _ in _pair_sweep(ns, dims, random_hermitian, evaluate):
-        worst = max(worst, defect)
+    _, worst, _ = _sweep(_pair_sweep(ns, dims, random_hermitian, evaluate))
     results = {
         "trials": ns.trials,
         "dims": dims,
@@ -218,12 +220,7 @@ def _run_bks(ns) -> dict:
         return bks_ratios(decompose_stack(xs, trials=trials),
                           decompose_stack(ys, trials=trials), p, ns.theta)
 
-    ratios = np.zeros(ns.trials)
-    for trial, ratio, _, _ in _pair_sweep(ns, dims, random_psd, evaluate):
-        ratios[trial] = ratio
-    best = int(np.argmax(ratios))
-    worst = float(ratios[best])
-    wx, wy = _seeded_pair(random_psd, dims[best % len(dims)], ns.seed, best)
+    _, worst, witness = _sweep(_pair_sweep(ns, dims, random_psd, evaluate))
     results = {
         "trials": ns.trials,
         "dims": dims,
@@ -233,8 +230,7 @@ def _run_bks(ns) -> dict:
         "bound": 1.0,
         "tolerance": 1e-9,
         "pass": worst <= 1.0 + 1e-9,
-        "witness_x": serialize.matrix_to_json(wx),
-        "witness_y": serialize.matrix_to_json(wy),
+        **_witness_keys(witness),
     }
     if worst > 1.0 + 1e-9:
         raise VerificationError(f"positive-operator ratio {worst!r} exceeds 1", results)
@@ -291,8 +287,7 @@ def _run_estimate_constant(ns) -> dict:
         "best_ratio": report.best.ratio,
         "per_dim": {str(k): v for k, v in sorted(report.per_dim.items())},
         "history": [[int(i), float(r)] for i, r in report.history],
-        "witness_x": serialize.matrix_to_json(report.witness_x),
-        "witness_y": serialize.matrix_to_json(report.witness_y),
+        **_witness_keys((report.witness_x, report.witness_y)),
     }
 
 
@@ -428,15 +423,11 @@ def _run_commutator(ns) -> dict:
         bs /= np.maximum(schatten_norms(bs, SchattenIndex.INF, trials=trials), 1e-300)[:, None, None]
         return commutator_ratios(decompose_stack(xs, trials=trials), bs, p, ns.theta, ns.signed)
 
-    rows, best, witness = _sweep(range(ns.trials), draw, evaluate)
-    results = {
+    rows, best, witness = _sweep(sweep_trials(range(ns.trials), draw, evaluate))
+    return {
         "dim": ns.dim, "trials": ns.trials, "p": index_label(p), "theta": ns.theta,
-        "signed": ns.signed, "max_ratio": best, "table": rows,
+        "signed": ns.signed, "max_ratio": best, "table": rows, **_witness_keys(witness, ("x", "b")),
     }
-    if witness is not None:
-        results["witness_x"] = serialize.matrix_to_json(witness[0])
-        results["witness_b"] = serialize.matrix_to_json(witness[1])
-    return results
 
 
 def _run_mazur(ns) -> dict:
@@ -449,15 +440,11 @@ def _run_mazur(ns) -> dict:
     def evaluate(xs, ys, trials):
         return mazur_ratios(xs, ys, ns.p, ns.q, trials=trials)
 
-    rows, best, witness = _sweep(range(ns.trials), draw, evaluate)
-    results = {
+    rows, best, witness = _sweep(sweep_trials(range(ns.trials), draw, evaluate))
+    return {
         "dim": ns.dim, "trials": ns.trials, "p": ns.p, "q": ns.q,
-        "max_ratio": best, "table": rows,
+        "max_ratio": best, "table": rows, **_witness_keys(witness),
     }
-    if witness is not None:
-        results["witness_x"] = serialize.matrix_to_json(witness[0])
-        results["witness_y"] = serialize.matrix_to_json(witness[1])
-    return results
 
 
 # ----------------------------------------------------------------------------

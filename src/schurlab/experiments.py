@@ -270,36 +270,44 @@ def _unitary_from(h: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
-def _hill_climb(x: np.ndarray, y: np.ndarray, objective, rng: np.random.Generator):
-    """Greedy Hermitian coordinate perturbations, scale halved on failure.
-    Returns the end pair and its objective value."""
-    best_x, best_y = x.copy(), y.copy()
-    best = objective(best_x, best_y)
-    scale = 0.25 * max(np.abs(x).max(), np.abs(y).max(), 1e-6)
-    dim = x.shape[0]
-    for _ in range(HILL_CLIMB_ROUNDS):
-        if scale < HILL_CLIMB_MIN_SCALE:
-            break
-        i = int(rng.integers(dim))
-        j = int(rng.integers(dim))
-        which = int(rng.integers(2))
-        direction = np.zeros((dim, dim), dtype=complex)
-        if i == j:
-            direction[i, i] = 1.0
-        elif rng.integers(2):
-            direction[i, j] = direction[j, i] = 1.0
-        else:
-            direction[i, j] = 1.0j
-            direction[j, i] = -1.0j
-        step = scale * (1.0 if rng.integers(2) else -1.0) * direction
-        cand_x = best_x + (step if which == 0 else 0.0)
-        cand_y = best_y + (step if which == 1 else 0.0)
-        val = objective(cand_x, cand_y)
-        if val > best:
-            best, best_x, best_y = val, cand_x, cand_y
+def _greedy_climb(start, objective, step, rng: np.random.Generator, rounds: int,
+                  scale: float, min_scale: float):
+    """Greedy ascent from ``start``: up to ``rounds`` proposals
+    ``step(best, scale, rng)``, each kept if it raises ``objective``; a
+    rejected one halves ``scale``, and the climb stops once it falls below
+    ``min_scale``. Returns the end point and its objective value."""
+    best, value = start, objective(start)
+    for _ in range(rounds):
+        cand = step(best, scale, rng)
+        cand_value = objective(cand)
+        if cand_value > value:
+            best, value = cand, cand_value
         else:
             scale *= 0.5
-    return best_x, best_y, best
+            if scale < min_scale:
+                break
+    return best, value
+
+
+def _hermitian_step(pair, scale: float, rng: np.random.Generator):
+    """A Hermitian coordinate step of ``scale`` (real symmetric or imaginary
+    antisymmetric, random sign) added to one matrix of ``pair``."""
+    x, y = pair
+    dim = x.shape[0]
+    i = int(rng.integers(dim))
+    j = int(rng.integers(dim))
+    which = int(rng.integers(2))
+    direction = np.zeros((dim, dim), dtype=complex)
+    if i == j:
+        direction[i, i] = 1.0
+    elif rng.integers(2):
+        direction[i, j] = direction[j, i] = 1.0
+    else:
+        direction[i, j] = 1.0j
+        direction[j, i] = -1.0j
+    step = scale * (1.0 if rng.integers(2) else -1.0) * direction
+    # adding 0.0 to the other matrix too turns its -0.0 entries into +0.0
+    return x + (step if which == 0 else 0.0), y + (step if which == 1 else 0.0)
 
 
 def _search_config_digest(q: SchattenIndex, theta: float, signed: bool, dims: list,
@@ -425,13 +433,13 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
                 dim_best, dim_best_pair = ratio, pair
             if checkpoint_every and checkpoint_cb and counter % int(checkpoint_every) == 0:
                 checkpoint_cb(snapshot((di, trial)))
-        rng = trial_rng(seed, dim, 1 << 30)
-        rx, ry, climbed = _hill_climb(np.asarray(dim_best_pair[0], dtype=complex),
-                                      np.asarray(dim_best_pair[1], dtype=complex),
-                                      lambda a, b: evaluate_pair(a, b)[0], rng)
+        scale = 0.25 * max(np.abs(dim_best_pair[0]).max(), np.abs(dim_best_pair[1]).max(), 1e-6)
+        climbed_pair, climbed = _greedy_climb(
+            dim_best_pair, lambda pair: evaluate_pair(*pair)[0], _hermitian_step,
+            trial_rng(seed, dim, 1 << 30), HILL_CLIMB_ROUNDS, scale, HILL_CLIMB_MIN_SCALE)
         counter += 1
         # nondegenerate: the climb starts from such a pair and accepts only larger ratios
-        consider(climbed, False, (rx, ry), dim)
+        consider(climbed, False, climbed_pair, dim)
 
     best_sample = ando_ratio(best_pair[0], best_pair[1], q, theta, signed)
     return SearchReport(

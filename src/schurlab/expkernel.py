@@ -55,6 +55,20 @@ class KernelSpectrum:
             raise ValueError("eigenvalues must decrease strictly and stay positive")
 
 
+def _check_index(name: str, k) -> int:
+    """k as an int; rejects a k below 1 (NaN included), then a fractional one."""
+    if not k >= 1:
+        raise ValueError(f"{name} must be >= 1, got {k}")
+    if not float(k).is_integer():
+        raise ValueError(f"{name} must be an integer, got {k}")
+    return int(k)
+
+
+def _scaled_tol(k: int) -> float:
+    """Root-residual tolerance that grows with the float-spacing limit ~(k pi)^2."""
+    return max(1e-10, 5e-14 * (k * math.pi) ** 2)
+
+
 def _bracket_residual(t: float, k: int) -> float:
     return math.sin(t) + (2.0 * t - k * math.pi) * math.cos(t)
 
@@ -70,8 +84,7 @@ def solve_theta(k: int, tol: float = 1e-10) -> float:
     below about 3e-16 k^2 are unattainable; the default holds through
     k ~ 100.
     """
-    if not k >= 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _check_index("k", k)
     if not tol > 0:
         raise ValueError("tol must be positive")
     lo, hi = 1e-12, math.pi / 2 - 1e-15
@@ -117,8 +130,7 @@ def _root_table(k_max: int, tol_of) -> np.ndarray:
 
 def analytic_eigenvalues(k_max: int, tol: float = 1e-8) -> KernelSpectrum:
     """First k_max eigenvalues 2 cos^2(theta_k), descending."""
-    if not k_max >= 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k_max = _check_index("k_max", k_max)
     thetas = _root_table(k_max, lambda k: tol)
     alphas = np.tan(thetas)
     lambdas = 2.0 * np.cos(thetas) ** 2
@@ -190,7 +202,7 @@ def eigenfunction_residual(k: int, quadrature_points: int = 2048,
 
 def eigenfunction_sup_ratio(k: int) -> float:
     """sup |f_k| / ||f_k||_2 on [0, 1] (uniform boundedness diagnostic)."""
-    theta = solve_theta(k, tol=max(1e-10, 5e-14 * (k * math.pi) ** 2))
+    theta = solve_theta(k, tol=_scaled_tol(k))
     alpha = math.tan(theta)
     x = np.linspace(0.0, 1.0, 4001)
     c = (1.0 - 1j * alpha) / (1.0 + 1j * alpha)
@@ -220,7 +232,7 @@ def nystrom_spectrum(n: int = 2000) -> np.ndarray:
 def _eigenvalue_table(k_max: int) -> np.ndarray:
     """2 cos^2(theta_k) for k = 1..k_max, read-only: exact bisection roots up
     to k = 1000, Newton-corrected tail beyond."""
-    thetas = _root_table(k_max, lambda k: max(1e-10, 5e-14 * (k * math.pi) ** 2))
+    thetas = _root_table(k_max, _scaled_tol)
     lambdas = 2.0 * np.cos(thetas) ** 2
     lambdas.setflags(write=False)
     return lambdas

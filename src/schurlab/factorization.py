@@ -360,13 +360,9 @@ class RankOneFactorization:
         and every grid column j, given ``phases = _grid_phases()``."""
         return (self.f_samples.T[rows] * self.alphas) @ phases
 
-    def reconstruct(self, x=None, y=None) -> np.ndarray:
-        """sum_l alpha_l f_l(x) e_l(y) on the whole grid or at given points."""
-        if x is None and y is None:
-            return self.grid_rows(slice(None), self._grid_phases())
-        fx = self.f_at(x)
-        gy = self.g_at(y)
-        return (fx * self.alphas) @ gy.T
+    def reconstruct(self) -> np.ndarray:
+        """sum_l alpha_l f_l(x_i) e_l(y_j) on the whole grid."""
+        return self.grid_rows(slice(None), self._grid_phases())
 
     def hadamard_action(self, xs, ys, a: np.ndarray) -> np.ndarray:
         """Apply the multiplier as the sum of its rank-one Hadamard actions.

@@ -23,6 +23,7 @@ from .operators import (
     SchattenIndex,
     SignedPowerFunction,
     SpectralStack,
+    _schatten_from_singular,
     as_index,
     calculus_stack,
     singular_values,
@@ -62,10 +63,7 @@ class RearrangementProfile:
             raise ValueError("profile must be nonincreasing")
 
     def schatten(self, p) -> float:
-        q = as_index(p)
-        if q.is_infinite:
-            return float(self.values[0])
-        return float(np.sum(self.values ** q.value) ** (1.0 / q.value))
+        return float(_schatten_from_singular(self.values, p))
 
 
 def rearrangement(a) -> RearrangementProfile:
@@ -224,8 +222,7 @@ def selfadjoint_k_gap(x, query: KFunctionalQuery, grid: int = 256) -> tuple[floa
     # sign-aligned splits are optimal, so the constrained search runs on the
     # magnitudes; sorting makes it comparable with the rearrangement side
     mags = np.sort(np.abs(op.eigenvalues))[::-1]
-    sa = min(_descend(mags, query.t, query.p0, query.p1, g) for g in _grid_ladder(grid))
-    return plain, sa
+    return plain, k_functional(RearrangementProfile(mags), query, grid)
 
 
 def _difference_ratios(x: SpectralStack, y: SpectralStack, f: SignedPowerFunction,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiments import _complex_gaussian, trial_rng
+from .experiments import _complex_gaussian, _greedy_climb, trial_rng
 from .operators import (HermitianOperand, SchattenIndex, SignedPowerFunction, _check_theta,
                         as_index, p_triangle_exponent, schatten_norms)
 from . import serialize
@@ -192,28 +192,16 @@ def hadamard_ratio(m: SymbolMatrix, a: np.ndarray, p) -> float:
     return float(num / den)
 
 
-def _refine_witness(m: SymbolMatrix, a: np.ndarray, q: SchattenIndex,
-                    rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """At most 50 greedy coordinate perturbations, step halved on failure."""
-    best = a.copy()
-    best_ratio = hadamard_ratio(m, best, q)
-    scale = 0.5 * max(np.abs(best).max(), 1e-12)
-    nr, nc = best.shape
-    for _ in range(50):
-        i = int(rng.integers(nr))
-        j = int(rng.integers(nc))
-        delta = scale * (1.0 if rng.integers(2) else -1.0)
-        part = 1.0 if rng.integers(2) else 1.0j
-        cand = best.copy()
-        cand[i, j] += delta * part
-        r = hadamard_ratio(m, cand, q)
-        if r > best_ratio:
-            best, best_ratio = cand, r
-        else:
-            scale *= 0.5
-            if scale < 1e-12:
-                break
-    return best, best_ratio
+def _entry_step(a: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """A copy of ``a`` with one entry moved by +-scale along 1 or i."""
+    nr, nc = a.shape
+    i = int(rng.integers(nr))
+    j = int(rng.integers(nc))
+    delta = scale * (1.0 if rng.integers(2) else -1.0)
+    part = 1.0 if rng.integers(2) else 1.0j
+    cand = a.copy()
+    cand[i, j] += delta * part
+    return cand
 
 
 def multiplier_norm_lower(m: SymbolMatrix, p, trials: int = 16,
@@ -247,7 +235,8 @@ def multiplier_norm_lower(m: SymbolMatrix, p, trials: int = 16,
         u = _complex_gaussian(rng, nr)
         v = _complex_gaussian(rng, nc)
         for cand in (g, np.outer(u, v.conj())):
-            a, r = _refine_witness(m, cand, q, rng)
+            a, r = _greedy_climb(cand, lambda w: hadamard_ratio(m, w, q), _entry_step, rng,
+                                 50, 0.5 * max(np.abs(cand).max(), 1e-12), 1e-12)
             if r > best_ratio:
                 best_ratio, best_witness = r, a
     return MultiplierNormEstimate(

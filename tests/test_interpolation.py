@@ -187,6 +187,9 @@ class TestLorentzNorm:
             lhs = lorentz_norm(rearrangement(a), p, p)
             rhs = schatten_norm(a, p)
             assert abs(lhs - rhs) <= 1e-12 * max(rhs, 1.0)
+        # the profile's Schatten sum drops sub-roundoff values as schatten_norm does
+        tiny = np.diag([1.0, 1e-20])
+        assert rearrangement(tiny).schatten(0.5) == schatten_norm(tiny, 0.5) == 1.0
 
     def test_flat_profile_sup(self):
         n = 7

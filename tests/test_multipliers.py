@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -98,14 +99,18 @@ NAN = float("nan")
     (lambda: rank_one_sum_bound([NAN], [1.0], [1.0], 0.5), "coefficients must be finite"),
     (lambda: solve_theta(NAN), "k must be >= 1, got nan"),
     (lambda: analytic_eigenvalues(NAN), "k_max must be >= 1, got nan"),
+    (lambda: solve_theta(2.5), "k must be an integer, got 2.5"),
+    (lambda: analytic_eigenvalues(2.5), "k_max must be an integer, got 2.5"),
     (lambda: sum_quadrant_bound(math.inf, 2.0, 0.5, 0.5), "both finite; got a=inf, b=2.0"),
     (lambda: sum_quadrant_bound(1.0, math.inf, 0.5, 0.5), "both finite; got a=1.0, b=inf"),
 ], ids=["partial-sums-nan-p", "partial-sums-inf-p", "integral-nan-x", "integral-nan-y",
         "rank-one-nan-sup", "rank-one-inf-sup", "rank-one-nan-coefficient",
-        "solve-theta-nan-k", "eigenvalues-nan-kmax", "quadrant-inf-a", "quadrant-inf-b"])
+        "solve-theta-nan-k", "eigenvalues-nan-kmax", "solve-theta-fractional-k",
+        "eigenvalues-fractional-kmax", "quadrant-inf-a", "quadrant-inf-b"])
 def test_non_finite_inputs_rejected(call, message):
-    # each of these returned a value (NaN, or 0 for an infinite p or a) or
-    # failed with something other than a ValueError: an InvariantViolation
+    # each of these returned a value (NaN, 0 for an infinite p or a, or a root
+    # that is no eigenvalue for a fractional k) or failed with something other
+    # than a ValueError: an InvariantViolation
     # (exit 2) from solve_theta, a TypeError from analytic_eigenvalues
     with pytest.raises(ValueError, match=message):
         call()
@@ -253,6 +258,17 @@ class TestMultiplierNormLower:
         b = multiplier_norm_lower(m, 0.5, trials=5, seed=7)
         assert a.lower == b.lower
         assert np.array_equal(a.witness, b.witness)
+
+    def test_refined_witness_bits_pinned(self):
+        # the best witness here is a climbed one, not a test matrix as drawn
+        # (at p < 1 a drawn rank-one matrix often wins), so a change to the
+        # climb's draws, steps or acceptance moves these literals
+        m = divided_difference_symbol([1.0, -0.5, -2.0], [1.0, 0.5, -1.0],
+                                      SignedPowerFunction(0.5, True))
+        est = multiplier_norm_lower(m, 0.5, trials=3, seed=0)
+        assert est.lower == 2.381595646355229
+        digest = hashlib.sha256(np.ascontiguousarray(est.witness).tobytes()).hexdigest()
+        assert digest == "e435d8840dffaf487d62f5e27dddb5e206da7a0d7160ac00f8f0f7138a56cb16"
 
     def test_estimate_metadata(self):
         m = SymbolMatrix([0.0], [0.0], np.array([[2.0]]))

@@ -150,16 +150,10 @@ def _on_grid(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SmoothKernel:
-    """A 2pi-periodic kernel sampled on a power-of-two grid.
-
-    ``derivative_evaluators`` may map (a, b) to a callable for
-    d^(a+b) K / dx^a dy^b; when the orders needed by a Sobolev constant are
-    all present they override spectral differentiation.
-    """
+    """A 2pi-periodic kernel sampled on a power-of-two grid."""
 
     evaluator: object
     grid_size: int = 1024
-    derivative_evaluators: dict | None = None
     name: str = ""
     _coeffs: np.ndarray | None = field(default=None, repr=False)
 
@@ -229,16 +223,6 @@ def fourier_coefficients(kernel: SmoothKernel) -> np.ndarray:
     return kernel.coefficients()
 
 
-def _closed_form_l2(kernel: SmoothKernel, a: int, b: int) -> float:
-    if a == 0 and b == 0:
-        vals = kernel.samples()
-    else:
-        x = kernel.grid()
-        vals = _on_grid(kernel.derivative_evaluators[(a, b)], x, x)
-    # RMS over the grid is the L2 norm for the normalized torus measure
-    return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
-
-
 def _weighted_power(coeffs: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
     """Row i is weights[i] @ |coeffs|^2, formed ROW_BLOCK columns at a time
     so no whole-grid |coeffs|^2 is made; the bits equal the whole-grid
@@ -257,16 +241,13 @@ def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
 
         ||d^(d+1)K/dy^d dx||_2 + ||d^d K/dy^d||_2 + ||dK/dx||_2 + ||K||_2
 
-    on the normalized torus. Closed-form partials override spectral
-    differentiation when all required orders are supplied.
+    on the normalized torus, by spectral differentiation of the cached
+    Fourier coefficients.
     """
     _check_order(d)
     if d < 1:
         raise ValueError("the Sobolev order d must be >= 1")
     needed = [(1, d), (0, d), (1, 0), (0, 0)]
-    have = kernel.derivative_evaluators or {}
-    if all(k in have for k in needed if k != (0, 0)):
-        return float(sum(_closed_form_l2(kernel, a, b) for a, b in needed))
     # ||d^(a+b)K/dx^a dy^b||_2^2 = sum_kl |k|^2a |alpha_kl|^2 |l|^2b
     modes = np.abs(_mode_numbers(kernel.grid_size).astype(float))
     weights = {order: modes ** (2 * order) for order in {0, 1, d}}
@@ -579,12 +560,6 @@ def _plus_resolvent_kernel(a):
     return evaluate
 
 
-def _cos_derivatives():
-    def deriv(a, b):
-        return lambda x, y: np.cos(x + a * np.pi / 2) * np.cos(y + b * np.pi / 2)
-    return {(a, b): deriv(a, b) for a in range(0, 2) for b in range(0, 5)}
-
-
 def kernel_catalog() -> dict:
     """Named builders for the preloaded kernels; see ``make_kernel``."""
     return {
@@ -595,8 +570,7 @@ def kernel_catalog() -> dict:
         "shifted-resolvent": lambda grid_size=2048, a=1.0, **_: SmoothKernel(
             _plus_resolvent_kernel(float(a)), grid_size, name="shifted-resolvent"),
         "cosine-product": lambda grid_size=256, **_: SmoothKernel(
-            lambda x, y: np.cos(x) * np.cos(y), grid_size,
-            derivative_evaluators=_cos_derivatives(), name="cosine-product"),
+            lambda x, y: np.cos(x) * np.cos(y), grid_size, name="cosine-product"),
         "complex-mode": lambda grid_size=256, **_: SmoothKernel(
             lambda x, y: np.exp(1j * (np.asarray(x) + 2.0 * np.asarray(y))),
             grid_size, name="complex-mode"),

@@ -7,7 +7,7 @@ the value at coincident eigenvalues is set to 0 because the paired block of
 x - y vanishes identically.
 
 Upper bounds come from rank-one sums (certified); lower bounds are witnessed
-suprema of ||m o A||_p / ||A||_p over matrix test families, so they are valid
+suprema of ||m o A||_p / ||A||_p over rank-one test matrices, so they are valid
 for matrix algebras only. Every estimate records that gap along with the seed
 and trial count for exact reproducibility.
 """
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiments import _complex_gaussian, _greedy_climb, trial_rng
-from .operators import (HermitianOperand, SchattenIndex, SignedPowerFunction, _check_theta,
-                        as_index, p_triangle_exponent, schatten_norms)
+from .experiments import _greedy_climb, trial_rng
+from .operators import (SV_NOISE_RTOL, HermitianOperand, SchattenIndex, SignedPowerFunction,
+                        _check_theta, as_index, p_triangle_exponent, schatten_norms)
 from . import serialize
 
 __all__ = [
@@ -55,8 +55,9 @@ class SymbolMatrix:
                 f"values shape {self.values.shape} does not match "
                 f"({self.rows.size}, {self.cols.size})"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("symbol has non-finite values")
+        for name in ("rows", "cols", "values"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"symbol has non-finite {name}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -128,7 +129,9 @@ def divided_difference_integral(x: float, y: float, theta: float,
 def _check_spectrum(sym_axis: np.ndarray, operand: HermitianOperand, which: str):
     spec = operand.distinct_eigenvalues
     scale = 1.0 + np.abs(spec).max(initial=0.0)
-    if sym_axis.size != spec.size or np.abs(sym_axis - spec).max() > SPECTRUM_MATCH_ATOL * scale:
+    # written so that NaN fails too
+    if (sym_axis.size != spec.size
+            or not np.abs(sym_axis - spec).max() <= SPECTRUM_MATCH_ATOL * scale):
         raise ValueError(
             f"symbol {which} ({sym_axis}) do not enumerate the operand's "
             f"distinct spectrum ({spec})"
@@ -192,16 +195,33 @@ def hadamard_ratio(m: SymbolMatrix, a: np.ndarray, p) -> float:
     return float(num / den)
 
 
-def _entry_step(a: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
-    """A copy of ``a`` with one entry moved by +-scale along 1 or i."""
-    nr, nc = a.shape
-    i = int(rng.integers(nr))
-    j = int(rng.integers(nc))
-    delta = scale * (1.0 if rng.integers(2) else -1.0)
-    part = 1.0 if rng.integers(2) else 1.0j
-    cand = a.copy()
-    cand[i, j] += delta * part
-    return cand
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+def _factor_step(values: np.ndarray, q: SchattenIndex, pair, scale: float):
+    """Move unit vectors a, b >= 0 by ``scale`` along the normalised gradients
+    of log||D_a m D_b||_q, clip at 0 and renormalise, so a b^T stays rank one.
+
+    The gradient is G o m with G = U diag(w) V* from one SVD of D_a m D_b:
+    w_i = s_i^(q-1) on the singular values above SV_NOISE_RTOL s_1 (smaller
+    ones are roundoff, which q < 1 would amplify), or the top pair at q = inf.
+    The climb steps only from points with D_a m D_b != 0, where
+    <g b, a> = <g^T a, b> = sum_i w_i s_i > 0. So neither gradient is zero,
+    and a step d along one has <a + scale d, a> > 1: the clipped vector keeps
+    a positive entry and renormalises.
+    """
+    a, b = pair
+    u, s, vh = np.linalg.svd(values * np.outer(a, b), full_matrices=False)
+    w = np.zeros_like(s)
+    if q.is_infinite:
+        w[0] = 1.0
+    else:
+        keep = s > SV_NOISE_RTOL * s[0]
+        w[keep] = s[keep] ** (q.value - 1.0)
+    g = ((u * w) @ vh) * values
+    return (_unit(np.maximum(a + scale * _unit(g @ b), 0.0)),
+            _unit(np.maximum(b + scale * _unit(g.T @ a), 0.0)))
 
 
 def multiplier_norm_lower(m: SymbolMatrix, p, trials: int = 16,
@@ -210,36 +230,35 @@ def multiplier_norm_lower(m: SymbolMatrix, p, trials: int = 16,
 
     Deterministic for a fixed seed (per-trial seeds are derived from
     (seed, trial)), and monotone nondecreasing in ``trials`` because earlier
-    trials are replayed identically. Test families: the single-entry matrix
-    at the first largest |m_ij| in row-major order (always included; its
-    ratio is exactly |m_ij|), random rank-one a b*, and dense complex
-    Gaussians, each refined by 50 greedy coordinate steps with halving.
+    trials are replayed identically. Test matrices are rank one, a b^T with
+    a, b >= 0, which attain the norm at p <= 1 (the multiplier lemma in the
+    README; above p = 1 they may fall short of it): the single entry at the
+    first largest |m_ij| in row-major order (always included; its ratio is
+    exactly |m_ij|), and per trial a, b = |standard normal| normalised,
+    climbed by 50 gradient steps along the factors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if m.values.size == 0:
         raise ValueError(f"cannot witness the norm of an empty symbol (shape {m.shape})")
     q = as_index(p)
-    best_ratio = 0.0
-    best_witness = None
     mag = np.abs(m.values)
     ij = np.unravel_index(np.argmax(mag), mag.shape)
-    if mag[ij] > 0:
-        best_ratio = float(mag[ij])
-        best_witness = np.zeros(m.shape, dtype=complex)
+    best_ratio = float(mag[ij])
+    best_witness = None
+    if best_ratio > 0:
+        best_witness = np.zeros(m.shape)
         best_witness[ij] = 1.0
-    for trial in range(int(trials)):
-        rng = trial_rng(seed, trial)
-        nr, nc = m.shape
-        g = _complex_gaussian(rng, (nr, nc))
-        u = _complex_gaussian(rng, nr)
-        v = _complex_gaussian(rng, nc)
-        for cand in (g, np.outer(u, v.conj())):
-            a, r = _greedy_climb(cand, lambda w: hadamard_ratio(m, w, q), _entry_step, rng,
-                                 50, 0.5 * max(np.abs(cand).max(), 1e-12), 1e-12)
+        for trial in range(int(trials)):
+            rng = trial_rng(seed, trial)
+            start = (_unit(np.abs(rng.standard_normal(m.shape[0]))),
+                     _unit(np.abs(rng.standard_normal(m.shape[1]))))
+            (a, b), r = _greedy_climb(
+                start, lambda ab: hadamard_ratio(m, np.outer(*ab), q),
+                lambda ab, scale, _: _factor_step(m.values, q, ab, scale), rng, 50, 1.0, 1e-9)
             if r > best_ratio:
-                best_ratio, best_witness = r, a
+                best_ratio, best_witness = r, np.outer(a, b)
     return MultiplierNormEstimate(
-        lower=float(best_ratio), p=q, witness=best_witness,
+        lower=best_ratio, p=q, witness=best_witness,
         seed=int(seed), trials=int(trials),
     )

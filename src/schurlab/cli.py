@@ -293,9 +293,8 @@ def _run_estimate_constant(ns) -> dict:
 
 def _certificate_inputs(ns):
     """The catalog kernel, index p and Sobolev order d of a certificate command.
-    The kernel is built fresh, not memoised: a process runs one command, and
-    a memoised kernel would keep its coefficient grid alive while the report
-    is encoded."""
+    The kernel holds its evaluator and no grid; its certificates stream the
+    Fourier coefficients one column block at a time."""
     from .factorization import kernel_catalog, make_kernel, sobolev_order
 
     _require(ns.kernel in kernel_catalog(), f"unknown kernel {ns.kernel!r}")
@@ -339,7 +338,6 @@ def _run_factorize(ns) -> dict:
 
     kernel, p, d = _certificate_inputs(ns)
     fact = build_factorization(kernel, d, p, mode_cutoff=ns.cutoff)
-    del kernel  # frees the coefficient grid before the report's float lists are built
     payload = fact.to_json()
     payload["reconstruction_error"] = fact.reconstruction_error
     payload["kernel"] = ns.kernel
@@ -570,10 +568,13 @@ def _write_report(path: str, fmt: str, command: str, config: dict, results: dict
         "results": results,
     }
     if fmt == "json":
-        text = ('{"header":' + serialize.dumps_canonical(header)
-                + ',"body":' + serialize.dumps_canonical(body) + "}")
+        # encoded before the file is opened, so a value that fails to encode
+        # leaves no partial report; written piece by piece, since joining
+        # would copy the body text (11 MB for `factorize`) twice more
+        pieces = ('{"header":', serialize.dumps_canonical(header),
+                  ',"body":', serialize.dumps_canonical(body), "}\n")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(pieces)
         return
     cols, rows = _flatten_for_csv(results)
     lines = [f"# timestamp: {header['timestamp']}",

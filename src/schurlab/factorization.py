@@ -20,7 +20,7 @@ restrictions of the certified torus kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,13 +50,13 @@ RAMP_STEEPNESS = 8.0
 COORDINATE_STRETCH = 0.5        # u = COORDINATE_STRETCH * x for catalog kernels
 PERIODICITY_TOL = 1e-9
 DEFAULT_MODE_CUTOFF = 256
-# Rows (or columns) per pass of the blocked sampling, 2-D FFT, |coeffs|^2
+# Rows (or columns) per pass of the blocked sampling, FFT, |coeffs|^2
 # weights and self-check; every block size gives the same bits. At grid 2048
-# (power-ratio-singular, d = 2, cutoff 64; 2-vCPU x86 VM, one BLAS thread)
-# sampling and FFT took 0.19-0.29 s at every size from 32 to 512, while the
-# `factorize` command peaked at 117.6 MB RSS in blocks of 32, 119.2 MB at
-# 64, 126.5 MB at 128 and 142.4 MB at 256: the per-block temporaries sit on
-# top of the 64 MiB coefficient grid, and below 64 they stop mattering.
+# (2-vCPU x86 VM, one BLAS thread) `factorize` on power-ratio-singular
+# (cutoff 64) peaked at 83 MB RSS at every size from 32 to 256, while
+# `multiplier-bound` on power-ratio-window peaked at 94.7, 98.7, 103.7 and
+# 123.3 MB in blocks of 32, 64, 128 and 256, on top of its 56 MiB of kept
+# row transforms.
 ROW_BLOCK = 64
 
 
@@ -155,13 +155,13 @@ class SmoothKernel:
     evaluator: object
     grid_size: int = 1024
     name: str = ""
-    _coeffs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        n = int(self.grid_size)
-        if n < 64 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid_size must be a power of two >= 64, got {n}")
-        self.grid_size = n
+        n = self.grid_size
+        # float(n).is_integer() first: int() would truncate 256.7 to 256
+        if not (float(n).is_integer() and n >= 64 and (int(n) & (int(n) - 1)) == 0):
+            raise ValueError(f"grid_size must be a power of two >= 64, got {n!r}")
+        self.grid_size = int(n)
         self._check_periodicity()
 
     def _check_periodicity(self):
@@ -192,22 +192,48 @@ class SmoothKernel:
         complex128 for a complex one. The certificate path never calls it."""
         return np.concatenate([self._sample_rows(block) for block in _row_blocks(self.grid_size)])
 
+    def coefficient_blocks(self):
+        """Yield (cols, fft2(samples)[:, cols] / n^2) per block of ROW_BLOCK
+        columns, bit for bit np.fft.fft2: the same 1-D transforms in the same
+        axis order. Axis-1 transforms are kept, ROW_BLOCK rows at a time, only
+        for the rows with a sample other than +0.0; any other row transforms
+        to exact +0, as in the zero buffer each column block is scattered into
+        before its axis-0 transform. No whole coefficient grid is held."""
+        n = self.grid_size
+        kept = []
+        for block in _row_blocks(n):
+            samples = self._sample_rows(block)
+            live = _live_rows(samples)
+            if live.size == samples.shape[0]:  # no gather when every row is live
+                kept.append((block, np.fft.fft(samples, axis=1)))
+            elif live.size:
+                kept.append((live + block.start, np.fft.fft(samples[live], axis=1)))
+        for cols in _row_blocks(n):
+            buf = np.zeros((n, cols.stop - cols.start), dtype=complex)
+            for rows, spectra in kept:
+                buf[rows] = spectra[:, cols]
+            np.fft.fft(buf, axis=0, out=buf)
+            buf /= n**2
+            yield cols, buf
+
     def coefficients(self) -> np.ndarray:
-        """fft2(samples) / n^2 (complex128, cached; the only grid a kernel
-        keeps), filled in place by the 1-D transforms fft2 runs: along
-        axis 1 over each block of ROW_BLOCK rows as it is sampled, then
-        along axis 0 over ROW_BLOCK columns, so no other whole-grid array
-        is made and every bit equals np.fft.fft2."""
-        if self._coeffs is None:
-            n = self.grid_size
-            coeffs = np.empty((n, n), dtype=complex)
-            for block in _row_blocks(n):
-                np.fft.fft(self._sample_rows(block), axis=1, out=coeffs[block])
-            for block in _row_blocks(n):
-                np.fft.fft(coeffs[:, block], axis=0, out=coeffs[:, block])
-            coeffs /= n**2
-            self._coeffs = coeffs
-        return self._coeffs
+        """fft2(samples) / n^2 as a whole complex128 grid, assembled from
+        ``coefficient_blocks`` and not cached. The certificate path never
+        calls it."""
+        n = self.grid_size
+        coeffs = np.empty((n, n), dtype=complex)
+        for cols, block in self.coefficient_blocks():
+            coeffs[:, cols] = block
+        return coeffs
+
+
+def _live_rows(samples: np.ndarray) -> np.ndarray:
+    """Indices of the rows with a sample other than +0.0. A -0.0 counts:
+    the FFT of a -0.0 row has a -0.0 term, while that of a +0.0 row is +0."""
+    live = np.zeros(samples.shape[0], dtype=bool)
+    for part in (samples.real, samples.imag) if np.iscomplexobj(samples) else (samples,):
+        live |= ((part != 0) | np.signbit(part)).any(axis=1)
+    return np.flatnonzero(live)
 
 
 def fourier_coefficients(kernel: SmoothKernel) -> np.ndarray:
@@ -215,25 +241,18 @@ def fourier_coefficients(kernel: SmoothKernel) -> np.ndarray:
 
     Entry [k mod N, l mod N] is alpha_{k,l}; exact to rounding for
     trigonometric polynomials within the grid's Nyquist range. Aperiodic
-    evaluators are rejected at kernel construction. The array is the
-    complex128 grid cached by ``SmoothKernel.coefficients``: the 1-D FFTs of
-    np.fft.fft2 (same bits), fed one block of float64 or complex128 sample
-    rows at a time, so the whole sample grid is never formed.
+    evaluators are rejected at kernel construction. The array is
+    ``SmoothKernel.coefficients``, the bits of np.fft.fft2 of the samples.
     """
     return kernel.coefficients()
 
 
-def _weighted_power(coeffs: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
-    """Row i is weights[i] @ |coeffs|^2, formed ROW_BLOCK columns at a time
-    so no whole-grid |coeffs|^2 is made; the bits equal the whole-grid
-    products."""
-    out = np.empty((len(weights), coeffs.shape[1]))
-    for block in _row_blocks(coeffs.shape[1]):
-        power = np.abs(coeffs[:, block])
-        power *= power
-        for i, w in enumerate(weights):
-            out[i, block] = w @ power
-    return out
+def _weighted_power(block: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
+    """Row i is weights[i] @ |block|^2 for a column block of the
+    coefficients; the bits equal the whole-grid products."""
+    power = np.abs(block)
+    power *= power
+    return np.array([w @ power for w in weights])
 
 
 def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
@@ -241,17 +260,21 @@ def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
 
         ||d^(d+1)K/dy^d dx||_2 + ||d^d K/dy^d||_2 + ||dK/dx||_2 + ||K||_2
 
-    on the normalized torus, by spectral differentiation of the cached
-    Fourier coefficients.
+    on the normalized torus, by spectral differentiation of the Fourier
+    coefficients, streamed one column block at a time.
     """
     _check_order(d)
     if d < 1:
         raise ValueError("the Sobolev order d must be >= 1")
     needed = [(1, d), (0, d), (1, 0), (0, 0)]
     # ||d^(a+b)K/dx^a dy^b||_2^2 = sum_kl |k|^2a |alpha_kl|^2 |l|^2b
-    modes = np.abs(_mode_numbers(kernel.grid_size).astype(float))
+    n = kernel.grid_size
+    modes = np.abs(_mode_numbers(n).astype(float))
     weights = {order: modes ** (2 * order) for order in {0, 1, d}}
-    rows = dict(zip((1, 0), _weighted_power(kernel.coefficients(), [weights[1], weights[0]])))
+    power = np.empty((2, n))
+    for cols, block in kernel.coefficient_blocks():
+        power[:, cols] = _weighted_power(block, [weights[1], weights[0]])
+    rows = dict(zip((1, 0), power))
     return float(sum(float(np.sqrt(rows[a] @ weights[b])) for a, b in needed))
 
 
@@ -395,19 +418,28 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
     ``truncation_error`` (plus rounding).
     """
     d = sobolev_order(p, d)
-    if mode_cutoff < 1:
-        raise ValueError("mode_cutoff must be >= 1")
+    # written so that NaN fails too; range() needs an int, not 2.0
+    if not (float(mode_cutoff).is_integer() and mode_cutoff >= 1):
+        raise ValueError(f"mode_cutoff must be an integer >= 1, got {mode_cutoff!r}")
     n = kernel.grid_size
-    coeffs = kernel.coefficients()
     modes = _mode_numbers(n)
     kvec = modes.astype(float)
 
-    retained = _retained_modes(mode_cutoff, n)
+    retained = _retained_modes(int(mode_cutoff), n)
     alphas = np.array([1.0 if l == 0 else 1.0 / float(l) ** d for l in retained])
+    # grid column l mod n -> (retained slot, scale l^d)
+    slots = {l % n: (i, 1.0 if l == 0 else float(l) ** d) for i, l in enumerate(retained)}
     cols = np.empty((n, len(retained)), dtype=complex)
-    for i, l in enumerate(retained):
-        scale = 1.0 if l == 0 else float(l) ** d
-        cols[:, i] = coeffs[:, l] * scale
+    k_squared = kvec**2
+    col_k_weighted = np.empty(n)  # per column l: sqrt(sum_k k^2 |alpha_kl|^2)
+    row0 = np.empty(n, dtype=complex)
+    for span, block in kernel.coefficient_blocks():
+        for j in range(span.start, span.stop):
+            if j in slots:
+                i, scale = slots[j]
+                cols[:, i] = block[:, j - span.start] * scale
+        col_k_weighted[span] = np.sqrt(_weighted_power(block, [k_squared])[0])
+        row0[span] = block[0]
     # f_l = n * ifft(column l): every column in one call, written row-wise
     f_samples = np.empty((len(retained), n), dtype=complex)
     np.fft.ifft(cols, axis=0, out=f_samples.T)
@@ -418,11 +450,10 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
     pv = as_index(p).value
     tail = 0.0       # plain sum: bounds the sup-norm reconstruction gap
     tail_power = 0.0  # p-power sum: enters the certificate
-    col_k_weighted = np.sqrt(_weighted_power(coeffs, [kvec**2])[0])  # per column l
     for idx, l in enumerate(modes):
         if l in retained_set or l == 0:
             continue
-        term = CAUCHY_SCHWARZ_CONST * col_k_weighted[idx] + abs(coeffs[0, idx])
+        term = CAUCHY_SCHWARZ_CONST * col_k_weighted[idx] + abs(row0[idx])
         tail += term
         tail_power += term**pv
     # each term alpha_l f_l (x) e_l is rank one with bound |alpha_l| sup|f_l|;
@@ -629,8 +660,9 @@ def _family_sobolev_upper(theta: float, d: int) -> float:
 def _catalog_bound(name: str, grid_size: int, d: int, p_value: float) -> float:
     """certified_pcb_bound of a catalog kernel at its default parameters.
 
-    Only the float is memoised: the kernel, and with it its coefficient grid
-    (64 MiB at 2048^2), is dropped when the call returns."""
+    Only the float is memoised; the kernel is dropped when the call returns.
+    ``grid_size`` reaches SmoothKernel as given, so a fractional size is
+    rejected there rather than truncated."""
     return certified_pcb_bound(make_kernel(name, grid_size=grid_size), d, p_value)
 
 
@@ -644,7 +676,7 @@ def plus_kernel_bound(a: float, p, d: int | None = None, grid_size: int = 2048) 
     if not a >= 1.0:
         raise ValueError("the shifted-resolvent bound requires a >= 1")
     d = sobolev_order(p, d)
-    return _catalog_bound("shifted-resolvent", int(grid_size), int(d), as_index(p).value) / float(a)
+    return _catalog_bound("shifted-resolvent", grid_size, int(d), as_index(p).value) / float(a)
 
 
 def sum_quadrant_bound(a: float, b: float, theta: float, p,
@@ -684,7 +716,7 @@ def power_ratio_base_bound(theta: float, p, d: int | None = None,
     # the family bound first: it rejects an order beyond the ramp table
     # before the singular kernel is sampled
     piece2 = _prefactor(d, p) * UNIVERSAL_CONST * _family_sobolev_upper(theta, d)
-    piece1 = (_catalog_bound("power-ratio-singular", int(grid_size), int(d), pv)
+    piece1 = (_catalog_bound("power-ratio-singular", grid_size, int(d), pv)
               * 2.0 ** (1.0 / pv) * 2.0**theta)
     window_bound = (piece1**pv + piece2**pv) ** (1.0 / pv)
     return 2.0 ** (1.0 - theta) * window_bound

@@ -241,6 +241,17 @@ class TestDeterminism:
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert body_bytes(out1) == body_bytes(out2)
 
+    def test_json_report_text_is_canonical(self, tmp_path):
+        # the report is written piece by piece; its text must still be the
+        # canonical encoding of header and body, then one newline
+        out = tmp_path / "r.json"
+        assert cli.main(["factorize", "--kernel", "cosine-product", "--p", "1",
+                         "--cutoff", "8", "--out", str(out)]) == 0
+        report = load_report(out)
+        assert out.read_text(encoding="utf-8") == (
+            '{"header":' + serialize.dumps_canonical(report["header"])
+            + ',"body":' + serialize.dumps_canonical(report["body"]) + "}\n")
+
     def test_csv_body_identical(self, tmp_path):
         args = ["kernel-spectrum", "--kmax", "3", "--nystrom", "128",
                 "--quadrature", "256", "--format", "csv"]

@@ -29,6 +29,7 @@ from schurlab.factorization import (
     sum_quadrant_bound,
     _mode_numbers,
     _power_diff,
+    _row_blocks,
     _weighted_power,
 )
 from schurlab.multipliers import SymbolMatrix, multiplier_norm_lower
@@ -60,6 +61,35 @@ def fft2_coefficients(kernel):
     """Reference for SmoothKernel.coefficients: np.fft.fft2 of the samples
     cast to complex (the whole-grid transform it replaced)."""
     return np.fft.fft2(np.asarray(kernel.samples(), dtype=complex)) / kernel.grid_size**2
+
+
+def assert_stream_is_fft2(kernel):
+    """Every block of SmoothKernel.coefficient_blocks has the bytes of its
+    columns of fft2_coefficients, and the blocks cover the grid in order."""
+    want = fft2_coefficients(kernel)
+    spans = []
+    for cols, block in kernel.coefficient_blocks():
+        assert same_bits(block, want[:, cols]), f"columns {cols} differ from fft2"
+        spans.append(cols)
+    assert spans == _row_blocks(kernel.grid_size)
+
+
+def whole_grid_terms(fact, kernel):
+    """Reference for the one pass of build_factorization: the scaled
+    retained columns and the plain-sum tail, read off the whole fft2 grid."""
+    coeffs = fft2_coefficients(kernel)
+    modes = _mode_numbers(kernel.grid_size)
+    columns = np.stack([coeffs[:, l] * (1.0 if l == 0 else float(l) ** fact.d)
+                        for l in fact.g_labels], axis=1)
+    power = np.abs(coeffs)
+    power *= power
+    col_k_weighted = np.sqrt(modes.astype(float) ** 2 @ power)
+    kept = set(fact.g_labels.tolist()) | {0}
+    tail = 0.0
+    for j, l in enumerate(modes):
+        if l not in kept:
+            tail += CAUCHY_SCHWARZ_CONST * col_k_weighted[j] + abs(coeffs[0, j])
+    return columns, tail
 
 
 def whole_grid_gap(fact, kernel):
@@ -122,6 +152,33 @@ class TestFourierCoefficients:
     def test_grid_size_validation(self):
         with pytest.raises(ValueError, match="power of two"):
             SmoothKernel(lambda x, y: np.ones_like(np.asarray(x)), grid_size=100)
+
+    @pytest.mark.parametrize("size", [256.7, 256.5, 64.25, math.nan, math.inf])
+    def test_fractional_grid_size_rejected(self, size):
+        # int() would truncate 256.7 to a 256 grid
+        with pytest.raises(ValueError, match="grid_size"):
+            make_kernel("von-mises", grid_size=size)
+
+    def test_integral_float_grid_size_accepted(self):
+        kern = make_kernel("von-mises", grid_size=256.0)
+        assert kern.grid_size == 256 and type(kern.grid_size) is int
+
+    def test_bounds_reject_fractional_grid_size(self):
+        # int() would turn 256.5 into the 256-grid bound
+        with pytest.raises(ValueError, match="grid_size"):
+            plus_kernel_bound(1.0, 1.0, None, 256.5)
+        with pytest.raises(ValueError, match="grid_size"):
+            power_ratio_base_bound(0.5, 0.5, None, 256.5)
+        assert plus_kernel_bound(1.0, 1.0, None, 256.0) == plus_kernel_bound(1.0, 1.0, None, 256)
+
+    def test_signed_zero_rows_keep_fft2_bits(self):
+        # a row of -0.0 samples transforms to a -0.0 term, so only +0.0 rows
+        # may be skipped; this grid is all -0.0, and skipping every row would
+        # turn fft2's -0.0 coefficient into +0.0
+        kern = SmoothKernel(lambda x, y: np.full(np.broadcast(x, y).shape, complex(-0.0, -0.0)),
+                            grid_size=64)
+        assert np.signbit(fft2_coefficients(kern).real).any()
+        assert_stream_is_fft2(kern)
 
 
 class TestSobolevConstant:
@@ -261,6 +318,20 @@ class TestBuildFactorization:
         kern = make_kernel("cosine-product")
         with pytest.raises(ValueError):
             build_factorization(kern, 2, 1.0, mode_cutoff=0)
+
+    @pytest.mark.parametrize("cutoff", [2.5, math.nan, math.inf, -math.inf])
+    def test_rejects_non_integer_cutoff(self, cutoff):
+        # a fractional or NaN cutoff must not reach range(), which raises TypeError
+        kern = make_kernel("cosine-product")
+        with pytest.raises(ValueError, match="mode_cutoff must be an integer >= 1"):
+            build_factorization(kern, 2, 1.0, mode_cutoff=cutoff)
+
+    def test_integral_float_cutoff_matches_int(self):
+        kern = make_kernel("cosine-product")
+        a = build_factorization(kern, 2, 1.0, mode_cutoff=8.0)
+        b = build_factorization(kern, 2, 1.0, mode_cutoff=8)
+        assert same_bits(a.f_samples, b.f_samples)
+        assert a.certified_bound == b.certified_bound
 
 
 class TestBump:
@@ -569,29 +640,39 @@ class TestWholeGridOracles:
     @pytest.mark.parametrize("name", sorted(kernel_catalog()))
     def test_catalog_at_256(self, name):
         kern = make_kernel(name, grid_size=256)
+        assert_stream_is_fft2(kern)
         assert same_bits(kern.coefficients(), fft2_coefficients(kern))
         fact = build_factorization(kern, 2, 1.0, mode_cutoff=16)
         assert same_bits(fact.reconstruction_error, whole_grid_gap(fact, kern))
+        columns, tail = whole_grid_terms(fact, kern)
+        assert same_bits(fact._fourier_columns, columns)
+        assert same_bits(fact.truncation_error, tail)
 
     @pytest.mark.parametrize("name,params", BIG_KERNELS)
     def test_certificate_kernels_at_2048(self, name, params):
         kern = make_kernel(name, **params)
         assert kern.grid_size == 2048
-        assert same_bits(kern.coefficients(), fft2_coefficients(kern))
+        assert_stream_is_fft2(kern)
         fact = build_factorization(kern, 2, 1.0, mode_cutoff=64)
         assert same_bits(fact.reconstruction_error, whole_grid_gap(fact, kern))
+        columns, tail = whole_grid_terms(fact, kern)
+        assert same_bits(fact._fourier_columns, columns)
+        assert same_bits(fact.truncation_error, tail)
 
     @pytest.mark.parametrize("name,params",
                              [(name, {"grid_size": 256}) for name in sorted(kernel_catalog())]
                              + BIG_KERNELS)
     def test_weighted_power_by_column_block(self, name, params):
-        # the tail and Sobolev weights w @ |coeffs|^2, against the whole grid
-        coeffs = make_kernel(name, **params).coefficients()
-        modes = np.abs(_mode_numbers(coeffs.shape[0]).astype(float))
+        # the tail and Sobolev weights w @ |coeffs|^2 over the coefficient
+        # stream, against the whole grid
+        kern = make_kernel(name, **params)
+        modes = np.abs(_mode_numbers(kern.grid_size).astype(float))
         weights = [modes**2, modes**0, modes**6]
-        power = np.abs(coeffs)
+        got = np.concatenate([_weighted_power(block, weights)
+                              for _, block in kern.coefficient_blocks()], axis=1)
+        power = np.abs(fft2_coefficients(kern))
         power *= power
-        assert same_bits(_weighted_power(coeffs, weights), np.array([w @ power for w in weights]))
+        assert same_bits(got, np.array([w @ power for w in weights]))
 
     @pytest.mark.parametrize("theta", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("n", [256, 2048])
@@ -618,13 +699,15 @@ def traced_peak(step) -> float:
 
 
 def test_factorization_memory_guard():
-    # the coefficient grid (64 MiB at 2048^2) is the only whole grid: samples
-    # go into the FFT and the self-check, and |coeffs|^2 into the weights, one
-    # block at a time. The traced peaks are about 82 MiB for the factorization
-    # and 68 MiB for the Sobolev constant; with whole-grid samples,
-    # reconstruction and |coeffs|^2 they were 176 and 132 MiB
+    # no whole grid at 2048^2: the kept axis-1 transforms (651, 1793 and 977
+    # of 2048 rows here) and one column block at a time. The traced peaks are
+    # about 30 MiB for the factorization and 62 and 36 MiB for the window and
+    # resolvent Sobolev constants; with the 64 MiB coefficient grid held they
+    # were 82, 68 and 67 MiB
     peak = traced_peak(lambda: build_factorization(
         make_kernel("power-ratio-singular"), 2, 1.0, mode_cutoff=64))
-    assert peak <= 100, f"factorization traced peak {peak:.1f} MiB"
+    assert peak <= 40, f"factorization traced peak {peak:.1f} MiB"
     peak = traced_peak(lambda: sobolev_constant(make_kernel("power-ratio-window"), 3))
-    assert peak <= 80, f"Sobolev constant traced peak {peak:.1f} MiB"
+    assert peak <= 64, f"window Sobolev constant traced peak {peak:.1f} MiB"
+    peak = traced_peak(lambda: sobolev_constant(make_kernel("shifted-resolvent"), 3))
+    assert peak <= 45, f"resolvent Sobolev constant traced peak {peak:.1f} MiB"

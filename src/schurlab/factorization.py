@@ -196,17 +196,16 @@ class SmoothKernel:
         """Yield (cols, fft2(samples)[:, cols] / n^2) per block of ROW_BLOCK
         columns, bit for bit np.fft.fft2: the same 1-D transforms in the same
         axis order. Axis-1 transforms are kept, ROW_BLOCK rows at a time, only
-        for the rows with a sample other than +0.0; any other row transforms
-        to exact +0, as in the zero buffer each column block is scattered into
-        before its axis-0 transform. No whole coefficient grid is held."""
+        for the rows with a sample other than +0.0, with their row indices;
+        any other row transforms to exact +0, as in the zero buffer each
+        column block is scattered into before its axis-0 transform. No whole
+        coefficient grid is held."""
         n = self.grid_size
         kept = []
         for block in _row_blocks(n):
             samples = self._sample_rows(block)
             live = _live_rows(samples)
-            if live.size == samples.shape[0]:  # no gather when every row is live
-                kept.append((block, np.fft.fft(samples, axis=1)))
-            elif live.size:
+            if live.size:
                 kept.append((live + block.start, np.fft.fft(samples[live], axis=1)))
         for cols in _row_blocks(n):
             buf = np.zeros((n, cols.stop - cols.start), dtype=complex)
@@ -218,8 +217,12 @@ class SmoothKernel:
 
     def coefficients(self) -> np.ndarray:
         """fft2(samples) / n^2 as a whole complex128 grid, assembled from
-        ``coefficient_blocks`` and not cached. The certificate path never
-        calls it."""
+        ``coefficient_blocks``. Not cached: each call samples the kernel and
+        runs every FFT again. Its peak holds the n^2 output grid and the kept
+        row transforms at once, up to 2 n^2 complex128 values (128 MiB at
+        n = 2048). No code in the package calls it; it serves the tests'
+        whole-grid checks and callers that want the grid, so a later change
+        could move those checks onto the stream and drop it."""
         n = self.grid_size
         coeffs = np.empty((n, n), dtype=complex)
         for cols, block in self.coefficient_blocks():
@@ -229,11 +232,11 @@ class SmoothKernel:
 
 def _live_rows(samples: np.ndarray) -> np.ndarray:
     """Indices of the rows with a sample other than +0.0. A -0.0 counts:
-    the FFT of a -0.0 row has a -0.0 term, while that of a +0.0 row is +0."""
-    live = np.zeros(samples.shape[0], dtype=bool)
-    for part in (samples.real, samples.imag) if np.iscomplexobj(samples) else (samples,):
-        live |= ((part != 0) | np.signbit(part)).any(axis=1)
-    return np.flatnonzero(live)
+    the FFT of a -0.0 row has a -0.0 term, while that of a +0.0 row is +0.
+    +0.0 is the one float64 whose bits are all zero; the samples, float64 or
+    complex128, may be a broadcast view, so they are made contiguous first."""
+    bits = np.ascontiguousarray(samples).view(np.uint64)
+    return np.flatnonzero(bits.reshape(samples.shape[0], -1).any(axis=1))
 
 
 def fourier_coefficients(kernel: SmoothKernel) -> np.ndarray:
@@ -242,7 +245,8 @@ def fourier_coefficients(kernel: SmoothKernel) -> np.ndarray:
     Entry [k mod N, l mod N] is alpha_{k,l}; exact to rounding for
     trigonometric polynomials within the grid's Nyquist range. Aperiodic
     evaluators are rejected at kernel construction. The array is
-    ``SmoothKernel.coefficients``, the bits of np.fft.fft2 of the samples.
+    ``SmoothKernel.coefficients``, the bits of np.fft.fft2 of the samples,
+    rebuilt on every call (see there for its peak memory).
     """
     return kernel.coefficients()
 

@@ -27,7 +27,7 @@ _EXPORTS = {
     ), "multipliers"),
     **dict.fromkeys((
         "DyadicBlock", "RankOneFactorization", "SmoothKernel", "build_factorization",
-        "bump_function", "certified_pcb_bound", "dyadic_block_bound", "fourier_coefficients",
+        "bump_function", "certified_pcb_bound", "dyadic_block_bound",
         "kernel_catalog", "make_kernel", "plus_kernel_bound", "power_ratio_base_bound",
         "sobolev_constant", "sum_quadrant_bound",
     ), "factorization"),

@@ -32,7 +32,6 @@ __all__ = [
     "RankOneFactorization",
     "DyadicBlock",
     "bump_function",
-    "fourier_coefficients",
     "sobolev_constant",
     "certified_pcb_bound",
     "build_factorization",
@@ -216,13 +215,15 @@ class SmoothKernel:
             yield cols, buf
 
     def coefficients(self) -> np.ndarray:
-        """fft2(samples) / n^2 as a whole complex128 grid, assembled from
-        ``coefficient_blocks``. Not cached: each call samples the kernel and
-        runs every FFT again. Its peak holds the n^2 output grid and the kept
-        row transforms at once, up to 2 n^2 complex128 values (128 MiB at
-        n = 2048). No code in the package calls it; it serves the tests'
-        whole-grid checks and callers that want the grid, so a later change
-        could move those checks onto the stream and drop it."""
+        """2D Fourier coefficients in the (2pi)^-2 integral convention, as a
+        whole complex128 grid assembled from ``coefficient_blocks``: entry
+        [k mod n, l mod n] is alpha_{k,l}, the bits of fft2(samples) / n^2,
+        exact to rounding for trigonometric polynomials within the grid's
+        Nyquist range. Not cached: each call samples the kernel and runs
+        every FFT again. Its peak holds the n^2 output grid and the kept row
+        transforms at once, up to 2 n^2 complex128 values (128 MiB at
+        n = 2048). No certificate calls it; it stays as the whole-grid
+        reference of the tests and as the FFT layer the profiler times."""
         n = self.grid_size
         coeffs = np.empty((n, n), dtype=complex)
         for cols, block in self.coefficient_blocks():
@@ -237,18 +238,6 @@ def _live_rows(samples: np.ndarray) -> np.ndarray:
     complex128, may be a broadcast view, so they are made contiguous first."""
     bits = np.ascontiguousarray(samples).view(np.uint64)
     return np.flatnonzero(bits.reshape(samples.shape[0], -1).any(axis=1))
-
-
-def fourier_coefficients(kernel: SmoothKernel) -> np.ndarray:
-    """2D Fourier coefficients in the (2pi)^-2 integral convention.
-
-    Entry [k mod N, l mod N] is alpha_{k,l}; exact to rounding for
-    trigonometric polynomials within the grid's Nyquist range. Aperiodic
-    evaluators are rejected at kernel construction. The array is
-    ``SmoothKernel.coefficients``, the bits of np.fft.fft2 of the samples,
-    rebuilt on every call (see there for its peak memory).
-    """
-    return kernel.coefficients()
 
 
 def _weighted_power(block: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
@@ -344,15 +333,14 @@ class RankOneFactorization:
     certified_bound: float
     truncation_error: float
     grid_size: int
-    _fourier_columns: np.ndarray = None  # (N, n_modes) coefficients of each f_l
     reconstruction_error: float | None = None
 
     def f_at(self, x) -> np.ndarray:
-        """Evaluate every f_l at arbitrary points (trig interpolation)."""
+        """Evaluate every f_l at arbitrary points (trig interpolation of f_samples)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         modes = _mode_numbers(self.grid_size)
         phases = np.exp(1j * np.outer(x, modes))
-        return phases @ self._fourier_columns
+        return phases @ (np.fft.fft(self.f_samples, axis=1).T / self.grid_size)
 
     def g_at(self, y) -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -400,6 +388,8 @@ class RankOneFactorization:
             "certified_bound": float(self.certified_bound),
             "truncation_error": float(self.truncation_error),
             "grid_size": int(self.grid_size),
+            "reconstruction_error": self.reconstruction_error,
+            "p": as_index(self.p).value,  # finite: a certificate needs p <= 1
         }
 
 
@@ -469,7 +459,7 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
     fact = RankOneFactorization(
         d=int(d), p=as_index(p), alphas=alphas, f_samples=f_samples,
         g_labels=np.array(retained, dtype=int), certified_bound=float(certified),
-        truncation_error=float(tail), grid_size=n, _fourier_columns=cols,
+        truncation_error=float(tail), grid_size=n,
     )
     # max |reconstruction - samples| and max |samples|, one block of rows at a time
     phases = fact._grid_phases()
@@ -515,8 +505,10 @@ def dyadic_block_bound(theta: float, p, k: int, base_bound: float) -> DyadicBloc
     pv = p_triangle_exponent(p)
     if not base_bound >= 0:
         raise ValueError("base_bound must be nonnegative")
-    if k < -1:
-        raise ValueError("k must be >= -1")
+    # written so that NaN fails too; a fractional k names no dyadic cell
+    if not (float(k).is_integer() and k >= -1):
+        raise ValueError(f"k must be an integer >= -1, got k={k!r}")
+    k = int(k)
     if k >= 0:
         bound = 2.0 ** (-k * (theta - 1.0)) * base_bound
         return DyadicBlock(k, (0.0, math.inf), (2.0 ** (-k - 1), 2.0 ** (-k)), bound)

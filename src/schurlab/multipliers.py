@@ -8,7 +8,7 @@ x - y vanishes identically.
 
 Upper bounds come from rank-one sums (certified); lower bounds are witnessed
 suprema of ||m o A||_p / ||A||_p over rank-one test matrices, so they are valid
-for matrix algebras only. Every estimate records that gap along with the seed
+for matrix algebras only. Every estimate records that scope along with the seed
 and trial count for exact reproducibility.
 """
 
@@ -49,6 +49,9 @@ class SymbolMatrix:
     def __post_init__(self):
         self.rows = np.atleast_1d(np.asarray(self.rows, dtype=float))
         self.cols = np.atleast_1d(np.asarray(self.cols, dtype=float))
+        # a float cast would drop the imaginary part with only a ComplexWarning
+        if np.iscomplexobj(self.values):
+            raise ValueError("symbol values must be real; complex symbols are not supported")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.rows.size, self.cols.size):
             raise ValueError(
@@ -77,12 +80,11 @@ class SymbolMatrix:
 
 @dataclass
 class MultiplierNormEstimate:
-    """Sandwich record: witnessed lower bound, optional certified upper bound."""
+    """Witnessed lower bound, with the witness, seed and trial count behind it."""
 
     lower: float
     p: SchattenIndex
     witness: np.ndarray | None = None
-    upper: float | None = None
     seed: int | None = None
     trials: int | None = None
     lower_scope: str = LOWER_BOUND_SCOPE
@@ -91,10 +93,6 @@ class MultiplierNormEstimate:
         self.p = as_index(self.p)
         if self.lower < 0:
             raise ValueError("lower bound must be nonnegative")
-        if self.upper is not None and self.lower > self.upper + 1e-9:
-            raise ValueError(
-                f"sandwich violated: lower {self.lower!r} exceeds upper {self.upper!r}"
-            )
 
 
 def divided_difference_symbol(spec_x, spec_y, f: SignedPowerFunction) -> SymbolMatrix:

@@ -195,6 +195,9 @@ class TestExitCodes:
         *[([command, "--kernel", "power-ratio-window", "--p", "0.5", "--theta", theta],
            "theta must lie strictly inside (0, 1)")
           for command in ("multiplier-bound", "factorize") for theta in ("1.5", "0")],
+        # the witness search is real: a complex kernel is refused, not cut to its real part
+        (["multiplier-bound", "--kernel", "complex-mode", "--p", "1", "--samples", "8"],
+         "symbol values must be real"),
     ])
     def test_out_of_range_input_exits_1_without_report(self, tmp_path, capsys, argv, message):
         out = tmp_path / "r.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,12 +16,12 @@ from schurlab.factorization import (
     RAMP_DERIVATIVE_SUPS,
     RAMP_STEEPNESS,
     UNIVERSAL_CONST,
+    RankOneFactorization,
     SmoothKernel,
     build_factorization,
     bump_function,
     certified_pcb_bound,
     dyadic_block_bound,
-    fourier_coefficients,
     kernel_catalog,
     make_kernel,
     plus_kernel_bound,
@@ -32,7 +33,7 @@ from schurlab.factorization import (
     _row_blocks,
     _weighted_power,
 )
-from schurlab.multipliers import SymbolMatrix, multiplier_norm_lower
+from schurlab.multipliers import MultiplierNormEstimate, SymbolMatrix, multiplier_norm_lower
 
 
 def mode_index(coeffs, k, l):
@@ -125,7 +126,7 @@ class TestFourierCoefficients:
     def test_single_mode(self):
         kern = SmoothKernel(lambda x, y: np.exp(1j * (np.asarray(x) + 2.0 * np.asarray(y))),
                             grid_size=64)
-        c = fourier_coefficients(kern)
+        c = kern.coefficients()
         assert abs(mode_index(c, 1, 2) - 1.0) < 1e-12
         c2 = c.copy()
         c2[1 % 64, 2 % 64] = 0.0
@@ -134,13 +135,13 @@ class TestFourierCoefficients:
     def test_constant(self):
         kern = SmoothKernel(lambda x, y: np.ones_like(np.asarray(x) * np.asarray(y)),
                             grid_size=64)
-        c = fourier_coefficients(kern)
+        c = kern.coefficients()
         assert abs(c[0, 0] - 1.0) < 1e-14
         assert np.abs(c).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine_product(self):
         kern = make_kernel("cosine-product")
-        c = fourier_coefficients(kern)
+        c = kern.coefficients()
         for k in (1, -1):
             for l in (1, -1):
                 assert abs(mode_index(c, k, l) - 0.25) < 1e-12
@@ -313,6 +314,15 @@ class TestBuildFactorization:
         assert set(payload) >= {"d", "alphas", "f_samples", "certified_bound",
                                 "truncation_error"}
         assert payload["d"] == 2
+        # the whole `factorize` result, which the CLI only tags with the kernel
+        assert payload["reconstruction_error"] == fact.reconstruction_error
+        assert payload["p"] == 1.0
+
+    def test_no_duplicate_certificate_fields(self):
+        # f_l lives in f_samples alone; the sandwich is checked by the command
+        # that has both bounds
+        assert "_fourier_columns" not in {f.name for f in dataclasses.fields(RankOneFactorization)}
+        assert "upper" not in {f.name for f in dataclasses.fields(MultiplierNormEstimate)}
 
     def test_rejects_bad_cutoff(self):
         kern = make_kernel("cosine-product")
@@ -613,7 +623,7 @@ class TestCatalog:
     def test_evaluator_ignoring_an_axis_samples_the_full_grid(self):
         kern = SmoothKernel(lambda x, y: np.cos(x), 64)
         assert kern.samples().shape == (64, 64)
-        c = fourier_coefficients(kern)
+        c = kern.coefficients()
         assert abs(mode_index(c, 1, 0) - 0.5) < 1e-14
         assert abs(mode_index(c, -1, 0) - 0.5) < 1e-14
 
@@ -645,7 +655,7 @@ class TestWholeGridOracles:
         fact = build_factorization(kern, 2, 1.0, mode_cutoff=16)
         assert same_bits(fact.reconstruction_error, whole_grid_gap(fact, kern))
         columns, tail = whole_grid_terms(fact, kern)
-        assert same_bits(fact._fourier_columns, columns)
+        assert same_bits(fact.f_samples, (np.fft.ifft(columns, axis=0) * kern.grid_size).T)
         assert same_bits(fact.truncation_error, tail)
 
     @pytest.mark.parametrize("name,params", BIG_KERNELS)
@@ -656,7 +666,7 @@ class TestWholeGridOracles:
         fact = build_factorization(kern, 2, 1.0, mode_cutoff=64)
         assert same_bits(fact.reconstruction_error, whole_grid_gap(fact, kern))
         columns, tail = whole_grid_terms(fact, kern)
-        assert same_bits(fact._fourier_columns, columns)
+        assert same_bits(fact.f_samples, (np.fft.ifft(columns, axis=0) * kern.grid_size).T)
         assert same_bits(fact.truncation_error, tail)
 
     @pytest.mark.parametrize("name,params",

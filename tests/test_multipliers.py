@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from schurlab.expkernel import analytic_eigenvalues, schatten_partial_sums, solve_theta
-from schurlab.factorization import sum_quadrant_bound
+from schurlab.factorization import dyadic_block_bound, sum_quadrant_bound
 from schurlab.multipliers import (
-    MultiplierNormEstimate,
     SymbolMatrix,
     divided_difference_integral,
     divided_difference_symbol,
@@ -110,17 +109,26 @@ NAN = float("nan")
      "symbol has non-finite rows"),
     (lambda: SymbolMatrix([0.0, 1.0], [0.0, -math.inf], np.ones((2, 2))),
      "symbol has non-finite cols"),
+    (lambda: dyadic_block_bound(0.5, 0.5, NAN, 1.0), "k must be an integer >= -1, got k=nan"),
+    (lambda: dyadic_block_bound(0.5, 0.5, 2.5, 1.0), "k must be an integer >= -1, got k=2.5"),
+    (lambda: dyadic_block_bound(0.5, 0.5, math.inf, 1.0),
+     "k must be an integer >= -1, got k=inf"),
+    (lambda: SymbolMatrix([0.0, 1.0], [0.0, 1.0], np.exp(1j * np.ones((2, 2)))),
+     "symbol values must be real"),
 ], ids=["partial-sums-nan-p", "partial-sums-inf-p", "integral-nan-x", "integral-nan-y",
         "rank-one-nan-sup", "rank-one-inf-sup", "rank-one-nan-coefficient",
         "solve-theta-nan-k", "eigenvalues-nan-kmax", "solve-theta-fractional-k",
         "eigenvalues-fractional-kmax", "quadrant-inf-a", "quadrant-inf-b",
-        "symbol-nan-rows", "symbol-inf-cols"])
+        "symbol-nan-rows", "symbol-inf-cols", "dyadic-nan-k", "dyadic-fractional-k",
+        "dyadic-inf-k", "symbol-complex-values"])
 def test_non_finite_inputs_rejected(call, message):
     # each of these returned a value (NaN, 0 for an infinite p or a, or a root
     # that is no eigenvalue for a fractional k, a Schur product for a symbol
     # whose NaN rows passed as the operand's spectrum) or failed with
     # something other than a ValueError: an InvariantViolation
-    # (exit 2) from solve_theta, a TypeError from analytic_eigenvalues
+    # (exit 2) from solve_theta, a TypeError from analytic_eigenvalues; a
+    # NaN, fractional or infinite k gave a gathered, non-dyadic or empty cell,
+    # and complex symbol values kept only their real part
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -296,10 +304,6 @@ class TestMultiplierNormLower:
         est = multiplier_norm_lower(m, 1.0, trials=1, seed=9)
         assert est.seed == 9 and est.trials == 1
         assert "matrix" in est.lower_scope
-
-    def test_sandwich_validation(self):
-        with pytest.raises(ValueError, match="sandwich"):
-            MultiplierNormEstimate(lower=2.0, p=SchattenIndex(1.0), upper=1.0)
 
     def test_largest_entry_is_always_a_witness(self):
         # 6400 entries: a strided subset of coordinate witnesses would skip (1, 1)

@@ -23,7 +23,7 @@ EXPORTS = [
     "bump_function", "certified_pcb_bound", "commutator_ratio",
     "divided_difference_integral", "divided_difference_symbol", "dyadic_block_bound",
     "eigenfunction_residual", "estimate_constant", "experiments", "expkernel",
-    "factorization", "fourier_coefficients", "interpolation", "k_functional",
+    "factorization", "interpolation", "k_functional",
     "kernel_catalog", "kfonc_check", "lorentz_norm", "make_kernel", "mazur_ratio",
     "multiplier_norm_lower", "multipliers", "nystrom_spectrum", "operators",
     "p_triangle_defect", "plus_kernel_bound", "power_ratio_base_bound",

@@ -308,12 +308,12 @@ def _run_multiplier_bound(ns) -> dict:
     from .multipliers import SymbolMatrix, multiplier_norm_lower
 
     kernel, p, d = _certificate_inputs(ns)
+    upper = certified_pcb_bound(kernel, d, p)
     rng = trial_rng(ns.seed, 0)
     xs = np.sort(rng.uniform(0.0, 2.0 * np.pi, ns.samples))
     ys = np.sort(rng.uniform(0.0, 2.0 * np.pi, ns.samples))
-    # a complex kernel fails here, before its certificate is computed
+    # the witnesses are real: a complex kernel fails here instead of losing its imaginary part
     sym = SymbolMatrix(xs, ys, _on_grid(kernel.evaluator, xs, ys))
-    upper = certified_pcb_bound(kernel, d, p)
     estimate = multiplier_norm_lower(sym, p, trials=ns.trials, seed=ns.seed)
     results = {
         "kernel": ns.kernel,

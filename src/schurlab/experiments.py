@@ -23,6 +23,7 @@ from .operators import (
     SchattenIndex,
     SignedPowerFunction,
     SpectralStack,
+    _check_int,
     _check_theta,
     as_index,
     calculus_stack,
@@ -314,7 +315,7 @@ def _search_config_digest(q: SchattenIndex, theta: float, signed: bool, dims: li
                           trials: int, seed: int) -> str:
     """SHA-256 of the canonical (p, theta, signed, dims, trials, seed) record."""
     config = {"p": index_label(q), "theta": float(theta), "signed": bool(signed),
-              "dims": list(dims), "trials": int(trials), "seed": int(seed)}
+              "dims": list(dims), "trials": trials, "seed": seed}
     return hashlib.sha256(serialize.dumps_canonical(config).encode()).hexdigest()
 
 
@@ -341,17 +342,16 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
     of the search configuration, and resuming under another configuration
     raises ValueError.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _check_int("trials", trials, 1)
     q = as_index(p)
-    dims = [int(d) for d in dims]
-    if not dims or min(dims) < 1:
-        raise ValueError(f"dims must be a nonempty list of positive integers, got {dims}")
+    dims = [_check_int(f"dims[{i}]", d, 1) for i, d in enumerate(dims)]
+    if not dims:
+        raise ValueError("dims must be a nonempty list of positive integers, got []")
     # a repeated dim would replay the same seeded trials and climb
     repeated = [d for i, d in enumerate(dims) if d in dims[:i]]
     if repeated:
         raise ValueError(f"dims must not repeat, got dim {repeated[0]} more than once in {dims}")
-    trials = int(trials)
+    seed = _check_int("seed", seed, 0)
     config = _search_config_digest(q, theta, signed, dims, trials, seed)
     state = {
         "counter": 0, "history": [], "per_dim": {},
@@ -443,7 +443,7 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
 
     best_sample = ando_ratio(best_pair[0], best_pair[1], q, theta, signed)
     return SearchReport(
-        best=best_sample, trials=trials, seed=int(seed), dims_swept=dims,
+        best=best_sample, trials=trials, seed=seed, dims_swept=dims,
         history=history, witness_x=best_pair[0], witness_y=best_pair[1],
         per_dim=per_dim,
     )

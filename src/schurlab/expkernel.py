@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import InvariantViolation
+from .operators import InvariantViolation, _check_int
 
 __all__ = [
     "KernelSpectrum",
@@ -55,15 +55,6 @@ class KernelSpectrum:
             raise ValueError("eigenvalues must decrease strictly and stay positive")
 
 
-def _check_index(name: str, k) -> int:
-    """k as an int; rejects a k below 1 (NaN included), then a fractional one."""
-    if not k >= 1:
-        raise ValueError(f"{name} must be >= 1, got {k}")
-    if not float(k).is_integer():
-        raise ValueError(f"{name} must be an integer, got {k}")
-    return int(k)
-
-
 def _scaled_tol(k: int) -> float:
     """Root-residual tolerance that grows with the float-spacing limit ~(k pi)^2."""
     return max(1e-10, 5e-14 * (k * math.pi) ** 2)
@@ -73,20 +64,18 @@ def _bracket_residual(t: float, k: int) -> float:
     return math.sin(t) + (2.0 * t - k * math.pi) * math.cos(t)
 
 
-def solve_theta(k: int, tol: float = 1e-10) -> float:
+def solve_theta(k: int) -> float:
     """Unique root of tan t = -2t + k pi in (0, pi/2) by bisection.
 
     Bisection stops when the midpoint equals an end of the bracket, i.e.
     when lo and hi are adjacent doubles: no further halving can move either
     end, so the root is the one 200 full steps would give (the 200-step cap
     stays as a guard). The residual |tan t + 2t - k pi| at the returned root
-    is limited by float spacing times the slope (~(k pi)^2), so tolerances
-    below about 3e-16 k^2 are unattainable; the default holds through
-    k ~ 100.
+    is limited by float spacing times the slope (~(k pi)^2), so it is
+    checked against ``_scaled_tol(k)``, which grows at that rate; a larger
+    residual raises InvariantViolation.
     """
-    k = _check_index("k", k)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    k = _check_int("k", k, 1)
     lo, hi = 1e-12, math.pi / 2 - 1e-15
     flo, fhi = _bracket_residual(lo, k), _bracket_residual(hi, k)
     if not (flo < 0 < fhi):
@@ -101,11 +90,10 @@ def solve_theta(k: int, tol: float = 1e-10) -> float:
             hi = mid
     root = 0.5 * (lo + hi)
     residual = abs(math.tan(root) + 2.0 * root - k * math.pi)
+    tol = _scaled_tol(k)
     if residual > tol:
         raise InvariantViolation(
-            f"root residual {residual:.3e} exceeds tol {tol:.1e} for k={k} "
-            "(float-spacing limited; loosen tol for large k)"
-        )
+            f"root residual {residual:.3e} exceeds {tol:.1e} for k={k}")
     return root
 
 
@@ -117,21 +105,21 @@ def _newton_thetas(ks: np.ndarray) -> np.ndarray:
     return t
 
 
-def _root_table(k_max: int, tol_of) -> np.ndarray:
-    """theta_k for k = 1..k_max: bisection roots (residual within tol_of(k),
-    which does not move the root) up to EXACT_ROOT_LIMIT, Newton tail beyond."""
+def _root_table(k_max: int) -> np.ndarray:
+    """theta_k for k = 1..k_max: bisection roots up to EXACT_ROOT_LIMIT,
+    Newton tail beyond."""
     thetas = np.empty(k_max)
     for k in range(1, min(k_max, EXACT_ROOT_LIMIT) + 1):
-        thetas[k - 1] = solve_theta(k, tol_of(k))
+        thetas[k - 1] = solve_theta(k)
     tail_ks = np.arange(EXACT_ROOT_LIMIT + 1, k_max + 1, dtype=float)
     thetas[EXACT_ROOT_LIMIT:] = _newton_thetas(tail_ks)
     return thetas
 
 
-def analytic_eigenvalues(k_max: int, tol: float = 1e-8) -> KernelSpectrum:
+def analytic_eigenvalues(k_max: int) -> KernelSpectrum:
     """First k_max eigenvalues 2 cos^2(theta_k), descending."""
-    k_max = _check_index("k_max", k_max)
-    thetas = _root_table(k_max, lambda k: tol)
+    k_max = _check_int("k_max", k_max, 1)
+    thetas = _root_table(k_max)
     alphas = np.tan(thetas)
     lambdas = 2.0 * np.cos(thetas) ** 2
     return KernelSpectrum(k_max=k_max, thetas=thetas, alphas=alphas, lambdas=lambdas)
@@ -183,9 +171,7 @@ def eigenfunction_residual(k: int, quadrature_points: int = 2048,
     terms of the integral identity (the same constant with flipped signs
     does not). ``eigenvalue_scale`` perturbs lambda for sensitivity probes.
     """
-    if quadrature_points < 256:
-        raise ValueError("need at least 256 quadrature points")
-    n = int(quadrature_points)
+    n = _check_int("quadrature_points", quadrature_points, 256)
     theta = solve_theta(k)
     alpha = math.tan(theta)
     lam = 2.0 * math.cos(theta) ** 2 * eigenvalue_scale
@@ -202,7 +188,7 @@ def eigenfunction_residual(k: int, quadrature_points: int = 2048,
 
 def eigenfunction_sup_ratio(k: int) -> float:
     """sup |f_k| / ||f_k||_2 on [0, 1] (uniform boundedness diagnostic)."""
-    theta = solve_theta(k, tol=_scaled_tol(k))
+    theta = solve_theta(k)
     alpha = math.tan(theta)
     x = np.linspace(0.0, 1.0, 4001)
     c = (1.0 - 1j * alpha) / (1.0 + 1j * alpha)
@@ -218,8 +204,7 @@ def nystrom_spectrum(n: int = 2000) -> np.ndarray:
     The symmetric form w_i^(1/2) K(x_i, x_j) w_j^(1/2) keeps the matrix
     Hermitian; its trace equals sum(w) = 1 exactly.
     """
-    if n < 64:
-        raise ValueError("n must be >= 64")
+    n = _check_int("n", n, 64)
     x = np.linspace(0.0, 1.0, n)
     w = np.full(n, 1.0 / (n - 1))
     w[0] = w[-1] = 0.5 / (n - 1)
@@ -232,7 +217,7 @@ def nystrom_spectrum(n: int = 2000) -> np.ndarray:
 def _eigenvalue_table(k_max: int) -> np.ndarray:
     """2 cos^2(theta_k) for k = 1..k_max, read-only: exact bisection roots up
     to k = 1000, Newton-corrected tail beyond."""
-    thetas = _root_table(k_max, _scaled_tol)
+    thetas = _root_table(k_max)
     lambdas = 2.0 * np.cos(thetas) ** 2
     lambdas.setflags(write=False)
     return lambdas
@@ -247,8 +232,8 @@ def schatten_partial_sums(p: float, K_list) -> np.ndarray:
     """
     if not 0 < p < math.inf:
         raise ValueError("p must be positive and finite")
-    ks = [int(k) for k in K_list]
-    if not ks or min(ks) < 1:
-        raise ValueError("each K must be >= 1")
+    ks = [_check_int(f"K_list[{i}]", k, 1) for i, k in enumerate(K_list)]
+    if not ks:
+        raise ValueError("K_list must name at least one K")
     csum = np.cumsum(_eigenvalue_table(max(ks)) ** p)
     return np.array([csum[k - 1] for k in ks])

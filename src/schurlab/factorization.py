@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import InvariantViolation, _check_theta, as_index, p_triangle_exponent
+from .operators import (InvariantViolation, _check_int, _check_theta, as_index,
+                        p_triangle_exponent)
 
 __all__ = [
     "SmoothKernel",
@@ -156,11 +157,9 @@ class SmoothKernel:
     name: str = ""
 
     def __post_init__(self):
-        n = self.grid_size
-        # float(n).is_integer() first: int() would truncate 256.7 to 256
-        if not (float(n).is_integer() and n >= 64 and (int(n) & (int(n) - 1)) == 0):
-            raise ValueError(f"grid_size must be a power of two >= 64, got {n!r}")
-        self.grid_size = int(n)
+        n = self.grid_size = _check_int("grid_size", self.grid_size, 64)
+        if n & (n - 1):
+            raise ValueError(f"grid_size must be a power of two >= 64, got {n}")
         self._check_periodicity()
 
     def _check_periodicity(self):
@@ -206,6 +205,7 @@ class SmoothKernel:
             live = _live_rows(samples)
             if live.size:
                 kept.append((live + block.start, np.fft.fft(samples[live], axis=1)))
+        del samples  # not held through the column pass, which sets the peak
         for cols in _row_blocks(n):
             buf = np.zeros((n, cols.stop - cols.start), dtype=complex)
             for rows, spectra in kept:
@@ -256,9 +256,7 @@ def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
     on the normalized torus, by spectral differentiation of the Fourier
     coefficients, streamed one column block at a time.
     """
-    _check_order(d)
-    if d < 1:
-        raise ValueError("the Sobolev order d must be >= 1")
+    d = _check_int("d", d, 1)
     needed = [(1, d), (0, d), (1, 0), (0, 0)]
     # ||d^(a+b)K/dx^a dy^b||_2^2 = sum_kl |k|^2a |alpha_kl|^2 |l|^2b
     n = kernel.grid_size
@@ -271,21 +269,15 @@ def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
     return float(sum(float(np.sqrt(rows[a] @ weights[b])) for a, b in needed))
 
 
-def _check_order(d) -> None:
-    """Reject a Sobolev order that is not a finite integer: NaN slips past
-    every range comparison, and a fractional d has no derivative to bound."""
-    if not float(d).is_integer():
-        raise ValueError(f"the Sobolev order d must be a finite integer, got d={d!r}")
-
-
 def sobolev_order(p, d: int | None = None) -> int:
-    """The Sobolev order of a certificate at index p: d, or ceil(1/p) + 1
-    when d is None. Rejects p > 1, a d that is not a finite integer, and
-    d <= 1/p, where the coefficients l^-d of the factorization leave l^p."""
+    """The Sobolev order of a certificate at index p, as an int: d, or
+    ceil(1/p) + 1 when d is None. Rejects p > 1, a d that is not an integer
+    >= 1, and d <= 1/p, where the coefficients l^-d of the factorization
+    leave l^p."""
     pv = p_triangle_exponent(p)
     if d is None:
         return int(math.ceil(1.0 / pv)) + 1
-    _check_order(d)
+    d = _check_int("d", d, 1)
     if d * pv <= 1.0:
         raise ValueError(
             f"the Sobolev order must satisfy d > 1/p (got d={d}, 1/p={1.0 / pv})"
@@ -412,14 +404,12 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
     ``truncation_error`` (plus rounding).
     """
     d = sobolev_order(p, d)
-    # written so that NaN fails too; range() needs an int, not 2.0
-    if not (float(mode_cutoff).is_integer() and mode_cutoff >= 1):
-        raise ValueError(f"mode_cutoff must be an integer >= 1, got {mode_cutoff!r}")
+    mode_cutoff = _check_int("mode_cutoff", mode_cutoff, 1)
     n = kernel.grid_size
     modes = _mode_numbers(n)
     kvec = modes.astype(float)
 
-    retained = _retained_modes(int(mode_cutoff), n)
+    retained = _retained_modes(mode_cutoff, n)
     alphas = np.array([1.0 if l == 0 else 1.0 / float(l) ** d for l in retained])
     # grid column l mod n -> (retained slot, scale l^d)
     slots = {l % n: (i, 1.0 if l == 0 else float(l) ** d) for i, l in enumerate(retained)}
@@ -457,7 +447,7 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
     certified = (retained_power + tail_power) ** (1.0 / pv)
 
     fact = RankOneFactorization(
-        d=int(d), p=as_index(p), alphas=alphas, f_samples=f_samples,
+        d=d, p=as_index(p), alphas=alphas, f_samples=f_samples,
         g_labels=np.array(retained, dtype=int), certified_bound=float(certified),
         truncation_error=float(tail), grid_size=n,
     )
@@ -505,10 +495,7 @@ def dyadic_block_bound(theta: float, p, k: int, base_bound: float) -> DyadicBloc
     pv = p_triangle_exponent(p)
     if not base_bound >= 0:
         raise ValueError("base_bound must be nonnegative")
-    # written so that NaN fails too; a fractional k names no dyadic cell
-    if not (float(k).is_integer() and k >= -1):
-        raise ValueError(f"k must be an integer >= -1, got k={k!r}")
-    k = int(k)
+    k = _check_int("k", k, -1)
     if k >= 0:
         bound = 2.0 ** (-k * (theta - 1.0)) * base_bound
         return DyadicBlock(k, (0.0, math.inf), (2.0 ** (-k - 1), 2.0 ** (-k)), bound)
@@ -672,7 +659,7 @@ def plus_kernel_bound(a: float, p, d: int | None = None, grid_size: int = 2048) 
     if not a >= 1.0:
         raise ValueError("the shifted-resolvent bound requires a >= 1")
     d = sobolev_order(p, d)
-    return _catalog_bound("shifted-resolvent", grid_size, int(d), as_index(p).value) / float(a)
+    return _catalog_bound("shifted-resolvent", grid_size, d, as_index(p).value) / float(a)
 
 
 def sum_quadrant_bound(a: float, b: float, theta: float, p,
@@ -712,7 +699,7 @@ def power_ratio_base_bound(theta: float, p, d: int | None = None,
     # the family bound first: it rejects an order beyond the ramp table
     # before the singular kernel is sampled
     piece2 = _prefactor(d, p) * UNIVERSAL_CONST * _family_sobolev_upper(theta, d)
-    piece1 = (_catalog_bound("power-ratio-singular", grid_size, int(d), pv)
+    piece1 = (_catalog_bound("power-ratio-singular", grid_size, d, pv)
               * 2.0 ** (1.0 / pv) * 2.0**theta)
     window_bound = (piece1**pv + piece2**pv) ** (1.0 / pv)
     return 2.0 ** (1.0 - theta) * window_bound

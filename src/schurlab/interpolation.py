@@ -23,6 +23,7 @@ from .operators import (
     SchattenIndex,
     SignedPowerFunction,
     SpectralStack,
+    _check_int,
     _schatten_from_singular,
     as_index,
     calculus_stack,
@@ -192,17 +193,15 @@ def _descend(target: np.ndarray, t: float, p0: SchattenIndex, p1: SchattenIndex,
 
 def _grid_ladder(grid: int) -> list[int]:
     grids = []
-    g = int(grid)
-    while g >= MIN_GRID:
-        grids.append(g)
-        g //= 2
-    return grids or [MIN_GRID]
+    while grid >= MIN_GRID:
+        grids.append(grid)
+        grid //= 2
+    return grids
 
 
 def k_functional(x, query: KFunctionalQuery, grid: int = 256) -> float:
     """Grid-search K_t(mu(x); l_{p0}, l_{p1}); an upper bound tightening with grid."""
-    if grid < MIN_GRID:
-        raise ValueError(f"grid must be >= {MIN_GRID}")
+    grid = _check_int("grid", grid, MIN_GRID)
     mu = x if isinstance(x, RearrangementProfile) else rearrangement(x)
     if not np.any(mu.values):
         return 0.0

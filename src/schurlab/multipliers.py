@@ -20,7 +20,7 @@ import numpy as np
 
 from .experiments import _greedy_climb, trial_rng
 from .operators import (SV_NOISE_RTOL, HermitianOperand, SchattenIndex, SignedPowerFunction,
-                        _check_theta, as_index, p_triangle_exponent, schatten_norms)
+                        _check_int, _check_theta, as_index, p_triangle_exponent, schatten_norms)
 from . import serialize
 
 __all__ = [
@@ -116,9 +116,8 @@ def divided_difference_integral(x: float, y: float, theta: float,
     _check_theta(theta)
     if not (x > 0 and y > 0):
         raise ValueError("divided-difference integral requires x > 0 and y > 0")
-    if quadrature_points < 2:
-        raise ValueError("need at least 2 quadrature points")
-    nodes, weights = np.polynomial.legendre.leggauss(int(quadrature_points))
+    quadrature_points = _check_int("quadrature_points", quadrature_points, 2)
+    nodes, weights = np.polynomial.legendre.leggauss(quadrature_points)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     return float(np.sum(w * theta * (t * x + (1.0 - t) * y) ** (theta - 1.0)))
@@ -235,8 +234,8 @@ def multiplier_norm_lower(m: SymbolMatrix, p, trials: int = 16,
     exactly |m_ij|), and per trial a, b = |standard normal| normalised,
     climbed by 50 gradient steps along the factors.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _check_int("trials", trials, 1)
+    seed = _check_int("seed", seed, 0)
     if m.values.size == 0:
         raise ValueError(f"cannot witness the norm of an empty symbol (shape {m.shape})")
     q = as_index(p)
@@ -247,7 +246,7 @@ def multiplier_norm_lower(m: SymbolMatrix, p, trials: int = 16,
     if best_ratio > 0:
         best_witness = np.zeros(m.shape)
         best_witness[ij] = 1.0
-        for trial in range(int(trials)):
+        for trial in range(trials):
             rng = trial_rng(seed, trial)
             start = (_unit(np.abs(rng.standard_normal(m.shape[0]))),
                      _unit(np.abs(rng.standard_normal(m.shape[1]))))
@@ -258,5 +257,5 @@ def multiplier_norm_lower(m: SymbolMatrix, p, trials: int = 16,
                 best_ratio, best_witness = r, np.outer(a, b)
     return MultiplierNormEstimate(
         lower=best_ratio, p=q, witness=best_witness,
-        seed=int(seed), trials=int(trials),
+        seed=seed, trials=trials,
     )

@@ -137,6 +137,17 @@ def _check_theta(theta) -> float:
     return theta
 
 
+def _check_int(name: str, value, minimum: int) -> int:
+    """value as an int; rejects NaN, +-inf, fractions and values below minimum.
+
+    float() first, so that int() never truncates 2.5 to 2; written so that
+    NaN fails too. An integral float such as 3.0 gives the int 3.
+    """
+    if not (float(value).is_integer() and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SignedPowerFunction:
     """The homogeneous maps t -> |t|^theta (unsigned) or sgn(t)|t|^theta."""
@@ -386,11 +397,6 @@ class HermitianOperand:
             idx[g] = gi
         idx.flags.writeable = False
         return idx
-
-    def projections(self) -> list[np.ndarray]:
-        """Spectral projections, one per distinct eigenvalue."""
-        u = self.eigenvectors
-        return [u[:, g] @ u[:, g].conj().T for g in self._groups]
 
 
 def spectral_decompose(matrix) -> HermitianOperand:

@@ -300,9 +300,14 @@ class TestEstimateConstant:
         with pytest.raises(ValueError):
             estimate_constant(1.0, 0.5, False, [2], trials=0)
 
-    @pytest.mark.parametrize("dims", [[], [0], [2, 0], [-1]])
-    def test_rejects_empty_or_nonpositive_dims(self, dims):
-        with pytest.raises(ValueError, match="dims must be a nonempty list of positive integers"):
+    @pytest.mark.parametrize("dims, message", [
+        ([], "dims must be a nonempty list of positive integers"),
+        ([0], r"dims\[0\] must be an integer >= 1, got 0"),
+        ([2, 0], r"dims\[1\] must be an integer >= 1, got 0"),
+        ([-1], r"dims\[0\] must be an integer >= 1, got -1")],
+        ids=["empty", "zero", "second-zero", "negative"])
+    def test_rejects_empty_or_nonpositive_dims(self, dims, message):
+        with pytest.raises(ValueError, match=message):
             estimate_constant(0.5, 0.5, True, dims, 5)
 
     @pytest.mark.parametrize("dims", [[2, 2], [3, 2, 3]])

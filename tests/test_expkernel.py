@@ -12,6 +12,7 @@ from schurlab.expkernel import (
     schatten_partial_sums,
     solve_theta,
 )
+from schurlab.operators import InvariantViolation
 
 from conftest import exp_kernel_tail
 
@@ -34,20 +35,12 @@ def fixed_step_theta(k: int) -> float:
 
 
 class TestSolveTheta:
-    @pytest.mark.parametrize("solve", [lambda tol: solve_theta(1, tol=tol),
-                                       lambda tol: analytic_eigenvalues(3, tol=tol)],
-                             ids=["solve_theta", "analytic_eigenvalues"])
-    def test_nan_tolerance_rejected(self, solve):
-        # a NaN tolerance would pass every residual unchecked
-        with pytest.raises(ValueError, match="tol must be positive"):
-            solve(float("nan"))
-
     def test_bracket_sign_change(self):
         g = lambda t: math.tan(t) + 2.0 * t - math.pi
         assert g(0.85) < 0 < g(0.95)
 
     def test_k1_regression(self):
-        assert solve_theta(1, tol=1e-12) == pytest.approx(THETA_1, abs=1e-12)
+        assert solve_theta(1) == pytest.approx(THETA_1, abs=1e-12)
 
     def test_k50_asymptotic(self):
         t = solve_theta(50)
@@ -55,21 +48,25 @@ class TestSolveTheta:
 
     def test_residual_contract(self):
         for k in (1, 3, 10, 40):
-            t = solve_theta(k, tol=1e-10)
+            t = solve_theta(k)
             assert abs(math.tan(t) + 2 * t - k * math.pi) <= 1e-10
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             solve_theta(0)
 
-    def test_unreachable_tolerance_reported(self):
-        with pytest.raises(ArithmeticError, match="residual"):
-            solve_theta(100000, tol=1e-14)
+    @pytest.mark.parametrize("solve", [lambda: solve_theta(3), lambda: analytic_eigenvalues(3)],
+                             ids=["solve_theta", "analytic_eigenvalues"])
+    def test_residual_above_scaled_tol_reported(self, solve, monkeypatch):
+        # the one residual rule: a root whose residual exceeds _scaled_tol(k)
+        # is an invariant violation, not a value
+        monkeypatch.setattr(expkernel, "_scaled_tol", lambda k: 1e-300)
+        with pytest.raises(InvariantViolation, match="root residual"):
+            solve()
 
     def test_adjacent_double_stop_matches_fixed_steps(self):
         for k in range(1, 2001):
-            tol = max(1e-10, 5e-14 * (k * math.pi) ** 2)
-            assert solve_theta(k, tol) == fixed_step_theta(k), k
+            assert solve_theta(k) == fixed_step_theta(k), k
 
 
 class TestAnalyticEigenvalues:

@@ -209,7 +209,7 @@ class TestSobolevConstant:
     @pytest.mark.parametrize("d", [float("nan"), float("inf"), 2.5])
     def test_rejects_non_integer_order(self, d):
         kern = make_kernel("von-mises", grid_size=64)
-        with pytest.raises(ValueError, match=r"finite integer, got d="):
+        with pytest.raises(ValueError, match=r"d must be an integer >= 1, got "):
             sobolev_constant(kern, d)
 
 
@@ -244,7 +244,7 @@ class TestCertifiedBound:
     def test_rejects_non_integer_order(self, d):
         # NaN passed every range check, and d = 2.5 gave a "certified" 1864.87
         kern = make_kernel("von-mises", grid_size=64)
-        with pytest.raises(ValueError, match=r"finite integer, got d="):
+        with pytest.raises(ValueError, match=r"d must be an integer >= 1, got "):
             certified_pcb_bound(kern, d, 0.5)
 
     def test_integral_float_order_is_the_integer_order(self):

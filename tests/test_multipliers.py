@@ -1,11 +1,17 @@
+import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
-from schurlab.expkernel import analytic_eigenvalues, schatten_partial_sums, solve_theta
-from schurlab.factorization import dyadic_block_bound, sum_quadrant_bound
+from schurlab.experiments import estimate_constant
+from schurlab.expkernel import (analytic_eigenvalues, eigenfunction_residual, nystrom_spectrum,
+                                schatten_partial_sums, solve_theta)
+from schurlab.factorization import (build_factorization, dyadic_block_bound, make_kernel,
+                                    sobolev_constant, sobolev_order, sum_quadrant_bound)
+from schurlab.interpolation import KFunctionalQuery, k_functional
 from schurlab.multipliers import (
     SymbolMatrix,
     divided_difference_integral,
@@ -97,10 +103,6 @@ NAN = float("nan")
     (lambda: rank_one_sum_bound([1.0], [NAN], [1.0], 0.5), "sup-norms must be finite"),
     (lambda: rank_one_sum_bound([1.0], [1.0], [math.inf], 0.5), "sup-norms must be finite"),
     (lambda: rank_one_sum_bound([NAN], [1.0], [1.0], 0.5), "coefficients must be finite"),
-    (lambda: solve_theta(NAN), "k must be >= 1, got nan"),
-    (lambda: analytic_eigenvalues(NAN), "k_max must be >= 1, got nan"),
-    (lambda: solve_theta(2.5), "k must be an integer, got 2.5"),
-    (lambda: analytic_eigenvalues(2.5), "k_max must be an integer, got 2.5"),
     (lambda: sum_quadrant_bound(math.inf, 2.0, 0.5, 0.5), "both finite; got a=inf, b=2.0"),
     (lambda: sum_quadrant_bound(1.0, math.inf, 0.5, 0.5), "both finite; got a=1.0, b=inf"),
     (lambda: schur_apply(SymbolMatrix([NAN, 1.0], [3.0, -1.0], np.ones((2, 2))),
@@ -109,28 +111,89 @@ NAN = float("nan")
      "symbol has non-finite rows"),
     (lambda: SymbolMatrix([0.0, 1.0], [0.0, -math.inf], np.ones((2, 2))),
      "symbol has non-finite cols"),
-    (lambda: dyadic_block_bound(0.5, 0.5, NAN, 1.0), "k must be an integer >= -1, got k=nan"),
-    (lambda: dyadic_block_bound(0.5, 0.5, 2.5, 1.0), "k must be an integer >= -1, got k=2.5"),
-    (lambda: dyadic_block_bound(0.5, 0.5, math.inf, 1.0),
-     "k must be an integer >= -1, got k=inf"),
     (lambda: SymbolMatrix([0.0, 1.0], [0.0, 1.0], np.exp(1j * np.ones((2, 2)))),
      "symbol values must be real"),
 ], ids=["partial-sums-nan-p", "partial-sums-inf-p", "integral-nan-x", "integral-nan-y",
         "rank-one-nan-sup", "rank-one-inf-sup", "rank-one-nan-coefficient",
-        "solve-theta-nan-k", "eigenvalues-nan-kmax", "solve-theta-fractional-k",
-        "eigenvalues-fractional-kmax", "quadrant-inf-a", "quadrant-inf-b",
-        "symbol-nan-rows", "symbol-inf-cols", "dyadic-nan-k", "dyadic-fractional-k",
-        "dyadic-inf-k", "symbol-complex-values"])
+        "quadrant-inf-a", "quadrant-inf-b", "symbol-nan-rows", "symbol-inf-cols",
+        "symbol-complex-values"])
 def test_non_finite_inputs_rejected(call, message):
-    # each of these returned a value (NaN, 0 for an infinite p or a, or a root
-    # that is no eigenvalue for a fractional k, a Schur product for a symbol
-    # whose NaN rows passed as the operand's spectrum) or failed with
-    # something other than a ValueError: an InvariantViolation
-    # (exit 2) from solve_theta, a TypeError from analytic_eigenvalues; a
-    # NaN, fractional or infinite k gave a gathered, non-dyadic or empty cell,
-    # and complex symbol values kept only their real part
+    # each of these returned a value (NaN, 0 for an infinite p or a, a Schur
+    # product for a symbol whose NaN rows passed as the operand's spectrum)
+    # or failed with something other than a ValueError; complex symbol
+    # values kept only their real part
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _kernel_coefficients(grid_size):
+    kernel = make_kernel("cosine-product", grid_size=grid_size)
+    return kernel.grid_size, kernel.coefficients()
+
+
+def _small_symbol():
+    return SymbolMatrix([0.0, 1.0, 2.0], [0.5, 1.5],
+                        np.array([[1.0, -0.5], [0.25, 2.0], [-1.0, 0.75]]))
+
+
+# (parameter name in the message, minimum, an accepted value, the call)
+INTEGER_PARAMETERS = {
+    "grid-size": ("grid_size", 64, 64, _kernel_coefficients),
+    "mode-cutoff": ("mode_cutoff", 1, 3, lambda v: build_factorization(
+        make_kernel("cosine-product", grid_size=64), 2, 1.0, mode_cutoff=v)),
+    "dyadic-k": ("k", -1, 2, lambda v: dyadic_block_bound(0.5, 0.5, v, 1.0)),
+    "solve-theta-k": ("k", 1, 3, solve_theta),
+    "eigenvalues-kmax": ("k_max", 1, 5, analytic_eigenvalues),
+    "sobolev-constant-d": ("d", 1, 2, lambda v: sobolev_constant(
+        make_kernel("von-mises", grid_size=64), v)),
+    "sobolev-order-d": ("d", 1, 3, lambda v: sobolev_order(0.5, v)),
+    "constant-trials": ("trials", 1, 3, lambda v: estimate_constant(0.5, 0.5, True, [2], v)),
+    "constant-dims": ("dims[0]", 1, 2, lambda v: estimate_constant(0.5, 0.5, True, [v], 3)),
+    "constant-seed": ("seed", 0, 1, lambda v: estimate_constant(0.5, 0.5, True, [2], 3, v)),
+    "witness-trials": ("trials", 1, 2, lambda v: multiplier_norm_lower(
+        _small_symbol(), 0.5, trials=v)),
+    "witness-seed": ("seed", 0, 1, lambda v: multiplier_norm_lower(
+        _small_symbol(), 0.5, trials=2, seed=v)),
+    "k-functional-grid": ("grid", 16, 16, lambda v: k_functional(
+        np.diag([3.0, 1.0, 0.5]), KFunctionalQuery(1.0, 0.5, 2.0), grid=v)),
+    "partial-sums-K": ("K_list[1]", 1, 10, lambda v: schatten_partial_sums(0.5, [5, v])),
+    "integral-nodes": ("quadrature_points", 2, 8,
+                       lambda v: divided_difference_integral(2.0, 0.5, 0.5, v)),
+    "residual-nodes": ("quadrature_points", 256, 256, lambda v: eigenfunction_residual(1, v)),
+    "nystrom-n": ("n", 64, 64, nystrom_spectrum),
+}
+
+
+def _bits(result):
+    """Every value a result holds, with its type, so that a float 3.0 left
+    where the int 3 belongs, or one changed bit, compares unequal."""
+    if isinstance(result, np.ndarray):
+        return ("array", result.dtype.str, result.shape, result.tobytes())
+    if dataclasses.is_dataclass(result):
+        return _bits(vars(result))
+    if isinstance(result, dict):
+        return {key: _bits(value) for key, value in result.items()}
+    if isinstance(result, (list, tuple)):
+        return [_bits(value) for value in result]
+    return repr(result)
+
+
+@pytest.mark.parametrize("case", INTEGER_PARAMETERS)
+@pytest.mark.parametrize("bad", ["fractional", "nan", "inf", "below-minimum"])
+def test_integer_parameter_rejected(case, bad):
+    # each count, size or index is an exact integer: several entry points
+    # truncated 2.5 to 2 or turned NaN into a TypeError or a failed bracket
+    name, minimum, _, call = INTEGER_PARAMETERS[case]
+    value = {"fractional": 2.5, "nan": NAN, "inf": math.inf, "below-minimum": minimum - 1}[bad]
+    message = f"{name} must be an integer >= {minimum}, got {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)
+
+
+@pytest.mark.parametrize("case", INTEGER_PARAMETERS)
+def test_integral_float_is_the_integer(case):
+    _, _, value, call = INTEGER_PARAMETERS[case]
+    assert _bits(call(float(value))) == _bits(call(value))
 
 
 class TestSchurApply:

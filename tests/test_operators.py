@@ -87,10 +87,10 @@ class TestSpectralDecompose:
     def test_diagonal(self):
         x = spectral_decompose(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(x.eigenvalues, [3.0, 2.0, 1.0])
-        projs = x.projections()
-        expected = [np.diag([1.0, 0, 0]), np.diag([0, 0, 1.0]), np.diag([0, 1.0, 0])]
-        for p, e in zip(projs, expected):
-            assert np.allclose(p, e, atol=1e-12)
+        assert np.allclose(x.distinct_eigenvalues, [3.0, 2.0, 1.0])
+        # one group per eigenvalue, and each eigenvector column on its axis
+        assert x.group_index.tolist() == [0, 1, 2]
+        assert np.allclose(np.abs(x.eigenvectors), np.eye(3)[:, [0, 2, 1]], atol=1e-12)
 
     def test_symmetry_flip(self):
         x = spectral_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))

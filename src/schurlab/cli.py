@@ -49,6 +49,11 @@ from .operators import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
+# Characters per write of a report body. The file encodes each write whole,
+# so one write of the 11 MB `factorize` body would hold an 11 MB encoded
+# copy next to the text; a 1 MiB slice holds 1 MB.
+WRITE_SLICE = 1 << 20
+
 
 class VerificationError(Exception):
     def __init__(self, message, results):
@@ -95,7 +100,8 @@ def _require(cond, message):
 
 
 # The least value of each integer flag, for every command that has it.
-INT_MINIMA = {"trials": 1, "dim": 1, "samples": 1, "kmax": 1, "nystrom": 64, "sums_kmax": 10}
+INT_MINIMA = {"trials": 1, "dim": 1, "samples": 1, "kmax": 1, "nystrom": 64, "sums_kmax": 10,
+              "quadrature": 256, "cutoff": 1, "checkpoint_every": 1}
 # String flags holding comma lists of floats (estimate-constant's --theta).
 FLOAT_LISTS = ("t", "thetas", "sums_p", "theta")
 
@@ -565,12 +571,15 @@ def _write_report(path: str, fmt: str, command: str, config: dict, results: dict
     }
     if fmt == "json":
         # encoded before the file is opened, so a value that fails to encode
-        # leaves no partial report; written piece by piece, since joining
-        # would copy the body text (11 MB for `factorize`) twice more
-        pieces = ('{"header":', serialize.dumps_canonical(header),
-                  ',"body":', serialize.dumps_canonical(body), "}\n")
+        # leaves no partial report; the body text (11 MB for `factorize`) is
+        # written in slices, since one write would encode all of it at once
+        head = '{"header":' + serialize.dumps_canonical(header) + ',"body":'
+        text = serialize.dumps_canonical(body)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+            fh.write(head)
+            for start in range(0, len(text), WRITE_SLICE):
+                fh.write(text[start:start + WRITE_SLICE])
+            fh.write("}\n")
         return
     cols, rows = _flatten_for_csv(results)
     lines = [f"# timestamp: {header['timestamp']}",

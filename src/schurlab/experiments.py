@@ -11,7 +11,6 @@ maxima rather than divided.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -101,6 +100,8 @@ def index_label(p) -> object:
 
 
 def _digest(*arrays) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, which no certificate needs
+
     h = hashlib.sha256()
     for a in arrays:
         a = np.ascontiguousarray(np.asarray(a, dtype=complex))
@@ -314,6 +315,8 @@ def _hermitian_step(pair, scale: float, rng: np.random.Generator):
 def _search_config_digest(q: SchattenIndex, theta: float, signed: bool, dims: list,
                           trials: int, seed: int) -> str:
     """SHA-256 of the canonical (p, theta, signed, dims, trials, seed) record."""
+    import hashlib
+
     config = {"p": index_label(q), "theta": float(theta), "signed": bool(signed),
               "dims": list(dims), "trials": trials, "seed": seed}
     return hashlib.sha256(serialize.dumps_canonical(config).encode()).hexdigest()
@@ -352,6 +355,8 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
     if repeated:
         raise ValueError(f"dims must not repeat, got dim {repeated[0]} more than once in {dims}")
     seed = _check_int("seed", seed, 0)
+    if checkpoint_every is not None:
+        checkpoint_every = _check_int("checkpoint_every", checkpoint_every, 1)
     config = _search_config_digest(q, theta, signed, dims, trials, seed)
     state = {
         "counter": 0, "history": [], "per_dim": {},
@@ -431,7 +436,7 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
             consider(ratio, degenerate, pair, dim)
             if not degenerate and ratio >= dim_best:
                 dim_best, dim_best_pair = ratio, pair
-            if checkpoint_every and checkpoint_cb and counter % int(checkpoint_every) == 0:
+            if checkpoint_every and checkpoint_cb and counter % checkpoint_every == 0:
                 checkpoint_cb(snapshot((di, trial)))
         scale = 0.25 * max(np.abs(dim_best_pair[0]).max(), np.abs(dim_best_pair[1]).max(), 1e-6)
         climbed_pair, climbed = _greedy_climb(

@@ -50,14 +50,19 @@ RAMP_STEEPNESS = 8.0
 COORDINATE_STRETCH = 0.5        # u = COORDINATE_STRETCH * x for catalog kernels
 PERIODICITY_TOL = 1e-9
 DEFAULT_MODE_CUTOFF = 256
-# Rows (or columns) per pass of the blocked sampling, FFT, |coeffs|^2
-# weights and self-check; every block size gives the same bits. At grid 2048
-# (2-vCPU x86 VM, one BLAS thread) `factorize` on power-ratio-singular
-# (cutoff 64) peaked at 83 MB RSS at every size from 32 to 256, while
-# `multiplier-bound` on power-ratio-window peaked at 94.7, 98.7, 103.7 and
-# 123.3 MB in blocks of 32, 64, 128 and 256, on top of its 56 MiB of kept
-# row transforms.
+# Blocks of the streamed certificate; every size gives the same bits. The
+# row transforms of the kernel's live rows are kept, ROW_BLOCK rows to an
+# array, and they set the certificate's memory (56 MiB for
+# power-ratio-window at grid 2048). Everything else is a transient on top
+# of them: the evaluator sees at most ROW_BLOCK x SAMPLE_COLUMNS points at
+# a time (its temporaries scale with that), and the column pass transforms
+# COLUMN_BLOCK columns at a time in one reused buffer. At grid 2048 (2-vCPU
+# x86 VM, one BLAS thread, no bytecode cache) `multiplier-bound` on
+# power-ratio-window peaked at 90.0 MB RSS with these sizes, against 93.8
+# MB with whole 64-row samples and 64-column buffers.
 ROW_BLOCK = 64
+SAMPLE_COLUMNS = 512
+COLUMN_BLOCK = 32
 
 
 # ----------------------------------------------------------------------------
@@ -128,8 +133,10 @@ def bump_function(flat_interval, support_interval) -> Bump:
 # kernels on the torus
 # ----------------------------------------------------------------------------
 
-def _row_blocks(n: int) -> list[slice]:
-    return [slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK)]
+def _blocks(n: int, size: int) -> list[slice]:
+    """Consecutive slices of ``size`` indices covering range(n); the last
+    one is shorter when ``size`` does not divide n."""
+    return [slice(start, start + size) for start in range(0, n, size)]
 
 
 def _mode_numbers(n: int) -> np.ndarray:
@@ -180,34 +187,56 @@ class SmoothKernel:
         return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
 
     def _sample_rows(self, rows: slice) -> np.ndarray:
-        """K(x_i, x_j) for the grid rows i in ``rows`` and every column j."""
+        """K(x_i, x_j) for the grid rows i in ``rows`` and every column j,
+        as one contiguous array; the evaluator sees SAMPLE_COLUMNS columns
+        at a time, so its temporaries stay that small. Float64 for a real
+        evaluator, complex128 for a complex one."""
         x = self.grid()
-        return _on_grid(self.evaluator, x[rows], x)
+        xs = x[rows]
+        out = None
+        for part in _blocks(x.size, SAMPLE_COLUMNS):
+            values = _on_grid(self.evaluator, xs, x[part])
+            if out is None:
+                out = np.empty((xs.size, x.size), dtype=values.dtype)
+            # same_kind: a complex part after a real one fails instead of losing its imaginary part
+            np.copyto(out[:, part], values, casting="same_kind")
+            del values  # not held while the next part is evaluated
+        return out
 
     def samples(self) -> np.ndarray:
         """K(x_i, x_j) on the whole grid, built from the ROW_BLOCK row blocks
         of ``_sample_rows`` and not cached: float64 for a real evaluator,
         complex128 for a complex one. The certificate path never calls it."""
-        return np.concatenate([self._sample_rows(block) for block in _row_blocks(self.grid_size)])
+        return np.concatenate([self._sample_rows(block)
+                               for block in _blocks(self.grid_size, ROW_BLOCK)])
 
     def coefficient_blocks(self):
-        """Yield (cols, fft2(samples)[:, cols] / n^2) per block of ROW_BLOCK
-        columns, bit for bit np.fft.fft2: the same 1-D transforms in the same
-        axis order. Axis-1 transforms are kept, ROW_BLOCK rows at a time, only
-        for the rows with a sample other than +0.0, with their row indices;
-        any other row transforms to exact +0, as in the zero buffer each
-        column block is scattered into before its axis-0 transform. No whole
-        coefficient grid is held."""
+        """Yield (cols, fft2(samples)[:, cols] / n^2) per block of
+        COLUMN_BLOCK columns, bit for bit np.fft.fft2: the same 1-D
+        transforms in the same axis order. The yielded array is one buffer,
+        overwritten by the next block: copy what must outlive a step.
+
+        The row pass samples ROW_BLOCK rows at a time and keeps the axis-1
+        transforms of the rows with a sample other than +0.0, one complex
+        array per run of consecutive such rows, transformed in place, with
+        the slice of grid rows it holds; any other row transforms to exact
+        +0, as in the zeroed buffer each column block is gathered into
+        before its axis-0 transform. No whole coefficient grid is held: the
+        peak is the kept transforms plus one row block of samples and the
+        evaluator's temporaries, or plus the column buffer and its
+        consumer's."""
         n = self.grid_size
         kept = []
-        for block in _row_blocks(n):
+        for block in _blocks(n, ROW_BLOCK):
             samples = self._sample_rows(block)
-            live = _live_rows(samples)
-            if live.size:
-                kept.append((live + block.start, np.fft.fft(samples[live], axis=1)))
-        del samples  # not held through the column pass, which sets the peak
-        for cols in _row_blocks(n):
-            buf = np.zeros((n, cols.stop - cols.start), dtype=complex)
+            for run in _live_runs(samples):
+                spectra = samples[run].astype(complex)
+                np.fft.fft(spectra, axis=1, out=spectra)
+                kept.append((slice(block.start + run.start, block.start + run.stop), spectra))
+            del samples  # not held while the next block is sampled
+        buf = np.empty((n, COLUMN_BLOCK), dtype=complex)
+        for cols in _blocks(n, COLUMN_BLOCK):
+            buf.fill(0)
             for rows, spectra in kept:
                 buf[rows] = spectra[:, cols]
             np.fft.fft(buf, axis=0, out=buf)
@@ -231,13 +260,14 @@ class SmoothKernel:
         return coeffs
 
 
-def _live_rows(samples: np.ndarray) -> np.ndarray:
-    """Indices of the rows with a sample other than +0.0. A -0.0 counts:
-    the FFT of a -0.0 row has a -0.0 term, while that of a +0.0 row is +0.
-    +0.0 is the one float64 whose bits are all zero; the samples, float64 or
-    complex128, may be a broadcast view, so they are made contiguous first."""
-    bits = np.ascontiguousarray(samples).view(np.uint64)
-    return np.flatnonzero(bits.reshape(samples.shape[0], -1).any(axis=1))
+def _live_runs(samples: np.ndarray) -> list[slice]:
+    """Slices of the consecutive rows with a sample other than +0.0. A -0.0
+    counts: the FFT of a -0.0 row has a -0.0 term, while that of a +0.0 row
+    is +0. +0.0 is the one float64 whose bits are all zero; the samples are
+    contiguous float64 or complex128."""
+    live = samples.view(np.uint64).reshape(samples.shape[0], -1).any(axis=1)
+    edges = np.flatnonzero(np.diff(live, prepend=False, append=False)).tolist()
+    return [slice(start, stop) for start, stop in zip(edges[::2], edges[1::2])]
 
 
 def _weighted_power(block: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
@@ -454,7 +484,7 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
     # max |reconstruction - samples| and max |samples|, one block of rows at a time
     phases = fact._grid_phases()
     gap, scale = 0.0, 1.0
-    for block in _row_blocks(n):
+    for block in _blocks(n, ROW_BLOCK):
         samples = kernel._sample_rows(block)
         diff = fact.grid_rows(block, phases)
         diff -= samples

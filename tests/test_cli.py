@@ -206,6 +206,22 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
+        # the command line names the flag where the library says
+        # quadrature_points, mode_cutoff or checkpoint_every; a zero
+        # checkpoint interval is an input error, not checkpointing off
+        (["kernel-spectrum", "--quadrature", "100"], "--quadrature must be >= 256"),
+        (["factorize", "--kernel", "von-mises", "--p", "1", "--cutoff", "0"],
+         "--cutoff must be >= 1"),
+        (["estimate-constant", "--p", "0.5", "--theta", "0.5", "--checkpoint-every", "0"],
+         "--checkpoint-every must be >= 1"),
+    ])
+    def test_integer_flag_below_minimum_names_the_flag(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "r.json"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
         (["bks", "--p", "1", "--theta", "nan"], "--theta must be finite"),
         (["commutator", "--p", "1", "--theta", "inf"], "--theta must be finite"),
         (["multiplier-bound", "--kernel", "power-ratio-window", "--p", "0.5", "--theta", "nan"],
@@ -244,9 +260,14 @@ class TestDeterminism:
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert body_bytes(out1) == body_bytes(out2)
 
-    def test_json_report_text_is_canonical(self, tmp_path):
-        # the report is written piece by piece; its text must still be the
-        # canonical encoding of header and body, then one newline
+    @pytest.mark.parametrize("write_slice", [None, 7])
+    def test_json_report_text_is_canonical(self, tmp_path, monkeypatch, write_slice):
+        # the report is written piece by piece, the body in WRITE_SLICE
+        # characters at a time (7 cuts this body into thousands of slices);
+        # its text must still be the canonical encoding of header and body,
+        # then one newline
+        if write_slice is not None:
+            monkeypatch.setattr(cli, "WRITE_SLICE", write_slice)
         out = tmp_path / "r.json"
         assert cli.main(["factorize", "--kernel", "cosine-product", "--p", "1",
                          "--cutoff", "8", "--out", str(out)]) == 0

@@ -172,6 +172,16 @@ class TestPartialSums:
         thetas = np.array([fixed_step_theta(k) for k in range(1, 201)])
         assert np.array_equal(expkernel._eigenvalue_table(200), 2.0 * np.cos(thetas) ** 2)
 
+    @pytest.mark.parametrize("tail", [1, expkernel.NEWTON_PIECE,
+                                      3 * expkernel.NEWTON_PIECE + 17, 10**6 - 1000])
+    def test_newton_tail_in_pieces_is_the_whole_array_tail(self, tail):
+        # the tail is solved NEWTON_PIECE roots at a time, so 10^6 roots never
+        # hold seven 8 MB temporaries at once; every root keeps the bits of
+        # the one-array solve
+        first = expkernel.EXACT_ROOT_LIMIT
+        whole = expkernel._newton_thetas(np.arange(first + 1, first + tail + 1, dtype=float))
+        assert expkernel._root_table(first + tail)[first:].tobytes() == whole.tobytes()
+
     def test_memoized_table_is_read_only(self):
         table = expkernel._eigenvalue_table(50)
         assert not table.flags.writeable

@@ -30,7 +30,10 @@ from schurlab.factorization import (
     sum_quadrant_bound,
     _mode_numbers,
     _power_diff,
-    _row_blocks,
+    COLUMN_BLOCK,
+    ROW_BLOCK,
+    _blocks,
+    _live_runs,
     _weighted_power,
 )
 from schurlab.multipliers import MultiplierNormEstimate, SymbolMatrix, multiplier_norm_lower
@@ -72,7 +75,7 @@ def assert_stream_is_fft2(kernel):
     for cols, block in kernel.coefficient_blocks():
         assert same_bits(block, want[:, cols]), f"columns {cols} differ from fft2"
         spans.append(cols)
-    assert spans == _row_blocks(kernel.grid_size)
+    assert spans == _blocks(kernel.grid_size, COLUMN_BLOCK)
 
 
 def whole_grid_terms(fact, kernel):
@@ -179,6 +182,15 @@ class TestFourierCoefficients:
         kern = SmoothKernel(lambda x, y: np.full(np.broadcast(x, y).shape, complex(-0.0, -0.0)),
                             grid_size=64)
         assert np.signbit(fft2_coefficients(kern).real).any()
+        assert_stream_is_fft2(kern)
+
+    def test_gapped_live_rows_keep_fft2_bits(self):
+        # whole rows are zero where cos(8x) <= 0, so each 64-row block keeps
+        # several separate runs of row transforms
+        kern = SmoothKernel(lambda x, y: np.where(np.cos(8.0 * np.asarray(x)) > 0,
+                                                  np.cos(np.asarray(x) - np.asarray(y)) + 2.0, 0.0),
+                            grid_size=256)
+        assert len(_live_runs(kern._sample_rows(slice(0, ROW_BLOCK)))) == 3
         assert_stream_is_fft2(kern)
 
 
@@ -711,7 +723,7 @@ def traced_peak(step) -> float:
 def test_factorization_memory_guard():
     # no whole grid at 2048^2: the kept axis-1 transforms (651, 1793 and 977
     # of 2048 rows here) and one column block at a time. The traced peaks are
-    # about 30 MiB for the factorization and 62 and 36 MiB for the window and
+    # about 26 MiB for the factorization and 58 and 32 MiB for the window and
     # resolvent Sobolev constants; with the 64 MiB coefficient grid held they
     # were 82, 68 and 67 MiB
     peak = traced_peak(lambda: build_factorization(
@@ -721,3 +733,25 @@ def test_factorization_memory_guard():
     assert peak <= 64, f"window Sobolev constant traced peak {peak:.1f} MiB"
     peak = traced_peak(lambda: sobolev_constant(make_kernel("shifted-resolvent"), 3))
     assert peak <= 45, f"resolvent Sobolev constant traced peak {peak:.1f} MiB"
+
+
+@pytest.mark.parametrize("name", ["power-ratio-window", "shifted-resolvent",
+                                  "power-ratio-singular"])
+def test_coefficient_pass_holds_the_kept_spectra_and_little_more(name):
+    # one pass at 2048^2, consumed as sobolev_constant consumes it, holds the
+    # row transforms of the live rows and at most 2.5 MiB besides: one row
+    # block of samples with the evaluator's temporaries on one part of it, or
+    # the column buffer with its |block|^2
+    kern = make_kernel(name)
+    n = kern.grid_size
+    live = sum(run.stop - run.start for block in _blocks(n, ROW_BLOCK)
+               for run in _live_runs(kern._sample_rows(block)))
+    kept = live * n * np.dtype(complex).itemsize / 2**20
+    weights = [np.abs(_mode_numbers(n).astype(float)) ** 2]
+
+    def one_pass():
+        for _, block in kern.coefficient_blocks():
+            _weighted_power(block, weights)
+
+    peak = traced_peak(one_pass)
+    assert peak <= kept + 2.5, f"{name}: traced peak {peak:.2f} MiB, kept {kept:.2f} MiB"

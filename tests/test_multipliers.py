@@ -136,6 +136,14 @@ def _small_symbol():
                         np.array([[1.0, -0.5], [0.25, 2.0], [-1.0, 0.75]]))
 
 
+def _checkpointed_search(every):
+    """A small search's report and the checkpoint states it hands out."""
+    states = []
+    report = estimate_constant(0.5, 0.5, True, [2], 5, checkpoint_every=every,
+                               checkpoint_cb=states.append)
+    return report, states
+
+
 # (parameter name in the message, minimum, an accepted value, the call)
 INTEGER_PARAMETERS = {
     "grid-size": ("grid_size", 64, 64, _kernel_coefficients),
@@ -150,6 +158,7 @@ INTEGER_PARAMETERS = {
     "constant-trials": ("trials", 1, 3, lambda v: estimate_constant(0.5, 0.5, True, [2], v)),
     "constant-dims": ("dims[0]", 1, 2, lambda v: estimate_constant(0.5, 0.5, True, [v], 3)),
     "constant-seed": ("seed", 0, 1, lambda v: estimate_constant(0.5, 0.5, True, [2], 3, v)),
+    "constant-checkpoint-every": ("checkpoint_every", 1, 2, _checkpointed_search),
     "witness-trials": ("trials", 1, 2, lambda v: multiplier_norm_lower(
         _small_symbol(), 0.5, trials=v)),
     "witness-seed": ("seed", 0, 1, lambda v: multiplier_norm_lower(
@@ -179,12 +188,14 @@ def _bits(result):
 
 
 @pytest.mark.parametrize("case", INTEGER_PARAMETERS)
-@pytest.mark.parametrize("bad", ["fractional", "nan", "inf", "below-minimum"])
+@pytest.mark.parametrize("bad", ["fractional", "half", "nan", "inf", "below-minimum"])
 def test_integer_parameter_rejected(case, bad):
     # each count, size or index is an exact integer: several entry points
-    # truncated 2.5 to 2 or turned NaN into a TypeError or a failed bracket
+    # truncated 2.5 to 2 or turned NaN into a TypeError or a failed bracket,
+    # and a checkpoint interval of 0.5 divided by int(0.5) = 0
     name, minimum, _, call = INTEGER_PARAMETERS[case]
-    value = {"fractional": 2.5, "nan": NAN, "inf": math.inf, "below-minimum": minimum - 1}[bad]
+    value = {"fractional": 2.5, "half": 0.5, "nan": NAN, "inf": math.inf,
+             "below-minimum": minimum - 1}[bad]
     message = f"{name} must be an integer >= {minimum}, got {value}"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(value)

@@ -51,6 +51,18 @@ def test_import_leaves_the_optional_submodules_unloaded(module):
     assert not {f"schurlab.{name}" for name in OPTIONAL} & set(loaded)
 
 
+def test_certificate_loads_no_openssl():
+    # the digests import hashlib where they run, so the command line and a
+    # certificate leave OpenSSL (3.5 MB resident) unloaded until a search
+    # or a seeded generator needs it
+    loaded = fresh_interpreter(
+        "import json, sys, schurlab.cli\n"
+        "from schurlab import certified_pcb_bound, make_kernel\n"
+        "certified_pcb_bound(make_kernel('von-mises'), 2, 1.0)\n"
+        "print(json.dumps(sorted(sys.modules)))")
+    assert "_hashlib" not in loaded
+
+
 def test_export_list_is_unchanged():
     assert schurlab.__all__ == EXPORTS
 

@@ -116,6 +116,45 @@ class TestCanonicalDumps:
         with pytest.raises(ValueError, match="non-finite"):
             serialize.dumps_canonical({"v": values})
 
+    # A float list longer than FLOAT_PIECE formats each distinct double once
+    # and repeats its text; "distinct" is by bit pattern, so -0.0 and +0.0
+    # keep their signs.
+    DUPLICATE_HEAVY = [
+        [0.1] * 1000,
+        [-0.0, 0.0] * 300 + [0.0, -0.0, -0.0, 0.0],
+        [5e-324, 2.2250738585072014e-308, 1e-310] * 200,
+        [1e16, 9.999999999999998e16] * 250 + [1e16],
+        [5e-324, 1.7976931348623157e308] * 100 + [-5e-324, -1.7976931348623157e308],
+        [0.5 * (i % 7) - 1.0 for i in range(40000)],
+    ]
+
+    @pytest.mark.parametrize("piece", [None, 3])
+    @pytest.mark.parametrize("payload", DUPLICATE_HEAVY)
+    def test_duplicate_heavy_float_lists_match_per_item_encoder(self, payload, piece,
+                                                                monkeypatch):
+        # lists longer than FLOAT_PIECE take the distinct-value path; piece 3
+        # sends every list there and cuts it into many text pieces
+        if piece is not None:
+            monkeypatch.setattr(serialize, "FLOAT_PIECE", piece)
+        assert serialize.dumps_canonical(payload) == per_item_dumps(payload)
+        assert serialize.dumps_canonical({"v": payload}) == per_item_dumps({"v": payload})
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.1, -0.1, 5e-324, 1e16,
+                                     9.999999999999998e16, 1.7976931348623157e308]),
+                    max_size=300))
+    def test_pooled_float_lists_match_per_item_encoder(self, values):
+        # both paths: one "%.17g" call, and distinct values in pieces of 3
+        assert serialize.dumps_canonical(values) == per_item_dumps(values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "FLOAT_PIECE", 3)
+            assert serialize.dumps_canonical(values) == per_item_dumps(values)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_after_many_duplicates(self, bad):
+        values = [0.25] * 100000 + [bad, 0.25]
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.dumps_canonical(values)
+
 
 class TestMatrixCodec:
     def test_roundtrip(self, rng):

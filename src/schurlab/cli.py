@@ -100,33 +100,40 @@ def _require(cond, message):
 
 
 # The least value of each integer flag, for every command that has it.
-INT_MINIMA = {"trials": 1, "dim": 1, "samples": 1, "kmax": 1, "nystrom": 64, "sums_kmax": 10,
-              "quadrature": 256, "cutoff": 1, "checkpoint_every": 1}
+INT_MINIMA = {"seed": 0, "trials": 1, "dim": 1, "samples": 1, "kmax": 1, "nystrom": 64, "d": 1,
+              "sums_kmax": 10, "quadrature": 256, "cutoff": 1, "checkpoint_every": 1, "grid": 16}
 # String flags holding comma lists of floats (estimate-constant's --theta).
 FLOAT_LISTS = ("t", "thetas", "sums_p", "theta")
 
 
 def _check_flags(ns) -> None:
     """Reject, naming the flag, an integer below its minimum or a non-finite
-    float. --a is left to make_kernel, so the kernel that reads it names its range."""
+    float. --a is left to make_kernel, so the kernel that reads it names its
+    range; an unset --d (None) is left to sobolev_order's default."""
     for name, value in vars(ns).items():
         flag = "--" + name.replace("_", "-")
-        if name in INT_MINIMA:
+        if name in INT_MINIMA and value is not None:
             _require(value >= INT_MINIMA[name], f"{flag} must be >= {INT_MINIMA[name]}")
         values = _parse_floats(value) if name in FLOAT_LISTS and isinstance(value, str) else [value]
         _require(name == "a" or all(math.isfinite(v) for v in values if isinstance(v, float)),
                  f"{flag} must be finite, got {value}")
 
 
-def _sweep(trials):
-    """Rows, maximum nondegenerate ratio (0 if none) and witness of a stream
-    of ``sweep_trials`` tuples; the witness is the last trial to reach the
-    running maximum in stream order, as a serial ``>=`` scan would pick it."""
+def _sweep(ns, dims, draw, evaluate):
+    """Rows, maximum nondegenerate ratio (0 if none) and witness of the
+    ``sweep_trials`` sweep of ns.trials seeded trials: trial i runs at
+    dim = dims[i % len(dims)] on the matrices ``draw(dim, trial_rng(ns.seed, i), i)``,
+    each dim's trials in blocks of their own, so every block is one stack. The
+    witness is the last trial to reach the running maximum in stream order, as
+    a serial ``>=`` scan would pick it."""
     best, witness, rows = 0.0, None, []
-    for trial, ratio, degenerate, matrices in trials:
-        rows.append({"trial": trial, "ratio": ratio, "degenerate": degenerate})
-        if not degenerate and ratio >= best:
-            best, witness = ratio, matrices
+    for di, dim in enumerate(dims):
+        trials = sweep_trials(range(di, ns.trials, len(dims)),
+                              lambda t: draw(dim, trial_rng(ns.seed, t), t), evaluate)
+        for trial, ratio, degenerate, matrices in trials:
+            rows.append({"trial": trial, "ratio": ratio, "degenerate": degenerate})
+            if not degenerate and ratio >= best:
+                best, witness = ratio, matrices
     return rows, best, witness
 
 
@@ -138,9 +145,6 @@ def _case_sweeps(ns, cases, ratios):
     all the cases from f = t -> t^theta (or its signed form)."""
     f = SignedPowerFunction(ns.theta, ns.signed)
 
-    def draw(trial):
-        return random_pair(ns.dim, trial_rng(ns.seed, trial), kind=trial)
-
     def evaluate(xs, ys, trials):
         xs, ys = decompose_stack(xs, trials=trials), decompose_stack(ys, trials=trials)
         images = calculus_stack(xs, f).entries, calculus_stack(ys, f).entries
@@ -148,19 +152,8 @@ def _case_sweeps(ns, cases, ratios):
         return RatioBlock(np.stack([b.numerator for b in blocks], axis=1),
                           np.stack([b.denominator for b in blocks], axis=1))
 
-    rows, best, _ = _sweep(sweep_trials(range(ns.trials), draw, evaluate))
+    rows, best, _ = _sweep(ns, [ns.dim], random_pair, evaluate)
     return [{**cases[i % len(cases)][0], **row} for i, row in enumerate(rows)], best
-
-
-def _pair_sweep(ns, dims, random_matrix, evaluate):
-    """``sweep_trials`` over two draws of ``random_matrix(dim, rng)`` from each
-    trial's generator, trial i at dims[i % len(dims)]: each dim's trials run
-    in blocks of their own, so every block is one stack."""
-    for di, dim in enumerate(dims):
-        def draw(trial):
-            rng = trial_rng(ns.seed, trial)
-            return random_matrix(dim, rng), random_matrix(dim, rng)
-        yield from sweep_trials(range(di, ns.trials, len(dims)), draw, evaluate)
 
 
 def _witness_keys(witness, names=("x", "y")) -> dict:
@@ -203,7 +196,8 @@ def _run_verify_ando(ns) -> dict:
                 den[k, j] = radius**f.theta
         return RatioBlock(num, den)
 
-    _, worst, _ = _sweep(_pair_sweep(ns, dims, random_hermitian, evaluate))
+    _, worst, _ = _sweep(ns, dims, lambda dim, rng, _: (random_hermitian(dim, rng),
+                                                        random_hermitian(dim, rng)), evaluate)
     results = {
         "trials": ns.trials,
         "dims": dims,
@@ -226,7 +220,8 @@ def _run_bks(ns) -> dict:
         return bks_ratios(decompose_stack(xs, trials=trials),
                           decompose_stack(ys, trials=trials), p, ns.theta)
 
-    _, worst, witness = _sweep(_pair_sweep(ns, dims, random_psd, evaluate))
+    _, worst, witness = _sweep(ns, dims, lambda dim, rng, _: (random_psd(dim, rng),
+                                                              random_psd(dim, rng)), evaluate)
     results = {
         "trials": ns.trials,
         "dims": dims,
@@ -414,16 +409,13 @@ def _run_weak_lp(ns) -> dict:
 def _run_commutator(ns) -> dict:
     p = _parse_p(ns.p)
 
-    def draw(trial):
-        rng = trial_rng(ns.seed, trial)
-        return random_hermitian(ns.dim, rng), _complex_gaussian(rng, (ns.dim, ns.dim))
-
     def evaluate(xs, bs, trials):
         # normalised in place, so the witness is reported normalised
         bs /= np.maximum(schatten_norms(bs, SchattenIndex.INF, trials=trials), 1e-300)[:, None, None]
         return commutator_ratios(decompose_stack(xs, trials=trials), bs, p, ns.theta, ns.signed)
 
-    rows, best, witness = _sweep(sweep_trials(range(ns.trials), draw, evaluate))
+    rows, best, witness = _sweep(ns, [ns.dim], lambda dim, rng, _: (
+        random_hermitian(dim, rng), _complex_gaussian(rng, (dim, dim))), evaluate)
     return {
         "dim": ns.dim, "trials": ns.trials, "p": index_label(p), "theta": ns.theta,
         "signed": ns.signed, "max_ratio": best, "table": rows, **_witness_keys(witness, ("x", "b")),
@@ -431,16 +423,11 @@ def _run_commutator(ns) -> dict:
 
 
 def _run_mazur(ns) -> dict:
-    shape = (ns.dim, ns.dim)
-
-    def draw(trial):
-        rng = trial_rng(ns.seed, trial)
-        return _complex_gaussian(rng, shape), _complex_gaussian(rng, shape)
-
     def evaluate(xs, ys, trials):
         return mazur_ratios(xs, ys, ns.p, ns.q, trials=trials)
 
-    rows, best, witness = _sweep(sweep_trials(range(ns.trials), draw, evaluate))
+    rows, best, witness = _sweep(ns, [ns.dim], lambda dim, rng, _: (
+        _complex_gaussian(rng, (dim, dim)), _complex_gaussian(rng, (dim, dim))), evaluate)
     return {
         "dim": ns.dim, "trials": ns.trials, "p": ns.p, "q": ns.q,
         "max_ratio": best, "table": rows, **_witness_keys(witness),
@@ -460,6 +447,13 @@ def build_parser() -> _Parser:
         sp.add_argument("--out", default=None, help="report path (default: $SCHURLAB_OUTDIR)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--trials", type=int, default=trials_default)
+
+    def certificate(sp):
+        sp.add_argument("--kernel", required=True)
+        sp.add_argument("--p", required=True)
+        sp.add_argument("--d", type=int, default=None)
+        sp.add_argument("--theta", type=float, default=0.5)
+        sp.add_argument("--a", type=float, default=1.0)
 
     sp = sub.add_parser("verify-ando", help="divided-difference identity sweep")
     common(sp, 200)
@@ -483,20 +477,12 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("multiplier-bound", help="certified upper vs witnessed lower bound")
     common(sp, 8)
-    sp.add_argument("--kernel", required=True)
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--theta", type=float, default=0.5)
-    sp.add_argument("--a", type=float, default=1.0)
+    certificate(sp)
     sp.add_argument("--samples", type=int, default=24)
 
     sp = sub.add_parser("factorize", help="export a truncated rank-one factorization")
     common(sp, 1)
-    sp.add_argument("--kernel", required=True)
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--theta", type=float, default=0.5)
-    sp.add_argument("--a", type=float, default=1.0)
+    certificate(sp)
     sp.add_argument("--cutoff", type=int, default=256)
 
     sp = sub.add_parser("kernel-spectrum", help="analytic vs discretized spectrum")

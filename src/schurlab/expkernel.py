@@ -168,19 +168,18 @@ def _kink_split_operator(n: int) -> np.ndarray:
     return operator
 
 
-def eigenfunction_residual(k: int, quadrature_points: int = 2048,
-                           eigenvalue_scale: float = 1.0) -> float:
+def eigenfunction_residual(k: int, quadrature_points: int = 2048) -> float:
     """Relative L_2 residual ||T f - lambda f|| / ||f|| by kink-split Simpson.
 
     The eigenfunction is exp(i a x) - c exp(-i a x) with a = tan(theta_k) and
     c = (1 - i a)/(1 + i a); this c is the one that cancels both boundary
     terms of the integral identity (the same constant with flipped signs
-    does not). ``eigenvalue_scale`` perturbs lambda for sensitivity probes.
+    does not).
     """
     n = _check_int("quadrature_points", quadrature_points, 256)
     theta = solve_theta(k)
     alpha = math.tan(theta)
-    lam = 2.0 * math.cos(theta) ** 2 * eigenvalue_scale
+    lam = 2.0 * math.cos(theta) ** 2
     x = np.linspace(0.0, 1.0, n + 1)
     c = (1.0 - 1j * alpha) / (1.0 + 1j * alpha)
     f = np.exp(1j * alpha * x) - c * np.exp(-1j * alpha * x)

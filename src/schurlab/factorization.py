@@ -177,7 +177,8 @@ class SmoothKernel:
         bottom = np.asarray(self.evaluator(probe, np.zeros_like(probe)), dtype=complex)
         top = np.asarray(self.evaluator(probe, np.full_like(probe, 2.0 * np.pi)), dtype=complex)
         gap_y = np.abs(bottom - top).max()
-        if max(gap_x, gap_y) > PERIODICITY_TOL:
+        # each gap compared on its own: max(0.0, nan) is 0.0, and NaN must fail
+        if not (gap_x <= PERIODICITY_TOL and gap_y <= PERIODICITY_TOL):
             raise ValueError(
                 f"kernel {self.name or '<anonymous>'} is not 2pi-periodic: "
                 f"seam gaps ({gap_x:.3e}, {gap_y:.3e})"
@@ -270,6 +271,11 @@ def _live_runs(samples: np.ndarray) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(edges[::2], edges[1::2])]
 
 
+def _require_finite(kernel: SmoothKernel, what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"kernel {kernel.name or '<anonymous>'} has a non-finite {what}: {value}")
+
+
 def _weighted_power(block: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
     """Row i is weights[i] @ |block|^2 for a column block of the
     coefficients; the bits equal the whole-grid products."""
@@ -296,7 +302,9 @@ def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
     for cols, block in kernel.coefficient_blocks():
         power[:, cols] = _weighted_power(block, [weights[1], weights[0]])
     rows = dict(zip((1, 0), power))
-    return float(sum(float(np.sqrt(rows[a] @ weights[b])) for a, b in needed))
+    constant = float(sum(float(np.sqrt(rows[a] @ weights[b])) for a, b in needed))
+    _require_finite(kernel, "Sobolev constant", constant)
+    return constant
 
 
 def sobolev_order(p, d: int | None = None) -> int:
@@ -475,6 +483,8 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
     # the certificate exactly nonincreasing under cutoff refinement
     retained_power = float(np.sum((np.abs(alphas) * f_sups) ** pv))
     certified = (retained_power + tail_power) ** (1.0 / pv)
+    # a non-finite tail term leaves tail_power, so the certificate, non-finite too
+    _require_finite(kernel, "certified bound", certified)
 
     fact = RankOneFactorization(
         d=d, p=as_index(p), alphas=alphas, f_samples=f_samples,

@@ -57,8 +57,8 @@ class RearrangementProfile:
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if self.values.size == 0:
             raise ValueError("profile must be nonempty")
-        if np.any(self.values < -1e-15):
-            raise ValueError("singular values must be nonnegative")
+        if not np.all(np.isfinite(self.values) & (self.values >= -1e-15)):
+            raise ValueError("singular values must be finite and nonnegative")
         self.values = np.maximum(self.values, 0.0)
         if np.any(np.diff(self.values) > 1e-12 * max(1.0, self.values[0])):
             raise ValueError("profile must be nonincreasing")

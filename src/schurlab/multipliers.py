@@ -157,10 +157,9 @@ def rank_one_sum_bound(alphas, f_sups, g_sups, p) -> float:
     a = np.atleast_1d(np.asarray(alphas, dtype=float))
     fs = np.atleast_1d(np.asarray(f_sups, dtype=float))
     gs = np.atleast_1d(np.asarray(g_sups, dtype=float))
-    if not (a.size == fs.size == gs.size):
-        raise ValueError(
-            f"length mismatch: {a.size} coefficients, {fs.size} f-sups, {gs.size} g-sups"
-        )
+    if not (0 < a.size == fs.size == gs.size):
+        raise ValueError(f"need equal nonzero lengths, got {a.size} coefficients, "
+                         f"{fs.size} f-sups, {gs.size} g-sups")
     if not np.isfinite(a).all():
         raise ValueError("coefficients must be finite")
     sups = np.concatenate([fs, gs])

@@ -214,12 +214,26 @@ class TestExitCodes:
          "--cutoff must be >= 1"),
         (["estimate-constant", "--p", "0.5", "--theta", "0.5", "--checkpoint-every", "0"],
          "--checkpoint-every must be >= 1"),
+        # a negative seed failed in numpy's SeedSequence, after a whole
+        # certificate for multiplier-bound; grid and d had the library's names
+        (["mazur", "--p", "1", "--q", "2", "--seed", "-1"], "--seed must be >= 0"),
+        (["multiplier-bound", "--kernel", "von-mises", "--p", "1", "--seed", "-1"],
+         "--seed must be >= 0"),
+        (["kfunctional", "--p0", "1", "--p1", "2", "--grid", "8"], "--grid must be >= 16"),
+        (["factorize", "--kernel", "von-mises", "--p", "1", "--d", "0"], "--d must be >= 1"),
     ])
     def test_integer_flag_below_minimum_names_the_flag(self, tmp_path, capsys, argv, message):
         out = tmp_path / "r.json"
         assert cli.main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"input error: {message}\n"
         assert not out.exists()
+
+    def test_every_integer_flag_has_a_minimum(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        int_flags = {action.dest for sp in subparsers.values() for action in sp._actions
+                     if action.type is int}
+        assert int_flags - cli.INT_MINIMA.keys() == set()
 
     @pytest.mark.parametrize("argv, message", [
         (["bks", "--p", "1", "--theta", "nan"], "--theta must be finite"),

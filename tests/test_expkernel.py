@@ -101,8 +101,12 @@ class TestEigenfunctionResidual:
         res = [eigenfunction_residual(3, n) for n in (256, 512, 1024)]
         assert res[1] < res[0] and res[2] < res[1]
 
-    def test_perturbed_eigenvalue_sensitivity(self):
-        assert eigenfunction_residual(1, 2048, eigenvalue_scale=1.01) > 1e-3
+    def test_perturbed_eigenvalue_sensitivity(self, monkeypatch):
+        # a root 1% off moves the eigenfunction and its eigenvalue: the
+        # residual rises from rounding level to far above the contract
+        root = solve_theta(1)
+        monkeypatch.setattr(expkernel, "solve_theta", lambda k: root * 1.01)
+        assert eigenfunction_residual(1, 2048) > 1e-3
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):

@@ -153,6 +153,11 @@ class TestFourierCoefficients:
         with pytest.raises(ValueError, match="periodic"):
             SmoothKernel(lambda x, y: np.asarray(x) + 0.0 * np.asarray(y), grid_size=64)
 
+    def test_all_nan_kernel_rejected(self):
+        # NaN seam gaps once compared as "not above" the tolerance
+        with pytest.raises(ValueError, match="periodic"):
+            SmoothKernel(lambda x, y: np.full(np.broadcast(x, y).shape, np.nan), grid_size=64)
+
     def test_grid_size_validation(self):
         with pytest.raises(ValueError, match="power of two"):
             SmoothKernel(lambda x, y: np.ones_like(np.asarray(x)), grid_size=100)
@@ -262,6 +267,19 @@ class TestCertifiedBound:
     def test_integral_float_order_is_the_integer_order(self):
         kern = make_kernel("von-mises", grid_size=64)
         assert certified_pcb_bound(kern, 3.0, 0.5) == certified_pcb_bound(kern, 3, 0.5)
+
+    @pytest.mark.parametrize("certify", [
+        lambda kern: certified_pcb_bound(kern, 2, 1.0),
+        lambda kern: build_factorization(kern, 2, 1.0, mode_cutoff=4),
+    ], ids=["pcb-bound", "factorization"])
+    def test_kernel_nan_on_the_grid_rejected(self, certify):
+        # the seam probe misses the grid point x_5, so the kernel constructs;
+        # its NaN spreads through every coefficient, and the certificate was NaN
+        spike = 2.0 * np.pi * 5 / 64
+        kern = SmoothKernel(lambda x, y: np.where(np.isclose(x, spike), np.nan, np.cos(x - y)),
+                            grid_size=64, name="spike")
+        with pytest.raises(ValueError, match="kernel spike has a non-finite"):
+            certify(kern)
 
     def test_cauchy_schwarz_constant(self):
         assert CAUCHY_SCHWARZ_CONST == pytest.approx(math.pi / math.sqrt(3.0))

@@ -11,7 +11,8 @@ from schurlab.expkernel import (analytic_eigenvalues, eigenfunction_residual, ny
                                 schatten_partial_sums, solve_theta)
 from schurlab.factorization import (build_factorization, dyadic_block_bound, make_kernel,
                                     sobolev_constant, sobolev_order, sum_quadrant_bound)
-from schurlab.interpolation import KFunctionalQuery, k_functional
+from schurlab.interpolation import (KFunctionalQuery, RearrangementProfile, k_functional,
+                                    lorentz_norm)
 from schurlab.multipliers import (
     SymbolMatrix,
     divided_difference_integral,
@@ -103,6 +104,9 @@ NAN = float("nan")
     (lambda: rank_one_sum_bound([1.0], [NAN], [1.0], 0.5), "sup-norms must be finite"),
     (lambda: rank_one_sum_bound([1.0], [1.0], [math.inf], 0.5), "sup-norms must be finite"),
     (lambda: rank_one_sum_bound([NAN], [1.0], [1.0], 0.5), "coefficients must be finite"),
+    (lambda: rank_one_sum_bound([], [], [], 0.5), "need equal nonzero lengths, got 0"),
+    (lambda: lorentz_norm(np.array([1.0, NAN]), 1.0, 1.0), "singular values must be finite"),
+    (lambda: RearrangementProfile([math.inf, 1.0]), "singular values must be finite"),
     (lambda: sum_quadrant_bound(math.inf, 2.0, 0.5, 0.5), "both finite; got a=inf, b=2.0"),
     (lambda: sum_quadrant_bound(1.0, math.inf, 0.5, 0.5), "both finite; got a=1.0, b=inf"),
     (lambda: schur_apply(SymbolMatrix([NAN, 1.0], [3.0, -1.0], np.ones((2, 2))),
@@ -114,14 +118,16 @@ NAN = float("nan")
     (lambda: SymbolMatrix([0.0, 1.0], [0.0, 1.0], np.exp(1j * np.ones((2, 2)))),
      "symbol values must be real"),
 ], ids=["partial-sums-nan-p", "partial-sums-inf-p", "integral-nan-x", "integral-nan-y",
-        "rank-one-nan-sup", "rank-one-inf-sup", "rank-one-nan-coefficient",
+        "rank-one-nan-sup", "rank-one-inf-sup", "rank-one-nan-coefficient", "rank-one-empty",
+        "lorentz-nan-value", "profile-inf-value",
         "quadrant-inf-a", "quadrant-inf-b", "symbol-nan-rows", "symbol-inf-cols",
         "symbol-complex-values"])
 def test_non_finite_inputs_rejected(call, message):
     # each of these returned a value (NaN, 0 for an infinite p or a, a Schur
     # product for a symbol whose NaN rows passed as the operand's spectrum)
-    # or failed with something other than a ValueError; complex symbol
-    # values kept only their real part
+    # or failed with something other than a ValueError (an empty rank-one
+    # sum with numpy's "zero-size array"); complex symbol values kept only
+    # their real part
     with pytest.raises(ValueError, match=message):
         call()
 

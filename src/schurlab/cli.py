@@ -109,7 +109,8 @@ FLOAT_LISTS = ("t", "thetas", "sums_p", "theta")
 def _check_flags(ns) -> None:
     """Reject, naming the flag, an integer below its minimum or a non-finite
     float. --a is left to make_kernel, so the kernel that reads it names its
-    range; an unset --d (None) is left to sobolev_order's default."""
+    range; an unset --d, --theta or --a (None) is left to the library's
+    default."""
     for name, value in vars(ns).items():
         flag = "--" + name.replace("_", "-")
         if name in INT_MINIMA and value is not None:
@@ -294,14 +295,17 @@ def _run_estimate_constant(ns) -> dict:
 
 def _certificate_inputs(ns):
     """The catalog kernel, index p and Sobolev order d of a certificate command.
-    The kernel holds its evaluator and no grid; its certificates stream the
-    Fourier coefficients one column block at a time."""
+    Only a given --theta or --a reaches make_kernel, so the catalog holds each
+    default and a kernel refuses a parameter it does not take. The kernel holds
+    its evaluator and no grid; its certificates stream the Fourier coefficients
+    one column block at a time."""
     from .factorization import kernel_catalog, make_kernel, sobolev_order
 
     _require(ns.kernel in kernel_catalog(), f"unknown kernel {ns.kernel!r}")
     p = _parse_p(ns.p)
     d = sobolev_order(p, ns.d)
-    return make_kernel(ns.kernel, theta=ns.theta, a=ns.a), p, d
+    params = {key: value for key, value in (("theta", ns.theta), ("a", ns.a)) if value is not None}
+    return make_kernel(ns.kernel, **params), p, d
 
 
 def _run_multiplier_bound(ns) -> dict:
@@ -326,9 +330,11 @@ def _run_multiplier_bound(ns) -> dict:
         "upper": upper,
         "lower_scope": estimate.lower_scope,
         "pass": estimate.lower <= upper + 1e-9,
-        "witness": serialize.matrix_to_json(estimate.witness),
         "symbol": sym.to_json(),
     }
+    # an all-zero sampled symbol has lower bound 0 and no witness
+    if estimate.witness is not None:
+        results["witness"] = serialize.matrix_to_json(estimate.witness)
     if not results["pass"]:
         raise VerificationError("empirical lower bound exceeds the certificate", results)
     return results
@@ -442,18 +448,23 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="schurlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, trials_default=100):
+    def common(sp, trials=None):
+        # --seed on every command, for the body's top-level seed; --trials
+        # only on the commands that read it
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="report path (default: $SCHURLAB_OUTDIR)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--trials", type=int, default=trials_default)
+        if trials is not None:
+            sp.add_argument("--trials", type=int, default=trials)
 
     def certificate(sp):
         sp.add_argument("--kernel", required=True)
         sp.add_argument("--p", required=True)
         sp.add_argument("--d", type=int, default=None)
-        sp.add_argument("--theta", type=float, default=0.5)
-        sp.add_argument("--a", type=float, default=1.0)
+        sp.add_argument("--theta", type=float, default=None,
+                        help="read by power-ratio-window only")
+        sp.add_argument("--a", type=float, default=None,
+                        help="read by shifted-resolvent only")
 
     sp = sub.add_parser("verify-ando", help="divided-difference identity sweep")
     common(sp, 200)
@@ -481,12 +492,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--samples", type=int, default=24)
 
     sp = sub.add_parser("factorize", help="export a truncated rank-one factorization")
-    common(sp, 1)
+    common(sp)
     certificate(sp)
     sp.add_argument("--cutoff", type=int, default=256)
 
     sp = sub.add_parser("kernel-spectrum", help="analytic vs discretized spectrum")
-    common(sp, 1)
+    common(sp)
     sp.add_argument("--kmax", type=int, default=10)
     sp.add_argument("--nystrom", type=int, default=2000)
     sp.add_argument("--quadrature", type=int, default=2048)
@@ -542,20 +553,20 @@ def _flatten_for_csv(results: dict) -> tuple[list[str], list[list]]:
     return cols, [[results[c] for c in cols]]
 
 
-def _write_report(path: str, fmt: str, command: str, config: dict, results: dict,
-                  started: float) -> None:
+def _write_report(path: str, ns, results: dict, started: float) -> None:
     header = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "duration_seconds": time.time() - started,
     }
+    config = _config_dict(ns)
     body = {
-        "command": command,
+        "command": ns.command,
         "config": config,
-        "seed": config.get("seed", 0),
+        "seed": ns.seed,
         "version": __version__,
         "results": results,
     }
-    if fmt == "json":
+    if ns.format == "json":
         # encoded before the file is opened, so a value that fails to encode
         # leaves no partial report; the body text (11 MB for `factorize`) is
         # written in slices, since one write would encode all of it at once
@@ -585,8 +596,16 @@ def _write_report(path: str, fmt: str, command: str, config: dict, results: dict
         fh.write("\n".join(lines) + "\n")
 
 
+# Flags that steer a run but cannot change its results: where and how the
+# report is written, and how a search checkpoints and resumes.
+RUN_CONTROL = ("out", "format", "resume", "checkpoint_every")
+
+
 def _config_dict(ns) -> dict:
-    return {k: v for k, v in vars(ns).items() if k not in ("command", "out") and v is not None}
+    """The given flags that shape the results: none of RUN_CONTROL, and no
+    unset (None) flag, whose default the body's version implies."""
+    return {k: v for k, v in vars(ns).items()
+            if k != "command" and k not in RUN_CONTROL and v is not None}
 
 
 RUNNERS = {
@@ -614,11 +633,11 @@ def main(argv=None) -> int:
             results = RUNNERS[ns.command](ns)
         except (VerificationError, InvariantViolation) as exc:
             results = getattr(exc, "results", {"pass": False, "violation": str(exc)})
-            _write_report(out, ns.format, ns.command, _config_dict(ns), results, started)
+            _write_report(out, ns, results, started)
             print(f"VIOLATION: {exc}", file=sys.stderr)
             print(f"report: {out}")
             return EXIT_VIOLATION
-        _write_report(out, ns.format, ns.command, _config_dict(ns), results, started)
+        _write_report(out, ns, results, started)
         print(f"report: {out}")
         return EXIT_OK
     except (ValueError, KeyError, OSError) as exc:

@@ -602,9 +602,11 @@ def _window_ratio_kernel(theta):
 def _plus_resolvent_kernel(a):
     # the bumps are supported on u in (-1/4, 5/4), so the denominator
     # a + u_x + u_y is positive on the support exactly when a >= 1/2;
-    # written so that NaN fails too
+    # written so that NaN fails too. At a = inf the kernel would be all 0.
     if not a >= 0.5:
         raise ValueError(f"the shifted-resolvent kernel needs a >= 0.5, got a = {a}")
+    if not math.isfinite(a):
+        raise ValueError(f"kernel parameter a must be finite, got {a}")
 
     def evaluate(x, y):
         xw, yw = _wrap_pi(x), _wrap_pi(y)
@@ -615,35 +617,39 @@ def _plus_resolvent_kernel(a):
 
 
 def kernel_catalog() -> dict:
-    """Named builders for the preloaded kernels; see ``make_kernel``."""
+    """Named builders for the preloaded kernels; see ``make_kernel``. A
+    builder's keyword-only arguments are its kernel's parameters, with their
+    defaults, and the builder checks each one."""
     return {
-        "power-ratio-singular": lambda grid_size=2048, **_: SmoothKernel(
+        "power-ratio-singular": lambda *, grid_size=2048: SmoothKernel(
             _singular_ratio_kernel, grid_size, name="power-ratio-singular"),
-        "power-ratio-window": lambda grid_size=2048, theta=0.5, **_: SmoothKernel(
+        "power-ratio-window": lambda *, grid_size=2048, theta=0.5: SmoothKernel(
             _window_ratio_kernel(float(theta)), grid_size, name="power-ratio-window"),
-        "shifted-resolvent": lambda grid_size=2048, a=1.0, **_: SmoothKernel(
+        "shifted-resolvent": lambda *, grid_size=2048, a=1.0: SmoothKernel(
             _plus_resolvent_kernel(float(a)), grid_size, name="shifted-resolvent"),
-        "cosine-product": lambda grid_size=256, **_: SmoothKernel(
+        "cosine-product": lambda *, grid_size=256: SmoothKernel(
             lambda x, y: np.cos(x) * np.cos(y), grid_size, name="cosine-product"),
-        "complex-mode": lambda grid_size=256, **_: SmoothKernel(
+        "complex-mode": lambda *, grid_size=256: SmoothKernel(
             lambda x, y: np.exp(1j * (np.asarray(x) + 2.0 * np.asarray(y))),
             grid_size, name="complex-mode"),
-        "von-mises": lambda grid_size=256, **_: SmoothKernel(
+        "von-mises": lambda *, grid_size=256: SmoothKernel(
             lambda x, y: np.exp(np.cos(np.asarray(x) - np.asarray(y))),
             grid_size, name="von-mises"),
     }
 
 
 def make_kernel(name: str, **params) -> SmoothKernel:
+    """The catalog kernel ``name`` built with ``params``; a parameter the
+    kernel does not take is refused, not ignored."""
     catalog = kernel_catalog()
     if name not in catalog:
         raise KeyError(f"unknown kernel {name!r}; catalog: {sorted(catalog)}")
-    kernel = catalog[name](**params)
-    # after the builder, so a kernel that reads a parameter reports its own range
-    for key, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"kernel parameter {key} must be finite, got {value}")
-    return kernel
+    builder = catalog[name]
+    for key in params:
+        if key not in builder.__kwdefaults__:
+            raise ValueError(f"kernel {name!r} takes no parameter {key!r}; "
+                             f"it takes {sorted(builder.__kwdefaults__)}")
+    return builder(**params)
 
 
 # ----------------------------------------------------------------------------
@@ -696,8 +702,9 @@ def plus_kernel_bound(a: float, p, d: int | None = None, grid_size: int = 2048) 
     general a is exactly bound(1)/a because the a-symbol is 1/a times a
     restriction of the a = 1 symbol.
     """
-    if not a >= 1.0:
-        raise ValueError("the shifted-resolvent bound requires a >= 1")
+    # written so that NaN fails too; at a = inf the bound would read 0
+    if not 1.0 <= a < math.inf:
+        raise ValueError(f"the shifted-resolvent bound requires a >= 1 and finite, got a = {a}")
     d = sobolev_order(p, d)
     return _catalog_bound("shifted-resolvent", grid_size, d, as_index(p).value) / float(a)
 

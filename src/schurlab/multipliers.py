@@ -169,10 +169,20 @@ def rank_one_sum_bound(alphas, f_sups, g_sups, p) -> float:
     return lp * float(np.max(fs * gs))
 
 
+def _subset_indices(name: str, subset, length: int) -> np.ndarray:
+    """The entries of ``subset`` as ints, each checked to lie in [0, length):
+    no fraction is truncated and no negative index wraps around."""
+    indices = [_check_int(f"{name}[{i}]", v, 0) for i, v in enumerate(np.atleast_1d(subset))]
+    for i, v in enumerate(indices):
+        if v >= length:
+            raise ValueError(f"{name}[{i}] must be < {length}, got {v}")
+    return np.array(indices, dtype=int)
+
+
 def restrict_symbol(m: SymbolMatrix, row_subset, col_subset) -> SymbolMatrix:
     """Restriction to index subsets; never increases the multiplier norm."""
-    r = np.atleast_1d(np.asarray(row_subset, dtype=int))
-    c = np.atleast_1d(np.asarray(col_subset, dtype=int))
+    r = _subset_indices("row_subset", row_subset, m.rows.size)
+    c = _subset_indices("col_subset", col_subset, m.cols.size)
     if r.size == 0 or c.size == 0:
         raise ValueError("row and column subsets must be nonempty")
     return SymbolMatrix(m.rows[r], m.cols[c], m.values[np.ix_(r, c)])

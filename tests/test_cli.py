@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -21,6 +22,17 @@ def load_report(path):
 
 def body_bytes(path):
     return serialize.dumps_canonical(load_report(path)["body"]).encode()
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def with_trials(argv, trials="3"):
+    """argv with --trials inserted after the command, if the command takes it."""
+    takes = any(action.dest == "trials" for action in _subparsers()[argv[0]]._actions)
+    return argv[:1] + (["--trials", trials] if takes else []) + argv[1:]
 
 
 def validate(path, command):
@@ -201,7 +213,7 @@ class TestExitCodes:
     ])
     def test_out_of_range_input_exits_1_without_report(self, tmp_path, capsys, argv, message):
         out = tmp_path / "r.json"
-        assert cli.main(argv[:1] + ["--trials", "3"] + argv[1:] + ["--out", str(out)]) == 1
+        assert cli.main(with_trials(argv) + ["--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -240,10 +252,11 @@ class TestExitCodes:
         (["commutator", "--p", "1", "--theta", "inf"], "--theta must be finite"),
         (["multiplier-bound", "--kernel", "power-ratio-window", "--p", "0.5", "--theta", "nan"],
          "--theta must be finite"),
+        # neither kernel reads a, so it is refused whatever its value
         (["multiplier-bound", "--kernel", "power-ratio-window", "--p", "0.5", "--a", "nan"],
-         "kernel parameter a must be finite"),
+         "kernel 'power-ratio-window' takes no parameter 'a'"),
         (["factorize", "--kernel", "von-mises", "--p", "1", "--a", "inf"],
-         "kernel parameter a must be finite"),
+         "kernel 'von-mises' takes no parameter 'a'"),
         (["weak-lp", "--p", "inf"], "--p must be finite"),
         (["mazur", "--p", "nan", "--q", "2"], "--p must be finite"),
         (["mazur", "--p", "1", "--q", "inf"], "--q must be finite"),
@@ -255,7 +268,7 @@ class TestExitCodes:
     ])
     def test_non_finite_value_exits_1_without_report(self, tmp_path, capsys, argv, message):
         out = tmp_path / "r.json"
-        assert cli.main(argv[:1] + ["--trials", "3"] + argv[1:] + ["--out", str(out)]) == 1
+        assert cli.main(with_trials(argv) + ["--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -613,3 +626,124 @@ def test_resume_rejects_checkpoint_without_dimension_best(tmp_path, capsys):
     assert "checkpoint lacks the fields ['dim_best', 'dim_best_x', 'dim_best_y']" in (
         capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_all_zero_sampled_symbol_reports_lower_0_without_witness(tmp_path):
+    # one sample pair of shifted-resolvent falls outside the bumps at seeds 0
+    # and 1, so every sampled value is 0 and no witness exists; the report
+    # used to fail serializing the missing witness
+    for seed in ("0", "1"):
+        out = tmp_path / f"r{seed}.json"
+        assert cli.main(["multiplier-bound", "--kernel", "shifted-resolvent", "--p", "1",
+                         "--samples", "1", "--trials", "1", "--seed", seed,
+                         "--out", str(out)]) == 0
+        validate(out, "multiplier-bound")
+        res = load_report(out)["body"]["results"]
+        assert res["symbol"]["values"] == [0]
+        assert res["lower"] == 0 and res["pass"] is True and "witness" not in res
+
+
+class TestConfigHoldsWhatShapesResults:
+    # a small run of every command, with each flag the command declares given,
+    # but for the kernel parameters that cosine-product does not take
+    WALK = {
+        "verify-ando": ["--trials", "2", "--dims", "2", "--thetas", "0.5"],
+        "estimate-constant": ["--p", "0.5", "--theta", "0.5", "--signed", "--trials", "2",
+                              "--dims", "2", "--checkpoint-every", "1"],
+        "bks": ["--p", "1", "--theta", "0.5", "--trials", "2", "--dims", "2"],
+        "multiplier-bound": ["--kernel", "cosine-product", "--p", "1", "--d", "2",
+                             "--samples", "2", "--trials", "1"],
+        "factorize": ["--kernel", "cosine-product", "--p", "1", "--d", "2", "--cutoff", "4"],
+        "kernel-spectrum": ["--kmax", "2", "--nystrom", "64", "--quadrature", "256",
+                            "--sums-p", "0.5", "--sums-kmax", "10"],
+        "kfunctional": ["--p0", "1", "--p1", "2", "--theta", "0.5", "--signed", "--t", "1",
+                        "--trials", "1", "--dim", "2", "--grid", "16"],
+        "weak-lp": ["--p", "1", "--q", "1", "--theta", "0.5", "--signed", "--trials", "1",
+                    "--dim", "2"],
+        "commutator": ["--p", "1", "--theta", "0.5", "--signed", "--trials", "1", "--dim", "2"],
+        "mazur": ["--p", "1", "--q", "2", "--trials", "1", "--dim", "2"],
+    }
+
+    def test_walk_covers_every_command(self):
+        assert set(self.WALK) == set(cli.RUNNERS) == set(_subparsers())
+
+    @pytest.mark.parametrize("command", sorted(WALK))
+    def test_every_flag_but_run_control_is_read(self, tmp_path, command):
+        # a flag the run never reads cannot shape its results, so it has no
+        # place on the command line or in the report's config
+        reads = set()
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        out = tmp_path / "r.json"
+        ns = cli.build_parser().parse_args([command, *self.WALK[command], "--out", str(out)],
+                                           namespace=Recorder())
+        dests = set(vars(ns))
+        reads.clear()
+        cli._write_report(str(out), ns, cli.RUNNERS[command](ns), 0.0)
+        shaping = dests - {"command", *cli.RUN_CONTROL}
+        assert shaping - reads == set()
+        given = {k for k in shaping if vars(ns)[k] is not None}
+        assert set(load_report(out)["body"]["config"]) == given
+
+    def test_resumed_and_recheckpointed_bodies_are_byte_identical(self, tmp_path):
+        from schurlab.experiments import estimate_constant
+        args = ["estimate-constant", "--p", "0.5", "--theta", "0.5", "--dims", "2,3",
+                "--trials", "30", "--seed", "4"]
+        full, resumed, every = (tmp_path / f"{n}.json" for n in ("full", "resumed", "every"))
+        assert cli.main(args + ["--out", str(full)]) == 0
+        snaps = []
+        estimate_constant(0.5, 0.5, False, [2, 3], 30, seed=4,
+                          checkpoint_every=20, checkpoint_cb=snaps.append)
+        Path(str(resumed) + ".ckpt.json").write_text(serialize.dumps_canonical(snaps[0]))
+        assert cli.main(args + ["--resume", "--out", str(resumed)]) == 0
+        assert cli.main(args + ["--checkpoint-every", "10", "--out", str(every)]) == 0
+        assert body_bytes(resumed) == body_bytes(full) == body_bytes(every)
+
+    @pytest.mark.parametrize("argv", [
+        ["factorize", "--kernel", "von-mises", "--p", "1", "--cutoff", "8", "--trials", "5"],
+        ["kernel-spectrum", "--kmax", "2", "--nystrom", "64", "--trials", "7"],
+    ])
+    def test_unread_trials_flag_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert "unrecognized arguments: --trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, kernel, param", [
+        (["multiplier-bound", "--kernel", "von-mises", "--p", "0.5", "--theta", "0.3"],
+         "von-mises", "theta"),
+        (["factorize", "--kernel", "von-mises", "--p", "1", "--cutoff", "8", "--theta", "0.3",
+          "--a", "9"], "von-mises", "theta"),
+        (["factorize", "--kernel", "power-ratio-window", "--p", "1", "--a", "2"],
+         "power-ratio-window", "a"),
+        (["multiplier-bound", "--kernel", "shifted-resolvent", "--p", "1", "--theta", "0.5"],
+         "shifted-resolvent", "theta"),
+    ])
+    def test_parameter_the_kernel_does_not_read_exits_1(self, tmp_path, capsys, argv, kernel,
+                                                         param):
+        out = tmp_path / "r.json"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert f"kernel {kernel!r} takes no parameter {param!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_resolvent_shift_keeps_its_message(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert cli.main(["factorize", "--kernel", "shifted-resolvent", "--p", "1", "--a", "inf",
+                         "--out", str(out)]) == 1
+        assert "kernel parameter a must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unset_kernel_parameter_is_the_catalog_default(self, tmp_path):
+        # only a given --a reaches the body; the unset one is the catalog's
+        # a = 1, so both runs have the same results
+        argv = ["factorize", "--kernel", "shifted-resolvent", "--p", "1", "--cutoff", "4"]
+        unset, given = tmp_path / "unset.json", tmp_path / "given.json"
+        assert cli.main(argv + ["--out", str(unset)]) == 0
+        assert cli.main(argv + ["--a", "1", "--out", str(given)]) == 0
+        unset, given = load_report(unset)["body"], load_report(given)["body"]
+        assert unset["results"] == given["results"]
+        assert "a" not in unset["config"] and given["config"]["a"] == 1.0

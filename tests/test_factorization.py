@@ -614,14 +614,28 @@ class TestCatalog:
         with pytest.raises(ValueError, match="needs a >= 0.5"):
             make_kernel("shifted-resolvent", grid_size=64, a=a)
 
-    @pytest.mark.parametrize("name, params", [
-        ("power-ratio-window", {"theta": float("nan")}),
-        ("von-mises", {"a": float("inf")}),
-        ("shifted-resolvent", {"a": float("inf")}),
+    @pytest.mark.parametrize("name, params, message", [
+        ("power-ratio-window", {"theta": float("nan")}, "theta must be finite"),
+        # von-mises reads no a, so it refuses one rather than check and ignore it
+        ("von-mises", {"a": float("inf")}, "kernel 'von-mises' takes no parameter 'a'"),
+        ("shifted-resolvent", {"a": float("inf")}, "kernel parameter a must be finite"),
     ])
-    def test_non_finite_parameter_rejected(self, name, params):
-        with pytest.raises(ValueError, match="must be finite"):
+    def test_non_finite_parameter_rejected(self, name, params, message):
+        with pytest.raises(ValueError, match=message):
             make_kernel(name, grid_size=64, **params)
+
+    @pytest.mark.parametrize("name, params", [
+        ("von-mises", {"theta": 0.3}),
+        ("cosine-product", {"a": 2.0}),
+        ("power-ratio-window", {"a": 2.0}),
+        ("shifted-resolvent", {"theta": 0.5}),
+        ("power-ratio-singular", {"grid": 64}),
+    ])
+    def test_parameter_the_kernel_does_not_take_rejected(self, name, params):
+        # the builders used to swallow any keyword, so the value was ignored
+        (key,) = params
+        with pytest.raises(ValueError, match=f"kernel '{name}' takes no parameter '{key}'"):
+            make_kernel(name, **params)
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, -2.0])
     def test_window_theta_outside_unit_interval_rejected(self, theta):

@@ -10,7 +10,8 @@ from schurlab.experiments import estimate_constant
 from schurlab.expkernel import (analytic_eigenvalues, eigenfunction_residual, nystrom_spectrum,
                                 schatten_partial_sums, solve_theta)
 from schurlab.factorization import (build_factorization, dyadic_block_bound, make_kernel,
-                                    sobolev_constant, sobolev_order, sum_quadrant_bound)
+                                    plus_kernel_bound, sobolev_constant, sobolev_order,
+                                    sum_quadrant_bound)
 from schurlab.interpolation import (KFunctionalQuery, RearrangementProfile, k_functional,
                                     lorentz_norm)
 from schurlab.multipliers import (
@@ -109,6 +110,7 @@ NAN = float("nan")
     (lambda: RearrangementProfile([math.inf, 1.0]), "singular values must be finite"),
     (lambda: sum_quadrant_bound(math.inf, 2.0, 0.5, 0.5), "both finite; got a=inf, b=2.0"),
     (lambda: sum_quadrant_bound(1.0, math.inf, 0.5, 0.5), "both finite; got a=1.0, b=inf"),
+    (lambda: plus_kernel_bound(math.inf, 1.0, None, 256), "requires a >= 1 and finite, got a = inf"),
     (lambda: schur_apply(SymbolMatrix([NAN, 1.0], [3.0, -1.0], np.ones((2, 2))),
                          spectral_decompose(np.diag([2.0, 1.0])),
                          spectral_decompose(np.diag([3.0, -1.0])), np.eye(2)),
@@ -120,7 +122,7 @@ NAN = float("nan")
 ], ids=["partial-sums-nan-p", "partial-sums-inf-p", "integral-nan-x", "integral-nan-y",
         "rank-one-nan-sup", "rank-one-inf-sup", "rank-one-nan-coefficient", "rank-one-empty",
         "lorentz-nan-value", "profile-inf-value",
-        "quadrant-inf-a", "quadrant-inf-b", "symbol-nan-rows", "symbol-inf-cols",
+        "quadrant-inf-a", "quadrant-inf-b", "plus-inf-a", "symbol-nan-rows", "symbol-inf-cols",
         "symbol-complex-values"])
 def test_non_finite_inputs_rejected(call, message):
     # each of these returned a value (NaN, 0 for an infinite p or a, a Schur
@@ -476,6 +478,16 @@ class TestRestrictSymbol:
         m = SymbolMatrix([0.0, 1.0], [0.0, 1.0], np.eye(2))
         with pytest.raises(ValueError, match="nonempty"):
             restrict_symbol(m, [], [0])
+
+    @pytest.mark.parametrize("rows, message", [
+        ([1.5], "row_subset[0] must be an integer >= 0, got 1.5"),   # selected row 1
+        ([0, -1], "row_subset[1] must be an integer >= 0, got -1"),  # wrapped to the last row
+        ([7], "row_subset[0] must be < 3, got 7"),                   # numpy's IndexError
+    ], ids=["fractional", "negative", "past-the-end"])
+    def test_rejects_bad_index(self, rows, message):
+        m = SymbolMatrix(np.arange(3.0), np.arange(3.0), np.eye(3))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            restrict_symbol(m, rows, [0])
 
     def test_shared_witness_never_exceeds_parent(self, rng):
         # the restricted best witness, zero-padded, realizes the same ratio

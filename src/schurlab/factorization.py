@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Context, Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -50,6 +51,10 @@ RAMP_STEEPNESS = 8.0
 COORDINATE_STRETCH = 0.5        # u = COORDINATE_STRETCH * x for catalog kernels
 PERIODICITY_TOL = 1e-9
 DEFAULT_MODE_CUTOFF = 256
+# Certified values are published rounded up to this many significant digits,
+# so a certificate does not move with the last bits of the FFT behind it.
+PUBLISHED_DIGITS = 12
+_ROUND_UP = Context(prec=PUBLISHED_DIGITS, rounding=ROUND_CEILING)
 # Blocks of the streamed certificate; every size gives the same bits. The
 # row transforms of the kernel's live rows are kept, ROW_BLOCK rows to an
 # array, and they set the certificate's memory (56 MiB for
@@ -271,6 +276,13 @@ def _live_runs(samples: np.ndarray) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(edges[::2], edges[1::2])]
 
 
+def _round_up(value: float) -> float:
+    """The least PUBLISHED_DIGITS-digit decimal >= value, as its nearest
+    double. That double is still >= value: value is a double itself, and
+    rounding to nearest is monotone. So a rounded upper bound stays one."""
+    return float(_ROUND_UP.plus(Decimal(value)))
+
+
 def _require_finite(kernel: SmoothKernel, what: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"kernel {kernel.name or '<anonymous>'} has a non-finite {what}: {value}")
@@ -330,9 +342,10 @@ def _prefactor(d: int, p) -> float:
 
 
 def certified_pcb_bound(kernel: SmoothKernel, d: int, p) -> float:
-    """(2/(dp-1) + 2)^(1/p) * (pi/sqrt(3) + 1) * sobolev_constant(kernel, d)."""
+    """(2/(dp-1) + 2)^(1/p) * (pi/sqrt(3) + 1) * sobolev_constant(kernel, d),
+    rounded up to PUBLISHED_DIGITS significant digits."""
     d = sobolev_order(p, d)
-    return _prefactor(d, p) * UNIVERSAL_CONST * sobolev_constant(kernel, d)
+    return _round_up(_prefactor(d, p) * UNIVERSAL_CONST * sobolev_constant(kernel, d))
 
 
 # ----------------------------------------------------------------------------
@@ -350,7 +363,8 @@ class RankOneFactorization:
     in p-th powers (each factor normalized to unit sup), which dominates the
     rank-one sum bound of the data and never increases under cutoff
     refinement; ``truncation_error`` is the plain-sum tail, an upper bound on
-    the sup-norm reconstruction gap; ``reconstruction_error`` is that gap,
+    the sup-norm reconstruction gap; both are rounded up to PUBLISHED_DIGITS
+    significant digits. ``reconstruction_error`` is that gap,
     max |reconstruct() - samples| on the grid, measured by the self-check of
     ``build_factorization``.
     """
@@ -488,8 +502,8 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
 
     fact = RankOneFactorization(
         d=d, p=as_index(p), alphas=alphas, f_samples=f_samples,
-        g_labels=np.array(retained, dtype=int), certified_bound=float(certified),
-        truncation_error=float(tail), grid_size=n,
+        g_labels=np.array(retained, dtype=int), certified_bound=_round_up(certified),
+        truncation_error=_round_up(tail), grid_size=n,
     )
     # max |reconstruction - samples| and max |samples|, one block of rows at a time
     phases = fact._grid_phases()

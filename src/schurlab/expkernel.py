@@ -3,8 +3,9 @@
 Eigenvalues are 2 cos^2(theta_k) where theta_k is the unique root of
 tan t = -2t + k pi in (0, pi/2). Bisection runs on the overflow-free form
 sin t + (2t - k pi) cos t, which has the same roots with bounded arithmetic,
-and stops once the bracket is two adjacent doubles (53-55 halvings; a
-200-step cap stays as a guard). Large-k eigenvalues for the Schatten partial
+elementwise over every k asked for at once, and stops for each k once its
+bracket is two adjacent doubles (53-55 halvings; a 200-step cap stays as a
+guard). Large-k eigenvalues for the Schatten partial
 sums come from a two-step Newton correction around arctan(k pi); its relative
 error is O(k^-2), far below the tolerances of the divergence diagnostics.
 
@@ -60,46 +61,62 @@ class KernelSpectrum:
             raise ValueError("eigenvalues must decrease strictly and stay positive")
 
 
-def _scaled_tol(k: int) -> float:
+def _scaled_tol(k):
     """Root-residual tolerance that grows with the float-spacing limit ~(k pi)^2."""
-    return max(1e-10, 5e-14 * (k * math.pi) ** 2)
+    return np.maximum(1e-10, 5e-14 * (k * np.pi) ** 2)
 
 
-def _bracket_residual(t: float, k: int) -> float:
-    return math.sin(t) + (2.0 * t - k * math.pi) * math.cos(t)
+def _bracket_residual(t: np.ndarray, k_pi: np.ndarray) -> np.ndarray:
+    return np.sin(t) + (2.0 * t - k_pi) * np.cos(t)
+
+
+def _bisect_roots(ks: np.ndarray) -> np.ndarray:
+    """Unique root of tan t = -2t + k pi in (0, pi/2) for each k in ``ks``
+    (float64 integers >= 1), by one elementwise bisection.
+
+    A root stops moving when its midpoint equals an end of its bracket, i.e.
+    when lo and hi are adjacent doubles: no further halving can move either
+    end, so the root is the one 200 full steps would give (the 200-step cap
+    stays as a guard). Where np.sin and np.cos round as math.sin and
+    math.cos do, each root has the bits of the scalar loop run on its k
+    alone (the tests compare the two). The residual
+    |tan t + 2t - k pi| at a root is limited by float spacing times the
+    slope (~(k pi)^2), so it is checked against ``_scaled_tol(k)``, which
+    grows at that rate; a larger residual raises InvariantViolation.
+    """
+    k_pi = ks * np.pi
+    lo = np.full(ks.shape, 1e-12)
+    hi = np.full(ks.shape, math.pi / 2 - 1e-15)
+    flo, fhi = _bracket_residual(lo, k_pi), _bracket_residual(hi, k_pi)
+    bad = np.flatnonzero(~((flo < 0) & (fhi > 0)))
+    if bad.size:
+        i = bad[0]
+        raise InvariantViolation(
+            f"bisection bracket failed for k={int(ks[i])}: ({flo[i]}, {fhi[i]})")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        moving = (mid != lo) & (mid != hi)
+        if not moving.any():
+            break
+        below = _bracket_residual(mid, k_pi) < 0
+        lo = np.where(moving & below, mid, lo)
+        hi = np.where(moving & ~below, mid, hi)
+    roots = 0.5 * (lo + hi)
+    residual = np.abs(np.tan(roots) + 2.0 * roots - k_pi)
+    tol = np.broadcast_to(_scaled_tol(ks), ks.shape)
+    bad = np.flatnonzero(~(residual <= tol))
+    if bad.size:
+        i = bad[0]
+        raise InvariantViolation(
+            f"root residual {residual[i]:.3e} exceeds {tol[i]:.1e} for k={int(ks[i])}")
+    return roots
 
 
 def solve_theta(k: int) -> float:
-    """Unique root of tan t = -2t + k pi in (0, pi/2) by bisection.
-
-    Bisection stops when the midpoint equals an end of the bracket, i.e.
-    when lo and hi are adjacent doubles: no further halving can move either
-    end, so the root is the one 200 full steps would give (the 200-step cap
-    stays as a guard). The residual |tan t + 2t - k pi| at the returned root
-    is limited by float spacing times the slope (~(k pi)^2), so it is
-    checked against ``_scaled_tol(k)``, which grows at that rate; a larger
-    residual raises InvariantViolation.
-    """
+    """Unique root of tan t = -2t + k pi in (0, pi/2): the one entry of
+    ``_bisect_roots`` for k."""
     k = _check_int("k", k, 1)
-    lo, hi = 1e-12, math.pi / 2 - 1e-15
-    flo, fhi = _bracket_residual(lo, k), _bracket_residual(hi, k)
-    if not (flo < 0 < fhi):
-        raise InvariantViolation(f"bisection bracket failed for k={k}: ({flo}, {fhi})")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _bracket_residual(mid, k) < 0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    residual = abs(math.tan(root) + 2.0 * root - k * math.pi)
-    tol = _scaled_tol(k)
-    if residual > tol:
-        raise InvariantViolation(
-            f"root residual {residual:.3e} exceeds {tol:.1e} for k={k}")
-    return root
+    return float(_bisect_roots(np.array([float(k)]))[0])
 
 
 def _newton_thetas(ks: np.ndarray) -> np.ndarray:
@@ -114,8 +131,8 @@ def _root_table(k_max: int) -> np.ndarray:
     """theta_k for k = 1..k_max: bisection roots up to EXACT_ROOT_LIMIT,
     Newton tail beyond, NEWTON_PIECE roots at a time."""
     thetas = np.empty(k_max)
-    for k in range(1, min(k_max, EXACT_ROOT_LIMIT) + 1):
-        thetas[k - 1] = solve_theta(k)
+    exact = min(k_max, EXACT_ROOT_LIMIT)
+    thetas[:exact] = _bisect_roots(np.arange(1, exact + 1, dtype=float))
     for start in range(EXACT_ROOT_LIMIT, k_max, NEWTON_PIECE):
         stop = min(start + NEWTON_PIECE, k_max)
         thetas[start:stop] = _newton_thetas(np.arange(start + 1, stop + 1, dtype=float))

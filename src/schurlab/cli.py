@@ -53,6 +53,8 @@ EXIT_VIOLATION = 2
 # so one write of the 11 MB `factorize` body would hold an 11 MB encoded
 # copy next to the text; a 1 MiB slice holds 1 MB.
 WRITE_SLICE = 1 << 20
+# Trials between checkpoints of a single-pair estimate-constant search.
+DEFAULT_CHECKPOINT_EVERY = 10000
 
 
 class VerificationError(Exception):
@@ -246,6 +248,8 @@ def _run_estimate_constant(ns) -> dict:
     if len(p_list) > 1 or len(theta_list) > 1:
         # (p, theta) sweep grid: one summary row per combination
         _require(not ns.resume, "--resume only supports a single (p, theta) pair")
+        _require(ns.checkpoint_every is None,
+                 "--checkpoint-every only supports a single (p, theta) pair")
         rows = []
         for p in p_list:
             for theta in theta_list:
@@ -275,7 +279,9 @@ def _run_estimate_constant(ns) -> dict:
 
     report = estimate_constant(
         p, ns.theta, ns.signed, dims, ns.trials, seed=ns.seed,
-        checkpoint_every=ns.checkpoint_every, checkpoint_cb=save_ckpt, resume=resume,
+        checkpoint_every=(DEFAULT_CHECKPOINT_EVERY if ns.checkpoint_every is None
+                          else ns.checkpoint_every),
+        checkpoint_cb=save_ckpt, resume=resume,
     )
     for path in (ckpt_path, ckpt_path + ".tmp"):
         if os.path.exists(path):
@@ -477,7 +483,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--theta", required=True, help="exponent, or comma list for a sweep grid")
     sp.add_argument("--signed", action="store_true")
     sp.add_argument("--dims", default="2,3,4")
-    sp.add_argument("--checkpoint-every", type=int, default=10000)
+    # unset (None) unless given, so a sweep grid, which never checkpoints, can refuse it
+    sp.add_argument("--checkpoint-every", type=int, default=None,
+                    help=f"single (p, theta) pair only; default {DEFAULT_CHECKPOINT_EVERY}")
     sp.add_argument("--resume", action="store_true")
 
     sp = sub.add_parser("bks", help="positive-operator constant-1 sweep")

@@ -200,6 +200,12 @@ class TestExitCodes:
         # checks the command line keeps
         (["estimate-constant", "--p", "0.5", "--theta", "0.5,1"],
          "theta must lie strictly inside (0, 1), got 1.0"),
+        # a (p, theta) sweep grid never checkpoints: both flags that steer
+        # checkpoints are refused there, not ignored
+        (["estimate-constant", "--p", "0.5,1", "--theta", "0.5", "--dims", "2",
+          "--checkpoint-every", "5"], "--checkpoint-every only supports a single (p, theta) pair"),
+        (["estimate-constant", "--p", "0.5,1", "--theta", "0.5", "--dims", "2", "--resume"],
+         "--resume only supports a single (p, theta) pair"),
         (["multiplier-bound", "--kernel", "no-such-kernel", "--p", "0.5"], "unknown kernel"),
         (["factorize", "--kernel", "no-such-kernel", "--p", "0.5"], "unknown kernel"),
         # theta's own range, checked before p >= theta and before any kernel sampling
@@ -702,6 +708,23 @@ class TestConfigHoldsWhatShapesResults:
         assert cli.main(args + ["--resume", "--out", str(resumed)]) == 0
         assert cli.main(args + ["--checkpoint-every", "10", "--out", str(every)]) == 0
         assert body_bytes(resumed) == body_bytes(full) == body_bytes(every)
+
+    @pytest.mark.parametrize("given, received", [([], cli.DEFAULT_CHECKPOINT_EVERY),
+                                                  (["--checkpoint-every", "7"], 7)])
+    def test_single_pair_checkpoint_interval(self, tmp_path, monkeypatch, given, received):
+        # the sweep grid refuses an explicit --checkpoint-every; a single pair
+        # keeps its default
+        seen = []
+        real = cli.estimate_constant
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["checkpoint_every"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_constant", spy)
+        assert cli.main(["estimate-constant", "--p", "0.5", "--theta", "0.5", "--dims", "2",
+                         "--trials", "3", *given, "--out", str(tmp_path / "r.json")]) == 0
+        assert seen == [received]
 
     @pytest.mark.parametrize("argv", [
         ["factorize", "--kernel", "von-mises", "--p", "1", "--cutoff", "8", "--trials", "5"],

@@ -87,7 +87,7 @@ def _bisect_roots(ks: np.ndarray) -> np.ndarray:
     k_pi = ks * np.pi
     lo = np.full(ks.shape, 1e-12)
     hi = np.full(ks.shape, math.pi / 2 - 1e-15)
-    flo, fhi = _bracket_residual(lo, k_pi), _bracket_residual(hi, k_pi)
+    flo, fhi = (np.broadcast_to(_bracket_residual(t, k_pi), ks.shape) for t in (lo, hi))
     bad = np.flatnonzero(~((flo < 0) & (fhi > 0)))
     if bad.size:
         i = bad[0]

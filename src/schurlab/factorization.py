@@ -56,15 +56,15 @@ DEFAULT_MODE_CUTOFF = 256
 PUBLISHED_DIGITS = 12
 _ROUND_UP = Context(prec=PUBLISHED_DIGITS, rounding=ROUND_CEILING)
 # Blocks of the streamed certificate; every size gives the same bits. The
-# row transforms of the kernel's live rows are kept, ROW_BLOCK rows to an
-# array, and they set the certificate's memory (56 MiB for
+# half-spectrum row transforms of the kernel's live rows are kept, ROW_BLOCK
+# rows to an array, and they set the certificate's memory (28 MiB for
 # power-ratio-window at grid 2048). Everything else is a transient on top
 # of them: the evaluator sees at most ROW_BLOCK x SAMPLE_COLUMNS points at
 # a time (its temporaries scale with that), and the column pass transforms
-# COLUMN_BLOCK columns at a time in one reused buffer. At grid 2048 (2-vCPU
-# x86 VM, one BLAS thread, no bytecode cache) `multiplier-bound` on
-# power-ratio-window peaked at 90.0 MB RSS with these sizes, against 93.8
-# MB with whole 64-row samples and 64-column buffers.
+# COLUMN_BLOCK columns at a time in one reused buffer per part. At grid
+# 2048 (2-vCPU x86 VM, one BLAS thread, no bytecode cache)
+# `multiplier-bound` on power-ratio-window peaked at 62.5 MB RSS with these
+# sizes, against 90.0 MB with full-length row transforms.
 ROW_BLOCK = 64
 SAMPLE_COLUMNS = 512
 COLUMN_BLOCK = 32
@@ -141,7 +141,7 @@ def bump_function(flat_interval, support_interval) -> Bump:
 def _blocks(n: int, size: int) -> list[slice]:
     """Consecutive slices of ``size`` indices covering range(n); the last
     one is shorter when ``size`` does not divide n."""
-    return [slice(start, start + size) for start in range(0, n, size)]
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def _mode_numbers(n: int) -> np.ndarray:
@@ -216,49 +216,81 @@ class SmoothKernel:
         return np.concatenate([self._sample_rows(block)
                                for block in _blocks(self.grid_size, ROW_BLOCK)])
 
-    def coefficient_blocks(self):
-        """Yield (cols, fft2(samples)[:, cols] / n^2) per block of
-        COLUMN_BLOCK columns, bit for bit np.fft.fft2: the same 1-D
-        transforms in the same axis order. The yielded array is one buffer,
-        overwritten by the next block: copy what must outlive a step.
-
-        The row pass samples ROW_BLOCK rows at a time and keeps the axis-1
-        transforms of the rows with a sample other than +0.0, one complex
-        array per run of consecutive such rows, transformed in place, with
-        the slice of grid rows it holds; any other row transforms to exact
-        +0, as in the zeroed buffer each column block is gathered into
-        before its axis-0 transform. No whole coefficient grid is held: the
-        peak is the kept transforms plus one row block of samples and the
-        evaluator's temporaries, or plus the column buffer and its
-        consumer's."""
-        n = self.grid_size
-        kept = []
-        for block in _blocks(n, ROW_BLOCK):
+    def _row_spectra(self) -> list:
+        """Per part of the kernel (the real part, then the imaginary part of
+        a complex kernel): (grid rows, rfft of those rows) for each run of
+        rows with a sample other than +0.0, ROW_BLOCK rows sampled at a
+        time."""
+        # a real block's imaginary part is +0.0 throughout, so it keeps none
+        kept, is_complex = ([], []), False
+        for block in _blocks(self.grid_size, ROW_BLOCK):
             samples = self._sample_rows(block)
-            for run in _live_runs(samples):
-                spectra = samples[run].astype(complex)
-                np.fft.fft(spectra, axis=1, out=spectra)
-                kept.append((slice(block.start + run.start, block.start + run.stop), spectra))
-            del samples  # not held while the next block is sampled
-        buf = np.empty((n, COLUMN_BLOCK), dtype=complex)
-        for cols in _blocks(n, COLUMN_BLOCK):
-            buf.fill(0)
-            for rows, spectra in kept:
-                buf[rows] = spectra[:, cols]
-            np.fft.fft(buf, axis=0, out=buf)
-            buf /= n**2
-            yield cols, buf
+            if np.iscomplexobj(samples):
+                is_complex, parts = True, (samples.real.copy(), samples.imag.copy())
+            else:
+                parts = (samples,)
+            for part, spectra in zip(parts, kept):
+                for run in _live_runs(part):
+                    rows = slice(block.start + run.start, block.start + run.stop)
+                    spectra.append((rows, np.fft.rfft(part[run], axis=1)))
+            del samples, parts, part  # not held while the next block is sampled
+        return list(kept[:2 if is_complex else 1])
+
+    def coefficient_blocks(self):
+        """Yield (cols, block) for blocks of at most COLUMN_BLOCK grid
+        columns, block[k, j] = alpha_{k, cols[j]}: the bits of
+        np.fft.rfft2(samples) / n^2 for the columns 0..n/2, and each other
+        column -l from its mirror, alpha_{-k,-l} = conj alpha_{k,l}. A
+        complex kernel is the sum c_re + i c_im of its real and imaginary
+        parts, each transformed so. The blocks cover the grid once, each
+        block of columns 0..n/2 followed by the block of its mirrored
+        columns. The yielded array is a buffer that a later block
+        overwrites: copy what must outlive a step.
+
+        The row pass samples ROW_BLOCK rows at a time and keeps, for each
+        part, the np.fft.rfft (n/2 + 1 columns) of the rows with a sample
+        other than +0.0, one complex array per run of consecutive such
+        rows, with the slice of grid rows it holds. Any other row has the
+        rfft of a zero row, which fills each column block before the kept
+        rows are gathered into it and transformed along axis 0. No
+        coefficient grid is held: the peak is the kept half spectra plus
+        one row block of samples and the evaluator's temporaries, or plus
+        the column buffers and their consumer's."""
+        n = self.grid_size
+        kept = self._row_spectra()
+        zero_row = np.fft.rfft(np.zeros(n))  # not all +0: some terms are -0.0
+        mirror = -np.arange(n) % n  # row k of column -l reads row -k of column l
+        bufs = [np.empty((n, COLUMN_BLOCK), dtype=complex) for _ in kept]
+        for cols in _blocks(n // 2 + 1, COLUMN_BLOCK):
+            halves = [buf[:, :cols.stop - cols.start] for buf in bufs]
+            for half, spectra in zip(halves, kept):
+                half[:] = zero_row[cols]
+                for rows, spectrum in spectra:
+                    half[rows] = spectrum[:, cols]
+                np.fft.fft(half, axis=0, out=half)
+                half /= n**2
+            yield cols, _combine_parts(halves)
+            # then the columns -l for 0 < l < n/2 of this block, in grid
+            # order, written over the buffers they mirror
+            lo, hi = max(cols.start, 1), min(cols.stop, n // 2)
+            if hi > lo:
+                flipped = np.ix_(mirror, np.arange(hi - 1, lo - 1, -1) - cols.start)
+                mirrored = [buf[:, :hi - lo] for buf in bufs]
+                for buf, part in zip(bufs, mirrored):
+                    np.conjugate(buf[flipped], out=part)
+                yield slice(n - hi + 1, n - lo + 1), _combine_parts(mirrored)
 
     def coefficients(self) -> np.ndarray:
         """2D Fourier coefficients in the (2pi)^-2 integral convention, as a
         whole complex128 grid assembled from ``coefficient_blocks``: entry
-        [k mod n, l mod n] is alpha_{k,l}, the bits of fft2(samples) / n^2,
-        exact to rounding for trigonometric polynomials within the grid's
-        Nyquist range. Not cached: each call samples the kernel and runs
-        every FFT again. Its peak holds the n^2 output grid and the kept row
-        transforms at once, up to 2 n^2 complex128 values (128 MiB at
-        n = 2048). No certificate calls it; it stays as the whole-grid
-        reference of the tests and as the FFT layer the profiler times."""
+        [k mod n, l mod n] is alpha_{k,l}, with the bits of the blocks
+        (rfft2(samples) / n^2 and its mirror, per part), exact to rounding
+        for trigonometric polynomials within the grid's Nyquist range. Not
+        cached: each call samples the kernel and runs every FFT again. Its
+        peak holds the n^2 output grid and the kept half spectra at once, up
+        to 1.5 n^2 complex128 values for a real kernel (96 MiB at n = 2048).
+        No certificate calls it; it stays as the whole-grid reference of the
+        tests and as the FFT layer the profiler times."""
         n = self.grid_size
         coeffs = np.empty((n, n), dtype=complex)
         for cols, block in self.coefficient_blocks():
@@ -266,11 +298,22 @@ class SmoothKernel:
         return coeffs
 
 
+def _combine_parts(parts: list[np.ndarray]) -> np.ndarray:
+    """A real kernel's one part as it is; for a complex kernel, a new array
+    c_re + i c_im from the coefficients of its real and imaginary parts."""
+    if len(parts) == 1:
+        return parts[0]
+    out = parts[0].copy()
+    out.real -= parts[1].imag
+    out.imag += parts[1].real
+    return out
+
+
 def _live_runs(samples: np.ndarray) -> list[slice]:
     """Slices of the consecutive rows with a sample other than +0.0. A -0.0
-    counts: the FFT of a -0.0 row has a -0.0 term, while that of a +0.0 row
-    is +0. +0.0 is the one float64 whose bits are all zero; the samples are
-    contiguous float64 or complex128."""
+    counts: its rfft differs from that of a +0.0 row in the sign of zero
+    terms. +0.0 is the one float64 whose bits are all zero; the samples are
+    contiguous float64."""
     live = samples.view(np.uint64).reshape(samples.shape[0], -1).any(axis=1)
     edges = np.flatnonzero(np.diff(live, prepend=False, append=False)).tolist()
     return [slice(start, stop) for start, stop in zip(edges[::2], edges[1::2])]
@@ -290,10 +333,15 @@ def _require_finite(kernel: SmoothKernel, what: str, value: float) -> None:
 
 def _weighted_power(block: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
     """Row i is weights[i] @ |block|^2 for a column block of the
-    coefficients; the bits equal the whole-grid products."""
-    power = np.abs(block)
+    coefficients; the bits equal the whole-grid products. BLAS sums a
+    column in an order that depends on the width of the product (31 or 1
+    columns give other bits than 32), so |block|^2 is padded with zero
+    columns to at least COLUMN_BLOCK."""
+    width = block.shape[1]
+    power = np.zeros((block.shape[0], max(width, COLUMN_BLOCK)))
+    np.abs(block, out=power[:, :width])
     power *= power
-    return np.array([w @ power for w in weights])
+    return np.array([w @ power for w in weights])[:, :width]
 
 
 def sobolev_constant(kernel: SmoothKernel, d: int) -> float:
@@ -419,14 +467,17 @@ class RankOneFactorization:
         return out
 
     def to_json(self) -> dict:
+        """The whole `factorize` result, for serialize.dumps_canonical: the
+        real and imaginary parts of f_samples stay 1-D float64 arrays, which
+        it encodes without a list of Python floats."""
         f = np.asarray(self.f_samples)
         return {
             "d": int(self.d),
             "alphas": np.asarray(self.alphas, dtype=float).tolist(),
             "f_samples": {
                 "shape": list(f.shape),
-                "re": f.real.ravel().tolist(),
-                "im": f.imag.ravel().tolist(),
+                "re": f.real.ravel(),
+                "im": f.imag.ravel(),
             },
             "g_labels": [int(v) for v in self.g_labels],
             "certified_bound": float(self.certified_bound),

@@ -21,14 +21,16 @@ __all__ = [
     "symbol_from_json",
 ]
 
-# Values per text piece of a long float list. A list of at most this many
-# values is formatted in one "%.17g" call: the distinct-value path first
-# touches numpy's sort code, 0.4-0.5 MB of resident pages, which for the
-# short lists of the search reports costs more peak RSS than it saves.
-# Longer lists (the 264,192-value `factorize` samples) take that path in
-# pieces of this many values (about 330 kB of text each): a script that
-# builds the `factorize` result and encodes it peaked at 79.0 MB RSS so,
-# and at 84.3 MB with one join per list (2-vCPU x86 VM).
+# Values per text piece of a long float list or 1-D float64 array. At most
+# this many values are formatted in one "%.17g" call: the distinct-value
+# path first touches numpy's sort code, 0.4-0.5 MB of resident pages, which
+# for the short lists of the search reports costs more peak RSS than it
+# saves. More values (the two 264,192-value `factorize` sample arrays) take
+# that path in pieces of this many values (about 330 kB of text each). The
+# `factorize` arrays reach it as arrays, with no list of Python floats: a
+# script that builds the `factorize` result and encodes it peaked at 67.4 MB
+# RSS so, and at 83.3 MB with the arrays first turned into lists (2-vCPU x86
+# VM).
 FLOAT_PIECE = 16384
 
 
@@ -41,19 +43,20 @@ def float17(x: float) -> str:
 
 
 def _encode_floats(values, out: list) -> None:
-    """Append the text of a list of plain floats to ``out``: the bytes that
-    float17 per item gives, and the same ValueError at the first non-finite
-    value. A list longer than FLOAT_PIECE formats each distinct double once,
-    by bit pattern (so -0.0 and +0.0 stay apart), and repeats its text
-    through the inverse index, piece by piece, so no second copy of the
-    list's whole text is made."""
-    if not all(map(math.isfinite, values)):
+    """Append the text of a list of plain floats, or of a 1-D float64 array,
+    to ``out``: the bytes that float17 per item gives, and the same
+    ValueError at the first non-finite value. More than FLOAT_PIECE values
+    format each distinct double once, by bit pattern (so -0.0 and +0.0 stay
+    apart), and repeat its text through the inverse index, piece by piece,
+    so no second copy of the whole text is made."""
+    array = isinstance(values, np.ndarray)
+    if not (np.isfinite(values).all() if array else all(map(math.isfinite, values))):
         for v in values:
             float17(v)  # raises at the first non-finite value
     if len(values) <= FLOAT_PIECE:
         out.append("[" + ",".join(["%.17g"] * len(values)) % tuple(values) + "]")
         return
-    bits = np.array(values, dtype=float).view(np.int64)
+    bits = (values if array else np.array(values, dtype=float)).view(np.int64)
     # the sorted bit patterns, each once (np.unique would import numpy.ma,
     # 14 ms and 0.8 MB, on its first call in a process)
     distinct = np.sort(bits)
@@ -109,6 +112,8 @@ def _encode(obj, out: list) -> None:
                 out.append(",")
             _encode(item, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+        _encode_floats(obj, out)
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
     else:

@@ -25,6 +25,7 @@ from schurlab.factorization import (
     kernel_catalog,
     make_kernel,
     plus_kernel_bound,
+    sobolev_order,
     power_ratio_base_bound,
     sobolev_constant,
     sum_quadrant_bound,
@@ -63,26 +64,59 @@ def symbolic_ramp_derivative_sup(order: int) -> float:
 
 
 def fft2_coefficients(kernel):
-    """Reference for SmoothKernel.coefficients: np.fft.fft2 of the samples
-    cast to complex (the whole-grid transform it replaced)."""
+    """The whole-grid transform the stream once reproduced bit for bit:
+    np.fft.fft2 of the samples cast to complex."""
     return np.fft.fft2(np.asarray(kernel.samples(), dtype=complex)) / kernel.grid_size**2
 
 
-def assert_stream_is_fft2(kernel):
+def half_spectrum_grid(part):
+    """np.fft.rfft2(part) / n^2 on the columns 0..n/2 of a real n x n grid,
+    and alpha_{-k,-l} = conj alpha_{k,l} on the others."""
+    n = part.shape[0]
+    half = np.fft.rfft2(part) / n**2
+    full = np.empty((n, n), dtype=complex)
+    full[:, :n // 2 + 1] = half
+    full[:, n // 2 + 1:] = np.conjugate(half[-np.arange(n) % n, 1:n // 2][:, ::-1])
+    return full
+
+
+def reference_coefficients(kernel):
+    """Reference for SmoothKernel.coefficient_blocks: the half-spectrum grid
+    of the samples, or c_re + i c_im from those of the real and imaginary
+    parts of a complex kernel."""
+    samples = kernel.samples()
+    if not np.iscomplexobj(samples):
+        return half_spectrum_grid(samples)
+    coeffs = half_spectrum_grid(samples.real.copy())
+    imaginary = half_spectrum_grid(samples.imag.copy())
+    coeffs.real -= imaginary.imag
+    coeffs.imag += imaginary.real
+    return coeffs
+
+
+def assert_stream_is_reference(kernel):
     """Every block of SmoothKernel.coefficient_blocks has the bytes of its
-    columns of fft2_coefficients, and the blocks cover the grid in order."""
-    want = fft2_coefficients(kernel)
+    columns of reference_coefficients, and the blocks cover the grid once:
+    the blocks of columns 0..n/2 in order, each followed by its mirror."""
+    n = kernel.grid_size
+    want = reference_coefficients(kernel)
     spans = []
     for cols, block in kernel.coefficient_blocks():
-        assert same_bits(block, want[:, cols]), f"columns {cols} differ from fft2"
+        assert same_bits(block, want[:, cols]), f"columns {cols} differ from the reference"
         spans.append(cols)
-    assert spans == _blocks(kernel.grid_size, COLUMN_BLOCK)
+    halves = [cols for cols in spans if cols.start <= n // 2]
+    assert halves == _blocks(n // 2 + 1, COLUMN_BLOCK)
+    assert sorted(j for cols in spans for j in range(n)[cols]) == list(range(n))
+    for cols, mirror in zip(spans, spans[1:]):
+        if mirror.start > n // 2:
+            assert mirror == slice(n - min(cols.stop, n // 2) + 1, n - max(cols.start, 1) + 1)
 
 
 def whole_grid_terms(fact, kernel):
     """Reference for the one pass of build_factorization: the scaled
-    retained columns and the plain-sum tail, read off the whole fft2 grid."""
-    coeffs = fft2_coefficients(kernel)
+    retained columns and the plain-sum tail, read off the whole reference
+    grid."""
+    coeffs = reference_coefficients(kernel)
     modes = _mode_numbers(kernel.grid_size)
     columns = np.stack([coeffs[:, l] * (1.0 if l == 0 else float(l) ** fact.d)
                         for l in fact.g_labels], axis=1)
@@ -181,23 +215,27 @@ class TestFourierCoefficients:
             power_ratio_base_bound(0.5, 0.5, None, 256.5)
         assert plus_kernel_bound(1.0, 1.0, None, 256.0) == plus_kernel_bound(1.0, 1.0, None, 256)
 
-    def test_signed_zero_rows_keep_fft2_bits(self):
-        # a row of -0.0 samples transforms to a -0.0 term, so only +0.0 rows
-        # may be skipped; this grid is all -0.0, and skipping every row would
-        # turn fft2's -0.0 coefficient into +0.0
-        kern = SmoothKernel(lambda x, y: np.full(np.broadcast(x, y).shape, complex(-0.0, -0.0)),
-                            grid_size=64)
-        assert np.signbit(fft2_coefficients(kern).real).any()
-        assert_stream_is_fft2(kern)
+    @pytest.mark.parametrize("value", [-0.0, complex(-0.0, -0.0)])
+    def test_signed_zero_rows_keep_reference_bits(self, value):
+        # the rfft of a -0.0 row differs from that of a +0.0 row in the sign
+        # of zero terms, so only +0.0 rows may stand in for the zero row's
+        # rfft; on this all -0.0 grid every row is transformed
+        assert np.fft.rfft(np.full(64, -0.0)).tobytes() != np.fft.rfft(np.zeros(64)).tobytes()
+        kern = SmoothKernel(lambda x, y: np.full(np.broadcast(x, y).shape, value), grid_size=64)
+        assert_stream_is_reference(kern)
 
-    def test_gapped_live_rows_keep_fft2_bits(self):
+    @pytest.mark.parametrize("part", [1.0, 1j, 1.0 + 1j])
+    def test_gapped_live_rows_keep_reference_bits(self, part):
         # whole rows are zero where cos(8x) <= 0, so each 64-row block keeps
-        # several separate runs of row transforms
+        # several separate runs of row transforms; a skipped row stands for
+        # the rfft of a zero row, whose zero terms are not all +0.0
         kern = SmoothKernel(lambda x, y: np.where(np.cos(8.0 * np.asarray(x)) > 0,
-                                                  np.cos(np.asarray(x) - np.asarray(y)) + 2.0, 0.0),
+                                                  part * (np.cos(np.asarray(x) - np.asarray(y))
+                                                          + 2.0), 0.0),
                             grid_size=256)
-        assert len(_live_runs(kern._sample_rows(slice(0, ROW_BLOCK)))) == 3
-        assert_stream_is_fft2(kern)
+        assert np.signbit(np.fft.rfft(np.zeros(256)).imag).any()
+        assert len(_live_runs(np.abs(kern._sample_rows(slice(0, ROW_BLOCK))))) == 3
+        assert_stream_is_reference(kern)
 
 
 class TestSobolevConstant:
@@ -285,6 +323,40 @@ class TestCertifiedBound:
     def test_cauchy_schwarz_constant(self):
         assert CAUCHY_SCHWARZ_CONST == pytest.approx(math.pi / math.sqrt(3.0))
         assert UNIVERSAL_CONST == pytest.approx(CAUCHY_SCHWARZ_CONST + 1.0)
+
+    def test_round_up_is_a_monotone_twelve_digit_upper_bound(self, rng):
+        values = np.concatenate([
+            rng.standard_normal(3000) * 10.0 ** rng.integers(-300, 300, 3000),
+            rng.uniform(0.0, 10.0, 3000),
+            [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1.5, 41787.0,
+             1.00000000001, 1.000000000005, 123456789012.0, 1e300],
+        ])
+        rounded = [_round_up(float(x)) for x in values]
+        for x, r in zip(values, rounded):
+            assert r >= x
+            assert float(format(r, ".12g")) == r, (x, r)
+        order = np.argsort(values, kind="stable")
+        assert all(a <= b for a, b in zip(np.array(rounded)[order], np.array(rounded)[order][1:]))
+        # a double with at most 12 digits is published as it is
+        assert _round_up(1.5) == 1.5 and _round_up(41787.0) == 41787.0
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    @pytest.mark.parametrize("name, sobolev", [
+        # every partial of cos x cos y has L2 norm 1/2; exp(i(x + 2y)) has
+        # the one coefficient 1 at mode (1, 2), so its four terms are
+        # 2^d, 2^d, 1 and 1
+        ("cosine-product", lambda d: 2),
+        ("complex-mode", lambda d: 2 * 2**d + 2),
+    ])
+    def test_certificate_dominates_the_closed_form(self, name, sobolev, p):
+        mpmath = pytest.importorskip("mpmath")
+        d = sobolev_order(p)
+        with mpmath.workdps(50):
+            exact = ((2 / (d * mpmath.mpf(p) - 1) + 2) ** (1 / mpmath.mpf(p))
+                     * (mpmath.pi / mpmath.sqrt(3) + 1) * sobolev(d))
+            bound = certified_pcb_bound(make_kernel(name), d, p)
+            assert bound >= exact
+            assert bound <= exact * (1 + mpmath.mpf("1e-11"))
 
 
 class TestBuildFactorization:
@@ -695,8 +767,12 @@ class TestWholeGridOracles:
     @pytest.mark.parametrize("name", sorted(kernel_catalog()))
     def test_catalog_at_256(self, name):
         kern = make_kernel(name, grid_size=256)
-        assert_stream_is_fft2(kern)
-        assert same_bits(kern.coefficients(), fft2_coefficients(kern))
+        assert_stream_is_reference(kern)
+        coeffs = kern.coefficients()
+        assert same_bits(coeffs, reference_coefficients(kern))
+        # the half-spectrum route moves coefficients by rounding only
+        old = fft2_coefficients(kern)
+        assert np.abs(coeffs - old).max() <= 1e-13 * np.abs(old).max()
         fact = build_factorization(kern, 2, 1.0, mode_cutoff=16)
         assert same_bits(fact.reconstruction_error, whole_grid_gap(fact, kern))
         columns, tail = whole_grid_terms(fact, kern)
@@ -707,7 +783,7 @@ class TestWholeGridOracles:
     def test_certificate_kernels_at_2048(self, name, params):
         kern = make_kernel(name, **params)
         assert kern.grid_size == 2048
-        assert_stream_is_fft2(kern)
+        assert_stream_is_reference(kern)
         fact = build_factorization(kern, 2, 1.0, mode_cutoff=64)
         assert same_bits(fact.reconstruction_error, whole_grid_gap(fact, kern))
         columns, tail = whole_grid_terms(fact, kern)
@@ -723,9 +799,10 @@ class TestWholeGridOracles:
         kern = make_kernel(name, **params)
         modes = np.abs(_mode_numbers(kern.grid_size).astype(float))
         weights = [modes**2, modes**0, modes**6]
-        got = np.concatenate([_weighted_power(block, weights)
-                              for _, block in kern.coefficient_blocks()], axis=1)
-        power = np.abs(fft2_coefficients(kern))
+        got = np.empty((len(weights), kern.grid_size))
+        for cols, block in kern.coefficient_blocks():
+            got[:, cols] = _weighted_power(block, weights)
+        power = np.abs(reference_coefficients(kern))
         power *= power
         assert same_bits(got, np.array([w @ power for w in weights]))
 
@@ -772,14 +849,15 @@ def test_factorization_memory_guard():
                                   "power-ratio-singular"])
 def test_coefficient_pass_holds_the_kept_spectra_and_little_more(name):
     # one pass at 2048^2, consumed as sobolev_constant consumes it, holds the
-    # row transforms of the live rows and at most 2.5 MiB besides: one row
-    # block of samples with the evaluator's temporaries on one part of it, or
-    # the column buffer with its |block|^2
+    # half-spectrum row transforms of the live rows and at most 2.5 MiB
+    # besides: one row block of samples with the evaluator's temporaries on
+    # one part of it, or the column buffer with its |block|^2 or the copy its
+    # mirrored columns are gathered from
     kern = make_kernel(name)
     n = kern.grid_size
     live = sum(run.stop - run.start for block in _blocks(n, ROW_BLOCK)
                for run in _live_runs(kern._sample_rows(block)))
-    kept = live * n * np.dtype(complex).itemsize / 2**20
+    kept = live * (n // 2 + 1) * np.dtype(complex).itemsize / 2**20
     weights = [np.abs(_mode_numbers(n).astype(float)) ** 2]
 
     def one_pass():

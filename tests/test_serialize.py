@@ -155,6 +155,34 @@ class TestCanonicalDumps:
         with pytest.raises(ValueError, match="non-finite"):
             serialize.dumps_canonical(values)
 
+    @pytest.mark.parametrize("size", ["piece", "piece+1", "long"])
+    def test_float64_array_encodes_as_its_list(self, rng, size):
+        # a 1-D float64 array skips tolist() and takes the distinct-value
+        # path as an array; its bytes are its list's: signed zeros,
+        # subnormals and repeats included, at FLOAT_PIECE and one past it
+        n = {"piece": serialize.FLOAT_PIECE, "piece+1": serialize.FLOAT_PIECE + 1,
+             "long": 3 * serialize.FLOAT_PIECE + 17}[size]
+        pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                         0.1, 1e16, 9.999999999999998e16, 1.7976931348623157e308])
+        values = np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                          rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n))
+        for array in (values, values[::2]):
+            want = per_item_dumps(array.tolist())
+            assert serialize.dumps_canonical(array) == want
+            assert serialize.dumps_canonical({"v": array}) == per_item_dumps({"v": array.tolist()})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("n", [5, 100000])
+    def test_float64_array_rejects_non_finite_as_its_list(self, bad, n):
+        values = np.full(n, 0.25)
+        values[n // 2] = bad
+        with pytest.raises(ValueError) as from_list:
+            serialize.dumps_canonical(values.tolist())
+        with pytest.raises(ValueError) as from_array:
+            serialize.dumps_canonical(values)
+        assert str(from_array.value) == str(from_list.value)
+        assert "non-finite" in str(from_array.value)
+
 
 class TestMatrixCodec:
     def test_roundtrip(self, rng):

@@ -5,9 +5,9 @@ tan t = -2t + k pi in (0, pi/2). Bisection runs on the overflow-free form
 sin t + (2t - k pi) cos t, which has the same roots with bounded arithmetic,
 elementwise over every k asked for at once, and stops for each k once its
 bracket is two adjacent doubles (53-55 halvings; a 200-step cap stays as a
-guard). Large-k eigenvalues for the Schatten partial
-sums come from a two-step Newton correction around arctan(k pi); its relative
-error is O(k^-2), far below the tolerances of the divergence diagnostics.
+guard). Large-k eigenvalues for the Schatten partial sums come from a
+two-step Newton correction around arctan(k pi); its relative error is
+O(k^-2), far below the tolerances of the divergence diagnostics.
 
 The partial sums read the eigenvalues from one memoized, read-only table
 (for the last k_max asked for), so several exponents over the same K grid
@@ -79,10 +79,10 @@ def _bisect_roots(ks: np.ndarray) -> np.ndarray:
     end, so the root is the one 200 full steps would give (the 200-step cap
     stays as a guard). Where np.sin and np.cos round as math.sin and
     math.cos do, each root has the bits of the scalar loop run on its k
-    alone (the tests compare the two). The residual
-    |tan t + 2t - k pi| at a root is limited by float spacing times the
-    slope (~(k pi)^2), so it is checked against ``_scaled_tol(k)``, which
-    grows at that rate; a larger residual raises InvariantViolation.
+    alone (the tests compare the two). The residual |tan t + 2t - k pi| at
+    a root is limited by float spacing times the slope (~(k pi)^2), so it
+    is checked against ``_scaled_tol(k)``, which grows at that rate; a
+    larger residual raises InvariantViolation.
     """
     k_pi = ks * np.pi
     lo = np.full(ks.shape, 1e-12)

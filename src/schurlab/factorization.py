@@ -63,8 +63,8 @@ _ROUND_UP = Context(prec=PUBLISHED_DIGITS, rounding=ROUND_CEILING)
 # a time (its temporaries scale with that), and the column pass transforms
 # COLUMN_BLOCK columns at a time in one reused buffer per part. At grid
 # 2048 (2-vCPU x86 VM, one BLAS thread, no bytecode cache)
-# `multiplier-bound` on power-ratio-window peaked at 62.5 MB RSS with these
-# sizes, against 90.0 MB with full-length row transforms.
+# `multiplier-bound` on power-ratio-window peaked at 63.1 MB RSS with these
+# sizes, against 89.9 MB with full-length row transforms.
 ROW_BLOCK = 64
 SAMPLE_COLUMNS = 512
 COLUMN_BLOCK = 32

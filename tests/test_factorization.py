@@ -831,18 +831,19 @@ def traced_peak(step) -> float:
 
 
 def test_factorization_memory_guard():
-    # no whole grid at 2048^2: the kept axis-1 transforms (651, 1793 and 977
-    # of 2048 rows here) and one column block at a time. The traced peaks are
-    # about 26 MiB for the factorization and 58 and 32 MiB for the window and
-    # resolvent Sobolev constants; with the 64 MiB coefficient grid held they
-    # were 82, 68 and 67 MiB
+    # no whole grid at 2048^2: the kept half-spectrum row transforms (651,
+    # 1793 and 977 of 2048 rows here) and one column block at a time. The
+    # traced peaks are about 19 MiB for the factorization and 32 and 20 MiB
+    # for the window and resolvent Sobolev constants; with full-length row
+    # transforms they were 26, 58 and 32 MiB, and with the 64 MiB
+    # coefficient grid held 82, 68 and 67 MiB
     peak = traced_peak(lambda: build_factorization(
         make_kernel("power-ratio-singular"), 2, 1.0, mode_cutoff=64))
-    assert peak <= 40, f"factorization traced peak {peak:.1f} MiB"
+    assert peak <= 28, f"factorization traced peak {peak:.1f} MiB"
     peak = traced_peak(lambda: sobolev_constant(make_kernel("power-ratio-window"), 3))
-    assert peak <= 64, f"window Sobolev constant traced peak {peak:.1f} MiB"
+    assert peak <= 42, f"window Sobolev constant traced peak {peak:.1f} MiB"
     peak = traced_peak(lambda: sobolev_constant(make_kernel("shifted-resolvent"), 3))
-    assert peak <= 45, f"resolvent Sobolev constant traced peak {peak:.1f} MiB"
+    assert peak <= 28, f"resolvent Sobolev constant traced peak {peak:.1f} MiB"
 
 
 @pytest.mark.parametrize("name", ["power-ratio-window", "shifted-resolvent",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, Context, Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +53,6 @@ DEFAULT_MODE_CUTOFF = 256
 # Certified values are published rounded up to this many significant digits,
 # so a certificate does not move with the last bits of the FFT behind it.
 PUBLISHED_DIGITS = 12
-_ROUND_UP = Context(prec=PUBLISHED_DIGITS, rounding=ROUND_CEILING)
 # Blocks of the streamed certificate; every size gives the same bits. The
 # half-spectrum row transforms of the kernel's live rows are kept, ROW_BLOCK
 # rows to an array, and they set the certificate's memory (28 MiB for
@@ -323,7 +321,10 @@ def _round_up(value: float) -> float:
     """The least PUBLISHED_DIGITS-digit decimal >= value, as its nearest
     double. That double is still >= value: value is a double itself, and
     rounding to nearest is monotone. So a rounded upper bound stays one."""
-    return float(_ROUND_UP.plus(Decimal(value)))
+    # imported here, after the coefficient stream's peak: decimal adds 0.4 MB
+    from decimal import ROUND_CEILING, Context, Decimal
+
+    return float(Context(prec=PUBLISHED_DIGITS, rounding=ROUND_CEILING).plus(Decimal(value)))
 
 
 def _require_finite(kernel: SmoothKernel, what: str, value: float) -> None:

@@ -49,10 +49,6 @@ from .operators import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
-# Characters per write of a report body. The file encodes each write whole,
-# so one write of the 11 MB `factorize` body would hold an 11 MB encoded
-# copy next to the text; a 1 MiB slice holds 1 MB.
-WRITE_SLICE = 1 << 20
 # Trials between checkpoints of a single-pair estimate-constant search.
 DEFAULT_CHECKPOINT_EVERY = 10000
 
@@ -376,8 +372,10 @@ def _run_kernel_spectrum(ns) -> dict:
         })
     residuals = {str(k): eigenfunction_residual(k, ns.quadrature)
                  for k in range(1, min(ns.kmax, 10) + 1)}
-    # partial-sum curves on a log-spaced K grid, one series per exponent
-    k_grid = sorted({int(v) for v in np.logspace(1, np.log10(ns.sums_kmax), 12)})
+    # partial-sum curves on a log-spaced K grid, one series per exponent; the
+    # last point is --sums-kmax itself, which int() of its double can miss
+    points = np.logspace(1, np.log10(ns.sums_kmax), 12)
+    k_grid = sorted({*(int(v) for v in points[:-1]), ns.sums_kmax})
     curves = {serialize.float17(p): schatten_partial_sums(p, k_grid).tolist()
               for p in _parse_floats(ns.sums_p)}
     return {
@@ -575,16 +573,22 @@ def _write_report(path: str, ns, results: dict, started: float) -> None:
         "results": results,
     }
     if ns.format == "json":
-        # encoded before the file is opened, so a value that fails to encode
-        # leaves no partial report; the body text (11 MB for `factorize`) is
-        # written in slices, since one write would encode all of it at once
-        head = '{"header":' + serialize.dumps_canonical(header) + ',"body":'
-        text = serialize.dumps_canonical(body)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(head)
-            for start in range(0, len(text), WRITE_SLICE):
-                fh.write(text[start:start + WRITE_SLICE])
-            fh.write("}\n")
+        # encoded piece by piece into <path>.tmp, so no text of the whole body
+        # (11 MB for `factorize`) is held, and moved onto <path> once whole: a
+        # value that fails to encode leaves no report, and an earlier report
+        # at <path> as it was
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write('{"header":')
+                serialize.dump_canonical(header, fh)
+                fh.write(',"body":')
+                serialize.dump_canonical(body, fh)
+                fh.write("}\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         return
     cols, rows = _flatten_for_csv(results)
     lines = [f"# timestamp: {header['timestamp']}",

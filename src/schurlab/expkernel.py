@@ -13,6 +13,12 @@ The partial sums read the eigenvalues from one memoized, read-only table
 (for the last k_max asked for), so several exponents over the same K grid
 share one root solve and one Newton tail. ``analytic_eigenvalues`` and
 ``eigenfunction_residual`` solve, and bracket-check, their roots every call.
+
+No step holds a second copy of its largest array: the Newton tail and the
+partial sums run NEWTON_PIECE terms at a time, the eigenvalue table and the
+Nystrom matrix are built in place, the quadrature operator one row at a
+time, and the residual product casts RESIDUAL_ROWS rows of that operator to
+complex at a time.
 """
 
 from __future__ import annotations
@@ -36,11 +42,23 @@ __all__ = [
 ]
 
 EXACT_ROOT_LIMIT = 1000  # bisection below, Newton tail above
-# Roots per pass of the elementwise Newton tail. Solved whole, the 10^6-root
-# tail of `kernel-spectrum --sums-kmax 1000000` held about seven 8 MB
-# temporaries at once and set the command's peak RSS (89.8 MB, against
-# 64.9 MB in pieces); every piece size gives the same bits.
+# Roots per pass of the elementwise Newton tail, and terms per piece of the
+# partial sums; every piece size gives the same bits. Solved whole, the
+# 10^6-root tail of `kernel-spectrum --sums-kmax 1000000` held about seven
+# 8 MB temporaries at once and set the command's peak RSS (89.8 MB, against
+# 64.9 MB in pieces). With the table built in place, the sums taken in
+# pieces, the Nystrom matrix built in place and the residual product in
+# blocks of RESIDUAL_ROWS operator rows, the command (`--kmax 1000
+# --nystrom 1000 --quadrature 1024`) peaked at 50.7 MB instead of 64.0 MB
+# (2-vCPU x86 VM, one BLAS thread); the Nystrom eigensolve alone takes a
+# process that has imported the command line to 46.2 MB.
 NEWTON_PIECE = 65536
+# Operator rows cast to complex per block of the residual product. Cast
+# whole, the float64 quadrature operator (8.4 MB at 1024 intervals) became a
+# 16.8 MB complex copy on each of the ten residual calls. Blocks of 2 to
+# 128 rows gave the bits of the whole product at 256, 1024 and 2048
+# intervals for k = 1..10; blocks of one row did not.
+RESIDUAL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -173,16 +191,38 @@ def _composite_weights(m: int, h: float) -> np.ndarray:
 def _kink_split_operator(n: int) -> np.ndarray:
     """Quadrature matrix of T on the n + 1 uniform nodes: kink-split Simpson
     weights (row i integrates over [0, x_i] and [x_i, 1] separately) times
-    exp(-|x_i - x_j|). Read-only."""
+    exp(-|x_i - x_j|), built one row at a time. Read-only."""
     h = 1.0 / n
-    weights = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        weights[i, : i + 1] += _composite_weights(i, h)
-        weights[i, i:] += _composite_weights(n - i, h)
     x = np.linspace(0.0, 1.0, n + 1)
-    operator = weights * np.exp(-np.abs(x[:, None] - x[None, :]))
+    operator = np.empty((n + 1, n + 1))
+    weights = np.empty(n + 1)
+    for i, row in enumerate(operator):
+        weights[:] = 0.0
+        weights[: i + 1] += _composite_weights(i, h)
+        weights[i:] += _composite_weights(n - i, h)
+        np.subtract(x[i], x, out=row)
+        np.abs(row, out=row)
+        np.negative(row, out=row)
+        np.exp(row, out=row)
+        np.multiply(weights, row, out=row)
     operator.setflags(write=False)
     return operator
+
+
+def _operator_product(operator: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """operator @ f for a float64 operator and a complex vector, with the
+    bits of that product, but casting RESIDUAL_ROWS rows of the operator to
+    complex at a time instead of all of it. A block of one row takes
+    another BLAS path with other bits, so a one-row tail joins the block
+    before it."""
+    rows = len(operator)
+    starts = list(range(0, rows, RESIDUAL_ROWS))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    out = np.empty(rows, dtype=complex)
+    for start, stop in zip(starts, starts[1:] + [rows]):
+        out[start:stop] = operator[start:stop].astype(complex) @ f
+    return out
 
 
 def eigenfunction_residual(k: int, quadrature_points: int = 2048) -> float:
@@ -201,7 +241,7 @@ def eigenfunction_residual(k: int, quadrature_points: int = 2048) -> float:
     c = (1.0 - 1j * alpha) / (1.0 + 1j * alpha)
     f = np.exp(1j * alpha * x) - c * np.exp(-1j * alpha * x)
     h = 1.0 / n
-    tf = _kink_split_operator(n) @ f
+    tf = _operator_product(_kink_split_operator(n), f)
     trapz = np.full(n + 1, h)
     trapz[0] = trapz[-1] = 0.5 * h
     norm = lambda v: math.sqrt(float(np.sum(trapz * np.abs(v) ** 2)))
@@ -231,7 +271,13 @@ def nystrom_spectrum(n: int = 2000) -> np.ndarray:
     w = np.full(n, 1.0 / (n - 1))
     w[0] = w[-1] = 0.5 / (n - 1)
     sq = np.sqrt(w)
-    a = sq[:, None] * np.exp(-np.abs(x[:, None] - x[None, :])) * sq[None, :]
+    # sq_i exp(-|x_i - x_j|) sq_j, built in place in one n x n array
+    a = np.subtract.outer(x, x)
+    np.abs(a, out=a)
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a *= sq[:, None]
+    a *= sq[None, :]
     return np.linalg.eigvalsh(a)[::-1]
 
 
@@ -239,8 +285,10 @@ def nystrom_spectrum(n: int = 2000) -> np.ndarray:
 def _eigenvalue_table(k_max: int) -> np.ndarray:
     """2 cos^2(theta_k) for k = 1..k_max, read-only: exact bisection roots up
     to k = 1000, Newton-corrected tail beyond."""
-    thetas = _root_table(k_max)
-    lambdas = 2.0 * np.cos(thetas) ** 2
+    lambdas = _root_table(k_max)
+    np.cos(lambdas, out=lambdas)
+    np.square(lambdas, out=lambdas)
+    lambdas *= 2.0
     lambdas.setflags(write=False)
     return lambdas
 
@@ -257,5 +305,17 @@ def schatten_partial_sums(p: float, K_list) -> np.ndarray:
     ks = [_check_int(f"K_list[{i}]", k, 1) for i, k in enumerate(K_list)]
     if not ks:
         raise ValueError("K_list must name at least one K")
-    csum = np.cumsum(_eigenvalue_table(max(ks)) ** p)
-    return np.array([csum[k - 1] for k in ks])
+    table = _eigenvalue_table(max(ks))
+    # the running sum one NEWTON_PIECE of terms at a time, each piece's first
+    # term carrying the sum before it: the bits of np.cumsum(table ** p)
+    wanted = sorted(set(ks))
+    sums, carry = {}, 0.0
+    for start in range(0, wanted[-1], NEWTON_PIECE):
+        piece = table[start:start + NEWTON_PIECE] ** p
+        piece[0] += carry
+        np.cumsum(piece, out=piece)
+        carry = piece[-1]
+        for k in wanted:
+            if start < k <= start + piece.size:
+                sums[k] = piece[k - 1 - start]
+    return np.array([sums[k] for k in ks])

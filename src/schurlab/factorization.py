@@ -54,18 +54,25 @@ DEFAULT_MODE_CUTOFF = 256
 # so a certificate does not move with the last bits of the FFT behind it.
 PUBLISHED_DIGITS = 12
 # Blocks of the streamed certificate; every size gives the same bits. The
-# half-spectrum row transforms of the kernel's live rows are kept, ROW_BLOCK
-# rows to an array, and they set the certificate's memory (28 MiB for
-# power-ratio-window at grid 2048). Everything else is a transient on top
-# of them: the evaluator sees at most ROW_BLOCK x SAMPLE_COLUMNS points at
-# a time (its temporaries scale with that), and the column pass transforms
-# COLUMN_BLOCK columns at a time in one reused buffer per part. At grid
-# 2048 (2-vCPU x86 VM, one BLAS thread, no bytecode cache)
-# `multiplier-bound` on power-ratio-window peaked at 63.1 MB RSS with these
-# sizes, against 89.9 MB with full-length row transforms.
+# half-spectrum row transforms of the kernel's live rows, restricted to one
+# group of column blocks, are kept, ROW_BLOCK rows to an array, and they set
+# the certificate's memory. The column blocks are split into the fewest
+# groups whose kept transforms fit in GROUP_BYTES with every grid row live:
+# two groups at grid 2048 (at most 17 MiB each, 15 MiB for the 1793 live
+# rows of power-ratio-window), one up to grid 1024. Each group is one row
+# pass; the first samples every row and finds the live ones, the later ones
+# sample only those. Everything else is a transient on top of the kept
+# transforms: the evaluator sees at most ROW_BLOCK x SAMPLE_COLUMNS points
+# at a time (its temporaries scale with that), and the column pass
+# transforms COLUMN_BLOCK columns at a time in one reused buffer per part.
+# At grid 2048 (2-vCPU x86 VM, one BLAS thread, no bytecode cache)
+# `multiplier-bound` on power-ratio-window peaked at 63.1 MB RSS with one
+# pass over all n/2 + 1 columns, and at 89.9 MB with full-length row
+# transforms; the two-group figures are in the README.
 ROW_BLOCK = 64
 SAMPLE_COLUMNS = 512
 COLUMN_BLOCK = 32
+GROUP_BYTES = 24 << 20
 
 
 # ----------------------------------------------------------------------------
@@ -214,25 +221,33 @@ class SmoothKernel:
         return np.concatenate([self._sample_rows(block)
                                for block in _blocks(self.grid_size, ROW_BLOCK)])
 
-    def _row_spectra(self) -> list:
-        """Per part of the kernel (the real part, then the imaginary part of
-        a complex kernel): (grid rows, rfft of those rows) for each run of
-        rows with a sample other than +0.0, ROW_BLOCK rows sampled at a
-        time."""
+    def _row_spectra(self, columns: slice, runs=None, parts: int = 1) -> tuple[list, list]:
+        """(kept, runs). kept holds, per part of the kernel (the real part,
+        then the imaginary part of a complex kernel; ``parts`` of them at
+        least), (grid rows, rfft of those rows restricted to ``columns``)
+        for each run of rows with a sample other than +0.0. runs lists the
+        runs of rows where any part has such a sample, each within one
+        ROW_BLOCK block of rows. Without ``runs`` every row is sampled,
+        ROW_BLOCK rows at a time; given the runs of an earlier call, only
+        those rows are."""
         # a real block's imaginary part is +0.0 throughout, so it keeps none
-        kept, is_complex = ([], []), False
-        for block in _blocks(self.grid_size, ROW_BLOCK):
+        kept, found = ([], []), []
+        for block in _blocks(self.grid_size, ROW_BLOCK) if runs is None else runs:
             samples = self._sample_rows(block)
+            if runs is None:
+                found += [_shift(run, block.start) for run in _live_runs(samples)]
             if np.iscomplexobj(samples):
-                is_complex, parts = True, (samples.real.copy(), samples.imag.copy())
+                parts, split = 2, (samples.real.copy(), samples.imag.copy())
             else:
-                parts = (samples,)
-            for part, spectra in zip(parts, kept):
+                split = (samples,)
+            for part, spectra in zip(split, kept):
                 for run in _live_runs(part):
-                    rows = slice(block.start + run.start, block.start + run.stop)
-                    spectra.append((rows, np.fft.rfft(part[run], axis=1)))
-            del samples, parts, part  # not held while the next block is sampled
-        return list(kept[:2 if is_complex else 1])
+                    # a copy unless the group has every column: a view
+                    # of some columns would hold all n/2 + 1
+                    spectra.append((_shift(run, block.start), np.ascontiguousarray(
+                        np.fft.rfft(part[run], axis=1)[:, columns])))
+            del samples, split, part  # not held while the next block is sampled
+        return list(kept[:parts]), found if runs is None else runs
 
     def coefficient_blocks(self):
         """Yield (cols, block) for blocks of at most COLUMN_BLOCK grid
@@ -245,38 +260,24 @@ class SmoothKernel:
         columns. The yielded array is a buffer that a later block
         overwrites: copy what must outlive a step.
 
-        The row pass samples ROW_BLOCK rows at a time and keeps, for each
-        part, the np.fft.rfft (n/2 + 1 columns) of the rows with a sample
-        other than +0.0, one complex array per run of consecutive such
-        rows, with the slice of grid rows it holds. Any other row has the
-        rfft of a zero row, which fills each column block before the kept
-        rows are gathered into it and transformed along axis 0. No
-        coefficient grid is held: the peak is the kept half spectra plus
+        The column blocks of 0..n/2 come in the consecutive groups of
+        ``_column_groups``, one row pass each. A pass samples ROW_BLOCK rows
+        at a time and keeps, for each part, the np.fft.rfft of the rows with
+        a sample other than +0.0, restricted to the group's columns, one
+        complex array per run of consecutive such rows, with the slice of
+        grid rows it holds. The first pass samples every row and records
+        the live runs; the later passes sample only those. Any other row has
+        the rfft of a zero row, which fills each column block before the
+        kept rows are gathered into it and transformed along axis 0. No
+        coefficient grid is held: the peak is one group's kept spectra plus
         one row block of samples and the evaluator's temporaries, or plus
         the column buffers and their consumer's."""
-        n = self.grid_size
-        kept = self._row_spectra()
-        zero_row = np.fft.rfft(np.zeros(n))  # not all +0: some terms are -0.0
-        mirror = -np.arange(n) % n  # row k of column -l reads row -k of column l
-        bufs = [np.empty((n, COLUMN_BLOCK), dtype=complex) for _ in kept]
-        for cols in _blocks(n // 2 + 1, COLUMN_BLOCK):
-            halves = [buf[:, :cols.stop - cols.start] for buf in bufs]
-            for half, spectra in zip(halves, kept):
-                half[:] = zero_row[cols]
-                for rows, spectrum in spectra:
-                    half[rows] = spectrum[:, cols]
-                np.fft.fft(half, axis=0, out=half)
-                half /= n**2
-            yield cols, _combine_parts(halves)
-            # then the columns -l for 0 < l < n/2 of this block, in grid
-            # order, written over the buffers they mirror
-            lo, hi = max(cols.start, 1), min(cols.stop, n // 2)
-            if hi > lo:
-                flipped = np.ix_(mirror, np.arange(hi - 1, lo - 1, -1) - cols.start)
-                mirrored = [buf[:, :hi - lo] for buf in bufs]
-                for buf, part in zip(bufs, mirrored):
-                    np.conjugate(buf[flipped], out=part)
-                yield slice(n - hi + 1, n - lo + 1), _combine_parts(mirrored)
+        runs, parts = None, 1
+        for group in _column_groups(self.grid_size):
+            kept, runs = self._row_spectra(slice(group[0].start, group[-1].stop), runs, parts)
+            parts = len(kept)
+            yield from _column_pass(self.grid_size, group, kept)
+            del kept  # not held while the next group's rows are transformed
 
     def coefficients(self) -> np.ndarray:
         """2D Fourier coefficients in the (2pi)^-2 integral convention, as a
@@ -285,8 +286,8 @@ class SmoothKernel:
         (rfft2(samples) / n^2 and its mirror, per part), exact to rounding
         for trigonometric polynomials within the grid's Nyquist range. Not
         cached: each call samples the kernel and runs every FFT again. Its
-        peak holds the n^2 output grid and the kept half spectra at once, up
-        to 1.5 n^2 complex128 values for a real kernel (96 MiB at n = 2048).
+        peak holds the n^2 output grid and one group's kept row spectra at
+        once (64 + 17 MiB at most for a real kernel at n = 2048).
         No certificate calls it; it stays as the whole-grid reference of the
         tests and as the FFT layer the profiler times."""
         n = self.grid_size
@@ -305,6 +306,49 @@ def _combine_parts(parts: list[np.ndarray]) -> np.ndarray:
     out.real -= parts[1].imag
     out.imag += parts[1].real
     return out
+
+
+def _column_groups(n: int) -> list[list[slice]]:
+    """The COLUMN_BLOCK blocks of the half-spectrum columns 0..n/2, in the
+    fewest consecutive groups of near-equal length whose row transforms,
+    with all n rows live, fit in GROUP_BYTES (one block at least)."""
+    blocks = _blocks(n // 2 + 1, COLUMN_BLOCK)
+    most = max(1, GROUP_BYTES // (n * COLUMN_BLOCK * np.dtype(complex).itemsize))
+    size = -(-len(blocks) // -(-len(blocks) // most))
+    return [blocks[start:start + size] for start in range(0, len(blocks), size)]
+
+
+def _column_pass(n: int, group: list[slice], kept: list):
+    """The coefficient blocks of one column group, each followed by its
+    mirror, as ``SmoothKernel.coefficient_blocks`` yields them, from the
+    group's kept row spectra (per part, (grid rows, rfft columns of the
+    group))."""
+    zero_row = np.fft.rfft(np.zeros(n))  # not all +0: some terms are -0.0
+    mirror = -np.arange(n) % n  # row k of column -l reads row -k of column l
+    bufs = [np.empty((n, COLUMN_BLOCK), dtype=complex) for _ in kept]
+    for cols in group:
+        halves = [buf[:, :cols.stop - cols.start] for buf in bufs]
+        within = _shift(cols, -group[0].start)
+        for half, spectra in zip(halves, kept):
+            half[:] = zero_row[cols]
+            for rows, spectrum in spectra:
+                half[rows] = spectrum[:, within]
+            np.fft.fft(half, axis=0, out=half)
+            half /= n**2
+        yield cols, _combine_parts(halves)
+        # then the columns -l for 0 < l < n/2 of this block, in grid
+        # order, written over the buffers they mirror
+        lo, hi = max(cols.start, 1), min(cols.stop, n // 2)
+        if hi > lo:
+            flipped = np.ix_(mirror, np.arange(hi - 1, lo - 1, -1) - cols.start)
+            mirrored = [buf[:, :hi - lo] for buf in bufs]
+            for buf, part in zip(bufs, mirrored):
+                np.conjugate(buf[flipped], out=part)
+            yield slice(n - hi + 1, n - lo + 1), _combine_parts(mirrored)
+
+
+def _shift(span: slice, offset: int) -> slice:
+    return slice(span.start + offset, span.stop + offset)
 
 
 def _live_runs(samples: np.ndarray) -> list[slice]:
@@ -440,9 +484,18 @@ class RankOneFactorization:
         return np.exp(1j * np.outer(y, self.g_labels.astype(float)))
 
     def _grid_phases(self) -> np.ndarray:
-        """e_l(y_j) = exp(i l y_j) for every retained mode l and grid point y_j."""
-        return np.exp(1j * np.outer(self.g_labels.astype(float),
-                                    2.0 * np.pi * np.arange(self.grid_size) / self.grid_size))
+        """e_l(y_j) = exp(i l y_j) for every retained mode l and grid point
+        y_j, built in place in one complex array. The argument has the bits
+        of 1j * t for t = l y_j, (0 t - 0) + (0 + t) i: a zero with the sign
+        of t, and t with -0.0 made +0.0; the signs of these zeros reach the
+        phases."""
+        phases = np.empty((self.g_labels.size, self.grid_size), dtype=complex)
+        np.multiply.outer(self.g_labels.astype(float),
+                          2.0 * np.pi * np.arange(self.grid_size) / self.grid_size,
+                          out=phases.imag)
+        np.copysign(0.0, phases.imag, out=phases.real)
+        phases.imag += 0.0
+        return np.exp(phases, out=phases)
 
     def grid_rows(self, rows: slice, phases: np.ndarray) -> np.ndarray:
         """sum_l alpha_l f_l(x_i) e_l(y_j) for the grid rows i in ``rows``
@@ -531,6 +584,7 @@ def build_factorization(kernel: SmoothKernel, d: int, p,
     # f_l = n * ifft(column l): every column in one call, written row-wise
     f_samples = np.empty((len(retained), n), dtype=complex)
     np.fft.ifft(cols, axis=0, out=f_samples.T)
+    del cols  # not held while the phases are built for the self-check
     f_samples *= n
     f_sups = np.abs(f_samples).max(axis=1)
 
@@ -633,13 +687,20 @@ def _power_diff(u, v, theta):
     """(u^theta - v^theta)/(u - v) for positive arguments, stable near u = v."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    gap = u - v
-    near = np.abs(gap) <= 1e-6 * np.maximum(u, v)
-    safe = np.where(near, 1.0, gap)
-    ratio = np.asarray((u**theta - v**theta) / safe)
-    # the midpoint derivative only where it is used (the diagonal band)
-    u, v = np.broadcast_arrays(u, v)
-    ratio[near] = theta * (0.5 * (u[near] + v[near])) ** (theta - 1.0)
+    gap = np.asarray(u - v)
+    ratio = np.asarray(u**theta - v**theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio /= gap  # NaN where u = v: the midpoint derivative overwrites it
+    # the midpoint derivative only where it is used (the diagonal band);
+    # near entries have |gap| <= 1e-6 * top, so off the band one compare
+    # with that scalar shows there are none (fmax skips NaN arguments,
+    # whose entries are never near)
+    gap = np.abs(gap, out=gap)
+    top = np.fmax(np.fmax.reduce(u, axis=None), np.fmax.reduce(v, axis=None))
+    if (gap <= 1e-6 * top).any():
+        near = gap <= 1e-6 * np.maximum(u, v)
+        u, v = np.broadcast_arrays(u, v)
+        ratio[near] = theta * (0.5 * (u[near] + v[near])) ** (theta - 1.0)
     return ratio
 
 
@@ -661,7 +722,9 @@ def _window_ratio_kernel(theta):
         w = _PHI_WINDOW(xw) * _PHI_WINDOW(yw)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = _power_diff(COORDINATE_STRETCH * xw, COORDINATE_STRETCH * yw, theta)
-            return np.where(w != 0, w * ratio, 0.0)
+            ratio *= w  # inf * 0 = NaN off the window, zeroed next
+        ratio[w == 0] = 0.0
+        return ratio
     return evaluate
 
 

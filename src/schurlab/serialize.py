@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "float17",
     "dumps_canonical",
+    "dump_canonical",
     "matrix_to_json",
     "matrix_from_json",
     "symbol_to_json",
@@ -26,11 +27,13 @@ __all__ = [
 # path first touches numpy's sort code, 0.4-0.5 MB of resident pages, which
 # for the short lists of the search reports costs more peak RSS than it
 # saves. More values (the two 264,192-value `factorize` sample arrays) take
-# that path in pieces of this many values (about 330 kB of text each). The
-# `factorize` arrays reach it as arrays, with no list of Python floats: a
-# script that builds the `factorize` result and encodes it peaked at 67.4 MB
-# RSS so, and at 83.3 MB with the arrays first turned into lists (2-vCPU x86
-# VM).
+# that path, and are written in pieces of this many values (about 330 kB of
+# text each). The `factorize` arrays reach it as arrays, with no list of
+# Python floats. A script that builds the `factorize` result and writes it
+# with dump_canonical peaked at 48.9 MB RSS, against 61.9 MB with the whole
+# text built by dumps_canonical first and 66.4 MB with the arrays turned
+# into lists (2-vCPU x86 VM); tracemalloc saw 7.5 MiB for one array on the
+# streamed path, and 13.0 MiB when its pieces were kept for one text.
 FLOAT_PIECE = 16384
 
 
@@ -42,19 +45,21 @@ def float17(x: float) -> str:
     return format(x, ".17g")
 
 
-def _encode_floats(values, out: list) -> None:
-    """Append the text of a list of plain floats, or of a 1-D float64 array,
-    to ``out``: the bytes that float17 per item gives, and the same
-    ValueError at the first non-finite value. More than FLOAT_PIECE values
-    format each distinct double once, by bit pattern (so -0.0 and +0.0 stay
-    apart), and repeat its text through the inverse index, piece by piece,
-    so no second copy of the whole text is made."""
+def _encode_floats(values, write) -> None:
+    """Write the text of a list of plain floats, or of a 1-D float64 array:
+    the bytes that float17 per item gives, and the same ValueError at the
+    first non-finite value, before any of its text is written. More than
+    FLOAT_PIECE values format each distinct double once, by bit pattern (so
+    -0.0 and +0.0 stay apart), and repeat its text through the inverse
+    index, FLOAT_PIECE values to a write, so no text of the whole list is
+    made. Each temporary is dropped once it has been used: the table of
+    distinct texts and the inverse index are what the writes hold."""
     array = isinstance(values, np.ndarray)
     if not (np.isfinite(values).all() if array else all(map(math.isfinite, values))):
         for v in values:
             float17(v)  # raises at the first non-finite value
     if len(values) <= FLOAT_PIECE:
-        out.append("[" + ",".join(["%.17g"] * len(values)) % tuple(values) + "]")
+        write("[" + ",".join(["%.17g"] * len(values)) % tuple(values) + "]")
         return
     bits = (values if array else np.array(values, dtype=float)).view(np.int64)
     # the sorted bit patterns, each once (np.unique would import numpy.ma,
@@ -63,59 +68,62 @@ def _encode_floats(values, out: list) -> None:
     first = np.ones(distinct.shape, dtype=bool)
     np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
     distinct = distinct[first]
+    del first
     doubles = distinct.view(float).tolist()
-    texts = np.array((",".join(["%.17g"] * len(doubles)) % tuple(doubles)).split(","),
-                     dtype=object)
+    text = ",".join(["%.17g"] * len(doubles)) % tuple(doubles)
+    del doubles
+    texts = np.array(text.split(","), dtype=object)
+    del text
     inverse = np.searchsorted(distinct, bits)
-    del bits, doubles
-    out.append("[")
+    del bits, distinct
+    write("[")
     for start in range(0, inverse.size, FLOAT_PIECE):
         if start:
-            out.append(",")
-        out.append(",".join(texts[inverse[start:start + FLOAT_PIECE]].tolist()))
-    out.append("]")
+            write(",")
+        write(",".join(texts[inverse[start:start + FLOAT_PIECE]].tolist()))
+    write("]")
 
 
-def _encode(obj, out: list) -> None:
+def _encode(obj, write) -> None:
     if obj is None:
-        out.append("null")
+        write("null")
     elif obj is True:
-        out.append("true")
+        write("true")
     elif obj is False:
-        out.append("false")
+        write("false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t") + '"')
+        write('"' + obj.replace("\\", "\\\\").replace('"', '\\"')
+              .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t") + '"')
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
+        write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(float17(obj))
+        write(float17(obj))
     elif isinstance(obj, complex):
         raise TypeError("serialize complex values as {re, im} pairs explicitly")
     elif isinstance(obj, dict):
-        out.append("{")
+        write("{")
         for i, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise TypeError(f"object keys must be strings, got {key!r}")
             if i:
-                out.append(",")
-            _encode(key, out)
-            out.append(":")
-            _encode(obj[key], out)
-        out.append("}")
+                write(",")
+            _encode(key, write)
+            write(":")
+            _encode(obj[key], write)
+        write("}")
     elif isinstance(obj, (list, tuple)) and all(type(v) is float for v in obj):
-        _encode_floats(obj, out)
+        _encode_floats(obj, write)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
+        write("[")
         for i, item in enumerate(obj):
             if i:
-                out.append(",")
-            _encode(item, out)
-        out.append("]")
+                write(",")
+            _encode(item, write)
+        write("]")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        _encode_floats(obj, out)
+        _encode_floats(obj, write)
     elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), out)
+        _encode(obj.tolist(), write)
     else:
         raise TypeError(f"cannot canonically encode {type(obj).__name__}")
 
@@ -123,8 +131,15 @@ def _encode(obj, out: list) -> None:
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text: sorted keys, compact, floats via float17."""
     out: list = []
-    _encode(obj, out)
+    _encode(obj, out.append)
     return "".join(out)
+
+
+def dump_canonical(obj, fh) -> None:
+    """Write the text of ``dumps_canonical(obj)`` to the text file ``fh``
+    piece by piece, without holding the whole text. A value that fails to
+    encode raises after the pieces before it have been written."""
+    _encode(obj, fh.write)
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

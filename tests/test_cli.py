@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -134,6 +135,17 @@ class TestExitCodes:
                          "--quadrature", "256", "--out", str(out)])
         assert code == 2
         assert "bracket failed" in load_report(out)["body"]["results"]["violation"]
+
+    @pytest.mark.parametrize("sums_kmax", [10, 13, 50, 12345, 100000])
+    def test_partial_sum_grid_ends_at_sums_kmax(self, tmp_path, sums_kmax):
+        # int() of the last log-spaced point fell one short for 13 and 50
+        out = tmp_path / "r.json"
+        assert cli.main(["kernel-spectrum", "--kmax", "2", "--nystrom", "64",
+                         "--quadrature", "256", "--sums-p", "1",
+                         "--sums-kmax", str(sums_kmax), "--out", str(out)]) == 0
+        grid = load_report(out)["body"]["results"]["partial_sums"]["K"]
+        assert grid[0] == 10 and grid[-1] == sums_kmax
+        assert grid == sorted(set(grid)) and len(grid) <= 12
 
     def test_kmax_above_nystrom_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -293,21 +305,43 @@ class TestDeterminism:
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert body_bytes(out1) == body_bytes(out2)
 
-    @pytest.mark.parametrize("write_slice", [None, 7])
-    def test_json_report_text_is_canonical(self, tmp_path, monkeypatch, write_slice):
-        # the report is written piece by piece, the body in WRITE_SLICE
-        # characters at a time (7 cuts this body into thousands of slices);
-        # its text must still be the canonical encoding of header and body,
-        # then one newline
-        if write_slice is not None:
-            monkeypatch.setattr(cli, "WRITE_SLICE", write_slice)
+    @pytest.mark.parametrize("cutoff", ["8", "127"])
+    def test_json_report_text_is_canonical(self, tmp_path, cutoff):
+        # the report is encoded piece by piece straight into the file (at
+        # cutoff 127 the 65,280 f_samples values of each part cross
+        # FLOAT_PIECE); its text must still be the canonical encoding of
+        # header and body, then one newline
         out = tmp_path / "r.json"
         assert cli.main(["factorize", "--kernel", "cosine-product", "--p", "1",
-                         "--cutoff", "8", "--out", str(out)]) == 0
+                         "--cutoff", cutoff, "--out", str(out)]) == 0
         report = load_report(out)
         assert out.read_text(encoding="utf-8") == (
             '{"header":' + serialize.dumps_canonical(report["header"])
             + ',"body":' + serialize.dumps_canonical(report["body"]) + "}\n")
+        assert not (tmp_path / "r.json.tmp").exists()
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_body_that_fails_to_encode_leaves_no_report(self, tmp_path, monkeypatch, capsys,
+                                                        earlier):
+        # the body is written to <out>.tmp as it is encoded; a value that
+        # fails to encode after much of it is written exits 1, removes the
+        # partial file and leaves an earlier report at <out> as it was
+        from schurlab.factorization import RankOneFactorization
+
+        out = tmp_path / "r.json"
+        argv = ["factorize", "--kernel", "cosine-product", "--p", "1", "--cutoff", "127",
+                "--out", str(out)]
+        if earlier:
+            assert cli.main(argv) == 0
+        before = out.read_bytes() if earlier else None
+        to_json = RankOneFactorization.to_json
+        # "truncation_error" sorts after "f_samples", so the samples are written first
+        monkeypatch.setattr(RankOneFactorization, "to_json",
+                            lambda self: {**to_json(self), "truncation_error": math.inf})
+        assert cli.main(argv) == 1
+        assert "non-finite value inf" in capsys.readouterr().err
+        assert not (tmp_path / "r.json.tmp").exists()
+        assert (out.read_bytes() if out.exists() else None) == before
 
     def test_csv_body_identical(self, tmp_path):
         args = ["kernel-spectrum", "--kmax", "3", "--nystrom", "128",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,30 @@ class TestEigenfunctionResidual:
         monkeypatch.setattr(expkernel, "solve_theta", lambda k: root * 1.01)
         assert eigenfunction_residual(1, 2048) > 1e-3
 
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    def test_blocked_product_has_the_bits_of_the_whole_product(self, n):
+        # the operator is cast to complex one row block at a time, a one-row
+        # tail joined to the block before it; every eigenfunction the
+        # residuals use gets the bits of op @ f
+        op = expkernel._kink_split_operator(n)
+        x = np.linspace(0.0, 1.0, n + 1)
+        for k in range(1, 11):
+            alpha = math.tan(solve_theta(k))
+            c = (1.0 - 1j * alpha) / (1.0 + 1j * alpha)
+            f = np.exp(1j * alpha * x) - c * np.exp(-1j * alpha * x)
+            assert expkernel._operator_product(op, f).tobytes() == (op @ f).tobytes()
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_operator_built_by_rows_is_the_whole_matrix_formula(self, n):
+        h = 1.0 / n
+        weights = np.zeros((n + 1, n + 1))
+        for i in range(n + 1):
+            weights[i, : i + 1] += expkernel._composite_weights(i, h)
+            weights[i, i:] += expkernel._composite_weights(n - i, h)
+        x = np.linspace(0.0, 1.0, n + 1)
+        want = weights * np.exp(-np.abs(x[:, None] - x[None, :]))
+        assert expkernel._kink_split_operator(n).tobytes() == want.tobytes()
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             eigenfunction_residual(1, 100)
@@ -127,6 +152,15 @@ class TestNystrom:
     def test_trace_identity(self):
         eigs = nystrom_spectrum(500)
         assert abs(eigs.sum() - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("n", [64, 1000])
+    def test_matrix_built_in_place_keeps_the_spectrum_bits(self, n):
+        x = np.linspace(0.0, 1.0, n)
+        w = np.full(n, 1.0 / (n - 1))
+        w[0] = w[-1] = 0.5 / (n - 1)
+        sq = np.sqrt(w)
+        a = sq[:, None] * np.exp(-np.abs(x[:, None] - x[None, :])) * sq[None, :]
+        assert nystrom_spectrum(n).tobytes() == np.linalg.eigvalsh(a)[::-1].tobytes()
 
     def test_positivity(self):
         eigs = nystrom_spectrum(500)
@@ -186,6 +220,19 @@ class TestPartialSums:
         whole = expkernel._newton_thetas(np.arange(first + 1, first + tail + 1, dtype=float))
         assert expkernel._root_table(first + tail)[first:].tobytes() == whole.tobytes()
 
+    def test_carried_sums_are_the_whole_cumsum(self):
+        # the running sum is taken one NEWTON_PIECE at a time, each piece's
+        # first term carrying the sum before it; K on either side of the
+        # piece boundaries, in any order and repeated
+        piece = expkernel.NEWTON_PIECE
+        ks = [1, 2, piece - 1, piece, piece + 1, 2 * piece - 1, 2 * piece, 2 * piece + 1,
+              10**6 - 1, 10**6, 5, piece]
+        table = expkernel._eigenvalue_table(10**6)
+        for p in (0.5, 0.6, 1.0, 2.0):
+            whole = np.cumsum(table ** p)
+            want = np.array([whole[k - 1] for k in ks])
+            assert schatten_partial_sums(p, ks).tobytes() == want.tobytes()
+
     def test_memoized_table_is_read_only(self):
         table = expkernel._eigenvalue_table(50)
         assert not table.flags.writeable
@@ -197,3 +244,42 @@ class TestPartialSums:
             schatten_partial_sums(0.0, [10])
         with pytest.raises(ValueError):
             schatten_partial_sums(0.5, [])
+
+
+def traced_peak(step) -> float:
+    """Peak MiB that tracemalloc sees while ``step()`` runs."""
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_residual_loop_holds_the_operator_and_one_block(n):
+    # the ten residuals of kernel-spectrum: the operator, built one row at a
+    # time, and one complex block of its rows (the last one has a row more);
+    # casting the whole operator would add twice its size
+    expkernel._kink_split_operator.cache_clear()
+    operator = (n + 1) ** 2 * 8 / 2**20
+    block = (expkernel.RESIDUAL_ROWS + 1) * (n + 1) * 16 / 2**20
+    peak = traced_peak(lambda: [eigenfunction_residual(k, n) for k in range(1, 11)])
+    assert peak <= operator + block + 0.25, f"traced peak {peak:.2f} MiB"
+    peak = traced_peak(lambda: [eigenfunction_residual(k, n) for k in range(1, 11)])
+    assert peak <= block + 0.25, f"traced peak {peak:.2f} MiB with the operator cached"
+
+
+def test_partial_sums_hold_the_table_and_one_piece():
+    # kernel-spectrum --sums-kmax 1000000: the 8 MB eigenvalue table, built
+    # in place, and the Newton tail's temporaries of one piece; then the
+    # sums, one piece of powers and its running sum at a time, where the
+    # whole cumsum held two more 8 MB arrays
+    expkernel._eigenvalue_table.cache_clear()
+    table = 10**6 * 8 / 2**20
+    piece = expkernel.NEWTON_PIECE * 8 / 2**20
+    peak = traced_peak(lambda: expkernel._eigenvalue_table(10**6))
+    assert peak <= table + 6 * piece, f"table traced peak {peak:.2f} MiB"
+    peak = traced_peak(lambda: [schatten_partial_sums(p, [10, 10**5, 10**6])
+                                for p in (0.5, 0.6, 1.0, 2.0)])
+    assert peak <= 2 * piece + 0.25, f"partial sums traced peak {peak:.2f} MiB"

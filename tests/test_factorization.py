@@ -33,8 +33,10 @@ from schurlab.factorization import (
     _power_diff,
     _round_up,
     COLUMN_BLOCK,
+    GROUP_BYTES,
     ROW_BLOCK,
     _blocks,
+    _column_groups,
     _live_runs,
     _weighted_power,
 )
@@ -819,6 +821,27 @@ class TestWholeGridOracles:
         for u, v in ((1.25, 1.5), (1.25, 1.25), (2.0, 2.0 + 1e-9)):
             assert same_bits(_power_diff(u, v, 0.5), full_grid_power_diff(u, v, 0.5))
 
+    def test_power_diff_with_nan_and_inf_arguments(self):
+        # the near band is looked for only when some |gap| is within 1e-6 of
+        # the largest argument that is not NaN: a NaN or inf argument must
+        # not hide a near entry elsewhere
+        u = np.array([1.0, np.nan, 2.0, np.inf, 3.0])
+        for v in (u, u + 1e-9, np.array([np.nan, 1.0, 2.0 + 1e-9, 3.0, 7.0])):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = _power_diff(u[:, None], v[None, :], 0.5)
+                want = full_grid_power_diff(u[:, None], v[None, :], 0.5)
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("name,cutoff", [("power-ratio-singular", 64),
+                                             ("cosine-product", 127), ("complex-mode", 3)])
+    def test_grid_phases_are_built_with_the_bits_of_exp_1j_outer(self, name, cutoff):
+        # built in place: the argument keeps the signed zeros of 1j * (l y)
+        fact = build_factorization(make_kernel(name), 2, 1.0, mode_cutoff=cutoff)
+        n = fact.grid_size
+        want = np.exp(1j * np.outer(fact.g_labels.astype(float),
+                                    2.0 * np.pi * np.arange(n) / n))
+        assert same_bits(fact._grid_phases(), want)
+
 
 def traced_peak(step) -> float:
     """Peak MiB that tracemalloc sees while ``step()`` runs."""
@@ -831,34 +854,37 @@ def traced_peak(step) -> float:
 
 
 def test_factorization_memory_guard():
-    # no whole grid at 2048^2: the kept half-spectrum row transforms (651,
-    # 1793 and 977 of 2048 rows here) and one column block at a time. The
-    # traced peaks are about 19 MiB for the factorization and 32 and 20 MiB
-    # for the window and resolvent Sobolev constants; with full-length row
-    # transforms they were 26, 58 and 32 MiB, and with the 64 MiB
-    # coefficient grid held 82, 68 and 67 MiB
+    # no whole grid at 2048^2: one column group's half-spectrum row
+    # transforms of the live rows (651, 1793 and 977 of 2048 rows here) and
+    # one column block at a time. The traced peaks are about 13.5 MiB for the
+    # factorization and 17.2 and 10.4 MiB for the window and resolvent
+    # Sobolev constants; with all n/2 + 1 columns kept in one pass they were
+    # 17.5, 30.4 and 17.5 MiB, with full-length row transforms 26, 58 and 32
+    # MiB, and with the 64 MiB coefficient grid held 82, 68 and 67 MiB
     peak = traced_peak(lambda: build_factorization(
         make_kernel("power-ratio-singular"), 2, 1.0, mode_cutoff=64))
-    assert peak <= 28, f"factorization traced peak {peak:.1f} MiB"
+    assert peak <= 16, f"factorization traced peak {peak:.1f} MiB"
     peak = traced_peak(lambda: sobolev_constant(make_kernel("power-ratio-window"), 3))
-    assert peak <= 42, f"window Sobolev constant traced peak {peak:.1f} MiB"
+    assert peak <= 20, f"window Sobolev constant traced peak {peak:.1f} MiB"
     peak = traced_peak(lambda: sobolev_constant(make_kernel("shifted-resolvent"), 3))
-    assert peak <= 28, f"resolvent Sobolev constant traced peak {peak:.1f} MiB"
+    assert peak <= 13, f"resolvent Sobolev constant traced peak {peak:.1f} MiB"
 
 
 @pytest.mark.parametrize("name", ["power-ratio-window", "shifted-resolvent",
                                   "power-ratio-singular"])
 def test_coefficient_pass_holds_the_kept_spectra_and_little_more(name):
     # one pass at 2048^2, consumed as sobolev_constant consumes it, holds the
-    # half-spectrum row transforms of the live rows and at most 2.5 MiB
-    # besides: one row block of samples with the evaluator's temporaries on
-    # one part of it, or the column buffer with its |block|^2 or the copy its
-    # mirrored columns are gathered from
+    # half-spectrum row transforms of the live rows over the columns of its
+    # largest column group and at most 2.5 MiB besides: one row block of
+    # samples with the evaluator's temporaries on one part of it, or the
+    # column buffer with its |block|^2 or the copy its mirrored columns are
+    # gathered from
     kern = make_kernel(name)
     n = kern.grid_size
     live = sum(run.stop - run.start for block in _blocks(n, ROW_BLOCK)
                for run in _live_runs(kern._sample_rows(block)))
-    kept = live * (n // 2 + 1) * np.dtype(complex).itemsize / 2**20
+    widest = max(group[-1].stop - group[0].start for group in _column_groups(n))
+    kept = live * widest * np.dtype(complex).itemsize / 2**20
     weights = [np.abs(_mode_numbers(n).astype(float)) ** 2]
 
     def one_pass():
@@ -867,3 +893,15 @@ def test_coefficient_pass_holds_the_kept_spectra_and_little_more(name):
 
     peak = traced_peak(one_pass)
     assert peak <= kept + 2.5, f"{name}: traced peak {peak:.2f} MiB, kept {kept:.2f} MiB"
+
+
+@pytest.mark.parametrize("n, groups", [(64, 1), (256, 1), (1024, 1), (2048, 2), (4096, 6)])
+def test_column_groups_follow_the_grid_size(n, groups):
+    # the half-spectrum column blocks in order, in groups of near-equal
+    # length whose kept transforms fit in GROUP_BYTES with every row live
+    found = _column_groups(n)
+    assert len(found) == groups
+    assert [block for group in found for block in group] == _blocks(n // 2 + 1, COLUMN_BLOCK)
+    widths = [group[-1].stop - group[0].start for group in found]
+    assert max(widths) * n * np.dtype(complex).itemsize <= GROUP_BYTES
+    assert max(len(group) for group in found) - min(len(group) for group in found) <= 1

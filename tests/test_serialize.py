@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -138,6 +139,10 @@ class TestCanonicalDumps:
             monkeypatch.setattr(serialize, "FLOAT_PIECE", piece)
         assert serialize.dumps_canonical(payload) == per_item_dumps(payload)
         assert serialize.dumps_canonical({"v": payload}) == per_item_dumps({"v": payload})
+        # written piece by piece to a file, the same text
+        fh = io.StringIO()
+        serialize.dump_canonical({"v": payload}, fh)
+        assert fh.getvalue() == per_item_dumps({"v": payload})
 
     @given(st.lists(st.sampled_from([0.0, -0.0, 0.1, -0.1, 5e-324, 1e16,
                                      9.999999999999998e16, 1.7976931348623157e308]),

@@ -49,7 +49,7 @@ EXACT_ROOT_LIMIT = 1000  # bisection below, Newton tail above
 # 64.9 MB in pieces). With the table built in place, the sums taken in
 # pieces, the Nystrom matrix built in place and the residual product in
 # blocks of RESIDUAL_ROWS operator rows, the command (`--kmax 1000
-# --nystrom 1000 --quadrature 1024`) peaked at 50.7 MB instead of 64.0 MB
+# --nystrom 1000 --quadrature 1024`) peaked at 50.7 MB instead of 64.1 MB
 # (2-vCPU x86 VM, one BLAS thread); the Nystrom eigensolve alone takes a
 # process that has imported the command line to 46.2 MB.
 NEWTON_PIECE = 65536

@@ -65,10 +65,10 @@ PUBLISHED_DIGITS = 12
 # transforms: the evaluator sees at most ROW_BLOCK x SAMPLE_COLUMNS points
 # at a time (its temporaries scale with that), and the column pass
 # transforms COLUMN_BLOCK columns at a time in one reused buffer per part.
-# At grid 2048 (2-vCPU x86 VM, one BLAS thread) `multiplier-bound` on
-# power-ratio-window peaked at 49.4 MB RSS with two groups, 62.8 MB with
-# one pass over all n/2 + 1 columns and 89.9 MB with full-length row
-# transforms (medians of 10 perfbench runs each).
+# At grid 2048 (2-vCPU x86 VM, one BLAS thread, no bytecode cache)
+# `multiplier-bound` on power-ratio-window peaked at 49.4 MB RSS with two
+# groups, 62.8 MB with one pass over all n/2 + 1 columns and 89.9 MB with
+# full-length row transforms (medians of 10 perfbench runs each).
 ROW_BLOCK = 64
 SAMPLE_COLUMNS = 512
 COLUMN_BLOCK = 32

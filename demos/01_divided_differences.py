@@ -10,6 +10,7 @@ divided-difference quotient on the positive axis.
 import numpy as np
 
 import schurlab as sl
+from schurlab.operators import eigenvalue_groups
 
 rng = np.random.default_rng(7)
 
@@ -20,19 +21,21 @@ def hermitian(dim):
 
 
 print("=== spectral decomposition ===")
+# one-member stacks: entries (1, 5, 5), eigenvalues (1, 5), eigenvectors (1, 5, 5)
 x = sl.spectral_decompose(hermitian(5))
 y = sl.spectral_decompose(hermitian(5))
-print(f"spec(x) = {np.round(x.eigenvalues, 3)}")
-print(f"spec(y) = {np.round(y.eigenvalues, 3)}")
+print(f"spec(x) = {np.round(x.eigenvalues[0], 3)}")
+print(f"spec(y) = {np.round(y.eigenvalues[0], 3)}")
+# the distinct eigenvalues, after merging those within GROUP_RTOL
+spec_x, spec_y = eigenvalue_groups(x.eigenvalues[0])[0], eigenvalue_groups(y.eigenvalues[0])[0]
 
 print("\n=== the identity f(x) - f(y) = T_m(x - y) ===")
 for theta in (0.25, 0.5, 0.75):
     for signed in (False, True):
         f = sl.SignedPowerFunction(theta, signed)
-        m = sl.divided_difference_symbol(x.distinct_eigenvalues,
-                                         y.distinct_eigenvalues, f)
-        lhs = sl.apply_calculus(x, f).entries - sl.apply_calculus(y, f).entries
-        rhs = sl.schur_apply(m, x, y, x.entries - y.entries)
+        m = sl.divided_difference_symbol(spec_x, spec_y, f)
+        lhs = sl.apply_calculus(x, f).entries[0] - sl.apply_calculus(y, f).entries[0]
+        rhs = sl.schur_apply(m, x, y, x.entries[0] - y.entries[0])
         gap = np.abs(lhs - rhs).max()
         name = f"sgn(t)|t|^{theta}" if signed else f"|t|^{theta}"
         print(f"  f(t) = {name:<16}  max defect {gap:.3e}")

@@ -4,12 +4,17 @@ For positive operators and p >= theta the ratio
 ||x^theta - y^theta||_{p/theta} / ||x - y||_p^theta never exceeds 1. For
 sign-indefinite operands (the signed map) ratios above 1 appear, and the
 seeded search hunts for the largest ones; commutator, anticommutator, and
-norm-homogenizing map variants follow the same template.
+norm-homogenizing map variants follow the same template. Every ratio is
+evaluated on stacks: a block of pairs at once, or one pair as a one-member
+stack.
 """
 
 import numpy as np
 
 import schurlab as sl
+from schurlab.experiments import (anticommutator_ratios, bks_ratios, commutator_ratios,
+                                  mazur_ratios)
+from schurlab.operators import decompose_stack
 
 rng = np.random.default_rng(11)
 
@@ -20,11 +25,9 @@ def psd(dim):
 
 
 print("=== constant-1 inequality on positive pairs ===")
-worst = 0.0
-for _ in range(2000):
-    s = sl.bks_check(psd(4), psd(4), p=1.0, theta=0.5)
-    if not s.degenerate:
-        worst = max(worst, s.ratio)
+xs, ys = map(np.array, zip(*[(psd(4), psd(4)) for _ in range(2000)]))
+block = bks_ratios(decompose_stack(xs), decompose_stack(ys), p=1.0, theta=0.5)
+worst = block.ratio[~block.degenerate].max(initial=0.0)
 print(f"  2000 positive pairs at (p, theta) = (1, 1/2): max ratio {worst:.6f} <= 1")
 
 print("\n=== the signed map crosses 1 at p < 1 ===")
@@ -38,19 +41,19 @@ print("\n=== commutator flavor ===")
 x = 0.5 * (lambda g: g + g.conj().T)(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
 b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 b /= np.linalg.svd(b, compute_uv=False)[0]
-s = sl.commutator_ratio(x, b, p=0.5, theta=0.5, signed=True)
-print(f"  ||[f(x), b]|| / (||[x, b]||^theta ||b||^(1-theta)) = {s.ratio:.4f}")
+s = commutator_ratios(sl.spectral_decompose(x), b[None], p=0.5, theta=0.5, signed=True)
+print(f"  ||[f(x), b]|| / (||[x, b]||^theta ||b||^(1-theta)) = {s.ratio[0]:.4f}")
 
 print("\n=== anticommutator flavor (identity case is exactly 2^(1-theta)) ===")
-xp = psd(3)
-s = sl.anticommutator_ratio(xp, xp, np.eye(3), p=1.0, theta=0.5, sign=+1)
-print(f"  y = x, b = 1, plus sign: ratio {s.ratio:.12f}  (2^(1/2) = {2**0.5:.12f})")
+xp = sl.spectral_decompose(psd(3))
+s = anticommutator_ratios(xp, xp, np.eye(3)[None], p=1.0, theta=0.5, sign=+1)
+print(f"  y = x, b = 1, plus sign: ratio {s.ratio[0]:.12f}  (2^(1/2) = {2**0.5:.12f})")
 
 print("\n=== norm-homogenizing map on non-normal inputs ===")
 x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
 y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-s = sl.mazur_ratio(x, y, p=1.0, q=2.0)
-print(f"  ||M(x) - M(y)||_2 / ||x - y||_1^(1/2) = {s.ratio:.4f}")
+s = mazur_ratios(x[None], y[None], p=1.0, q=2.0)
+print(f"  ||M(x) - M(y)||_2 / ||x - y||_1^(1/2) = {s.ratio[0]:.4f}")
 
 print("\n=== exploratory: how search maxima compose across exponents ===")
 # the two-step route bounds the constant at theta1*theta2 by the product

@@ -9,7 +9,7 @@ splits whose value tightens monotonically with the grid.
 import numpy as np
 
 import schurlab as sl
-from schurlab.interpolation import KFunctionalQuery
+from schurlab.interpolation import KFunctionalQuery, kfonc_ratios, weak_lp_ratios
 
 rng = np.random.default_rng(5)
 
@@ -66,10 +66,11 @@ def hermitian(dim):
     return 0.5 * (g + g.conj().T)
 
 
-x, y = hermitian(4), hermitian(4)
+# the ratios take stacks; one pair is a pair of one-member stacks
+x, y = sl.spectral_decompose(hermitian(4)), sl.spectral_decompose(hermitian(4))
 for t in (0.1, 1.0, 10.0):
-    s = sl.kfonc_check(x, y, 0.5, 2.0, theta=0.5, signed=True, t=t, grid=64)
-    print(f"  K-functional ratio at t = {t:>4}: {s.ratio:.4f}")
+    s = kfonc_ratios(x, y, 0.5, 2.0, theta=0.5, signed=True, t=t, grid=64)
+    print(f"  K-functional ratio at t = {t:>4}: {s.ratio[0]:.4f}")
 for qq in (0.5, 1.0, np.inf):
-    s = sl.weak_lp_check(x, y, p=1.0, q=qq, theta=0.5, signed=True)
-    print(f"  Lorentz ratio at q = {qq}: {s.ratio:.4f}")
+    s = weak_lp_ratios(x, y, p=1.0, q=qq, theta=0.5, signed=True)
+    print(f"  Lorentz ratio at q = {qq}: {s.ratio[0]:.4f}")

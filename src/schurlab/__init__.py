@@ -17,7 +17,7 @@ _SUBMODULES = ("operators", "multipliers", "factorization", "experiments",
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "HermitianOperand", "InvariantViolation", "SchattenIndex", "SignedPowerFunction",
+        "InvariantViolation", "SchattenIndex", "SignedPowerFunction",
         "apply_calculus", "p_triangle_defect", "schatten_norm", "spectral_decompose",
     ), "operators"),
     **dict.fromkeys((
@@ -32,12 +32,11 @@ _EXPORTS = {
         "sobolev_constant", "sum_quadrant_bound",
     ), "factorization"),
     **dict.fromkeys((
-        "RatioSample", "SearchReport", "ando_ratio", "anticommutator_ratio", "bks_check",
-        "commutator_ratio", "estimate_constant", "mazur_ratio",
+        "RatioSample", "SearchReport", "ando_ratio", "estimate_constant",
     ), "experiments"),
     **dict.fromkeys((
-        "KFunctionalQuery", "RearrangementProfile", "k_functional", "kfonc_check",
-        "lorentz_norm", "rearrangement", "selfadjoint_k_gap", "weak_lp_check",
+        "KFunctionalQuery", "RearrangementProfile", "k_functional", "lorentz_norm",
+        "rearrangement", "selfadjoint_k_gap",
     ), "interpolation"),
     **dict.fromkeys((
         "KernelSpectrum", "analytic_eigenvalues", "eigenfunction_residual",

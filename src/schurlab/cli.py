@@ -40,9 +40,11 @@ from .operators import (
     InvariantViolation,
     SchattenIndex,
     SignedPowerFunction,
+    SpectralStack,
     _check_theta,
     calculus_stack,
     decompose_stack,
+    eigenvalue_groups,
     schatten_norms,
 )
 
@@ -179,18 +181,22 @@ def _run_verify_ando(ns) -> dict:
         """Defect max|f(x) - f(y) - M_f(x - y)| over radius^theta per trial
         and map. The block is decomposed once, and each map's calculus runs
         once; the symbols depend on each operand's eigenvalue groups, so they
-        are formed one trial at a time. The radius floor keeps every
-        denominator above the degenerate floor, so no defect reads as 0."""
+        are formed one trial at a time, from groups merged once per trial. The
+        radius floor keeps every denominator above the degenerate floor, so no
+        defect reads as 0."""
         b = len(trials)
         xy = decompose_stack(np.concatenate((xs, ys)), trials=(*trials, *trials))
         images = [calculus_stack(xy, f).entries for f in maps]
+        radii = np.abs(xy.eigenvalues).max(axis=1).tolist()
         num, den = np.empty((b, len(maps))), np.empty((b, len(maps)))
         for k in range(b):
-            x, y = xy.operand(k), xy.operand(b + k)
-            radius = max(x.spectral_radius, y.spectral_radius, 1e-300)
+            x, y = (SpectralStack(xy.entries[i:i + 1], xy.eigenvalues[i:i + 1],
+                                  xy.eigenvectors[i:i + 1]) for i in (k, b + k))
+            spec_x, spec_y = (eigenvalue_groups(s.eigenvalues[0])[0] for s in (x, y))
+            radius = max(radii[k], radii[b + k], 1e-300)
             for j, (f, fxy) in enumerate(zip(maps, images)):
-                sym = divided_difference_symbol(x.distinct_eigenvalues, y.distinct_eigenvalues, f)
-                rhs = schur_apply(sym, x, y, x.entries - y.entries)
+                sym = divided_difference_symbol(spec_x, spec_y, f)
+                rhs = schur_apply(sym, x, y, xy.entries[k] - xy.entries[b + k])
                 num[k, j] = np.abs(fxy[k] - fxy[b + k] - rhs).max()
                 den[k, j] = radius**f.theta
         return RatioBlock(num, den)

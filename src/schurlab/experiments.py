@@ -2,11 +2,11 @@
 
 Each operation evaluates one candidate ratio numerator/denominator whose
 supremum is the constant under study; searches maximize the ratio over random
-ensembles with deterministic per-trial seeding (seed, dim, trial). Sweeps
-evaluate blocks of BLOCK_TRIALS trials through the stacked spectral core; the
-single-pair functions are one-member blocks, so a trial's ratio has the same
-bits in any block. Degenerate denominators are flagged and excluded from
-maxima rather than divided.
+ensembles with deterministic per-trial seeding (seed, dim, trial). Every ratio
+is evaluated on stacks through the stacked spectral core: sweeps pass blocks
+of BLOCK_TRIALS trials, a single pair is a one-member block, and a trial's
+ratio has the same bits in any block. Degenerate denominators are flagged and
+excluded from maxima rather than divided.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import serialize
 from .operators import (
-    HermitianOperand,
     SchattenIndex,
     SignedPowerFunction,
     SpectralStack,
@@ -39,13 +38,10 @@ __all__ = [
     "SearchReport",
     "ando_ratio",
     "ando_ratios",
-    "bks_check",
     "bks_ratios",
     "estimate_constant",
-    "commutator_ratio",
     "commutator_ratios",
-    "anticommutator_ratio",
-    "mazur_ratio",
+    "anticommutator_ratios",
     "mazur_ratios",
     "sweep_trials",
     "random_hermitian",
@@ -99,17 +95,6 @@ def index_label(p) -> object:
     return "inf" if q.is_infinite else q.value
 
 
-def _digest(*arrays) -> str:
-    import hashlib  # here, not at the top: it loads OpenSSL, which no certificate needs
-
-    h = hashlib.sha256()
-    for a in arrays:
-        a = np.ascontiguousarray(np.asarray(a, dtype=complex))
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
-
-
 @dataclass(frozen=True)
 class RatioSample:
     """One evaluated ratio with enough metadata to reproduce it."""
@@ -140,14 +125,6 @@ class RatioBlock:
         return np.where(deg, 0.0, self.numerator / np.where(deg, 1.0, self.denominator))
 
 
-def _single_sample(block: RatioBlock, inputs, **parameters) -> RatioSample:
-    """The sample of a one-member block: the digest of its input matrices and
-    ``parameters`` with the dimension of the first input appended."""
-    return RatioSample(float(block.numerator[0]), float(block.denominator[0]),
-                       float(block.ratio[0]), bool(block.degenerate[0]), _digest(*inputs),
-                       {**parameters, "dim": inputs[0].shape[0]})
-
-
 @dataclass
 class SearchReport:
     """Outcome of a seeded ratio search: maxima, trajectory, witnesses."""
@@ -160,11 +137,6 @@ class SearchReport:
     witness_x: np.ndarray | None = None
     witness_y: np.ndarray | None = None
     per_dim: dict = field(default_factory=dict)
-
-
-def _as_stack(x) -> SpectralStack:
-    """One-member stack of an operand, or of a freshly decomposed matrix."""
-    return SpectralStack.of(x if isinstance(x, HermitianOperand) else spectral_decompose(x))
 
 
 def _power_or_zero(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -186,10 +158,21 @@ def ando_ratios(x: SpectralStack, y: SpectralStack, p, theta: float,
 
 
 def ando_ratio(x, y, p, theta: float, signed: bool) -> RatioSample:
-    """||f(x) - f(y)||_{p/theta} / ||x - y||_p^theta for the power map f."""
-    xs, ys = _as_stack(x), _as_stack(y)
-    return _single_sample(ando_ratios(xs, ys, p, theta, signed), (xs.entries[0], ys.entries[0]),
-                          p=index_label(p), theta=theta, signed=signed)
+    """The ando_ratios sample of one pair of Hermitian matrices x, y, with the
+    SHA-256 of their shapes and complex entries and the parameters that
+    reproduce it."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which no certificate needs
+
+    xs, ys = spectral_decompose(x), spectral_decompose(y)
+    block = ando_ratios(xs, ys, p, theta, signed)
+    digest = hashlib.sha256()
+    for a in (xs.entries[0], ys.entries[0]):
+        digest.update(str(a.shape).encode())
+        digest.update(a.tobytes())
+    return RatioSample(float(block.numerator[0]), float(block.denominator[0]),
+                       float(block.ratio[0]), bool(block.degenerate[0]), digest.hexdigest(),
+                       {"p": index_label(p), "theta": theta, "signed": signed,
+                        "dim": xs.entries.shape[-1]})
 
 
 def _reject_indefinite(**stacks: SpectralStack) -> None:
@@ -210,13 +193,6 @@ def bks_ratios(x: SpectralStack, y: SpectralStack, p, theta: float) -> RatioBloc
         raise ValueError("the constant-1 inequality needs p >= theta")
     _reject_indefinite(x=x, y=y)
     return ando_ratios(x, y, q, theta, signed=False)
-
-
-def bks_check(x, y, p, theta: float) -> RatioSample:
-    """Positive-operator ratio; the classical inequality makes it <= 1 for p >= theta."""
-    xs, ys = _as_stack(x), _as_stack(y)
-    return _single_sample(bks_ratios(xs, ys, p, theta), (xs.entries[0], ys.entries[0]),
-                          p=index_label(p), theta=theta, signed=False)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -386,7 +362,7 @@ def estimate_constant(p, theta: float, signed: bool, dims, trials: int,
 
     def evaluate_pair(x, y) -> tuple[float, bool]:
         # the single-pair path, without the digest that only reports need
-        block = ando_ratios(_as_stack(x), _as_stack(y), q, theta, signed)
+        block = ando_ratios(spectral_decompose(x), spectral_decompose(y), q, theta, signed)
         return float(block.ratio[0]), bool(block.degenerate[0])
 
     def consider(ratio: float, degenerate: bool, pair, dim):
@@ -468,32 +444,24 @@ def commutator_ratios(x: SpectralStack, b, p, theta: float, signed: bool) -> Rat
     return RatioBlock(num, _power_or_zero(base, theta) * bound ** (1.0 - theta))
 
 
-def commutator_ratio(x, b, p, theta: float, signed: bool) -> RatioSample:
-    """||[f(x), b]||_{p/theta} / (||[x, b]||_p^theta ||b||^(1-theta))."""
-    xs = _as_stack(x)
-    b = np.asarray(b, dtype=complex)
-    return _single_sample(commutator_ratios(xs, b[None], p, theta, signed), (xs.entries[0], b),
-                          p=index_label(p), theta=theta, signed=signed)
-
-
-def anticommutator_ratio(x, y, b, p, theta: float, sign: int) -> RatioSample:
-    """||b x^theta +/- y^theta b||_{p/theta} / (||b x +/- y b||_p^theta ||b||^(1-theta))."""
+def anticommutator_ratios(x: SpectralStack, y: SpectralStack, b, p, theta: float,
+                          sign: int) -> RatioBlock:
+    """||b x^theta +/- y^theta b||_{p/theta} / (||b x +/- y b||_p^theta ||b||^(1-theta))
+    for each member triple of positive x, y and a (B, n, n) stack b."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    xs, ys = _as_stack(x), _as_stack(y)
-    _reject_indefinite(x=xs, y=ys)
-    b = np.asarray(b, dtype=complex)[None]
+    _reject_indefinite(x=x, y=y)
+    b = np.asarray(b, dtype=complex)
     q = as_index(p)
     f = SignedPowerFunction(theta, signed=False)
-    fx, fy = calculus_stack(xs, f), calculus_stack(ys, f)
-    num = schatten_norms(b @ fx.entries + sign * fy.entries @ b, q / theta)
-    base = float(schatten_norms(b @ xs.entries + sign * ys.entries @ b, q)[0])
-    bound = float(schatten_norms(b, SchattenIndex.INF)[0])
+    fx, fy = calculus_stack(x, f), calculus_stack(y, f)
+    num = schatten_norms(b @ fx.entries + sign * fy.entries @ b, q / theta, x.trials)
+    base = schatten_norms(b @ x.entries + sign * y.entries @ b, q, x.trials)
+    bound = schatten_norms(b, SchattenIndex.INF, x.trials)
     # scalar (libm) powers: numpy's array power can round the other way
-    den = base**theta * bound ** (1.0 - theta) if base > 0 else 0.0
-    block = RatioBlock(num, np.array([den]))
-    return _single_sample(block, (xs.entries[0], ys.entries[0], b[0]),
-                          p=index_label(q), theta=theta, sign=sign)
+    den = [base_k**theta * bound_k ** (1.0 - theta) if base_k > 0 else 0.0
+           for base_k, bound_k in zip(base.tolist(), bound.tolist())]
+    return RatioBlock(num, np.array(den))
 
 
 def _power_map(a: np.ndarray, exponent: float) -> np.ndarray:
@@ -519,11 +487,3 @@ def mazur_ratios(x, y, p: float, q: float, trials=None) -> RatioBlock:
     base = schatten_norms(x - y, p, trials=trials)
     num = schatten_norms(_power_map(x, theta) - _power_map(y, theta), q, trials=trials)
     return RatioBlock(num, _power_or_zero(base, theta))
-
-
-def mazur_ratio(x, y, p: float, q: float) -> RatioSample:
-    """Hölder ratio of the norm-homogenizing map between index p and q > p."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    return _single_sample(mazur_ratios(x[None], y[None], p, q), (x, y),
-                          p=float(p), q=float(q), theta=float(p) / float(q))

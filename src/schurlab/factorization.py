@@ -85,7 +85,9 @@ def _ramp(t):
     inner = (t > -1.0) & (t < 1.0)
     z = np.where(inner, RAMP_STEEPNESS * t / np.where(inner, 1.0 - t * t, 1.0), 0.0)
     z = np.clip(z, -700.0, 700.0)
-    v = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    # expit from one exp: 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below
+    e = np.exp(-np.abs(z))
+    v = np.where(z >= 0, 1.0, e) / (1.0 + e)
     return np.where(t <= -1.0, 0.0, np.where(t >= 1.0, 1.0, v))
 
 

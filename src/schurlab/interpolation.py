@@ -1,14 +1,15 @@
 """Decreasing rearrangements, Lorentz quasi-norms, and K-functionals.
 
 The rearrangement of a finite matrix is the step function of its singular
-values with unit step width, so every Lorentz integral reduces to an exact
-finite sum. K-functionals are evaluated on the rearrangement side only (the
-operator/profile equivalence constants are not reproduced) by a grid search
-over coordinatewise splits: both quasi-norms are absolute and monotone, so
-nonnegative aligned splits are optimal. Reported values are upper bounds that
-converge to the infimum as the grid refines; a call at grid g internally
-evaluates the whole dyadic ladder of coarser grids and returns the minimum,
-which makes refinement monotone by construction.
+values (of a vector, its moduli) with unit step width, so every Lorentz
+integral reduces to an exact finite sum. K-functionals are evaluated on the
+rearrangement side only (the operator/profile equivalence constants are not
+reproduced) by a grid search over coordinatewise splits: both quasi-norms
+are absolute and monotone, so nonnegative aligned splits are optimal.
+Reported values are upper bounds that converge to the infimum as the grid
+refines; a call at grid g internally evaluates the whole dyadic ladder of
+coarser grids and returns the minimum, which makes refinement monotone by
+construction.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiments import RatioBlock, RatioSample, _as_stack, _single_sample, index_label
+from .experiments import RatioBlock
 from .operators import (
     SchattenIndex,
     SignedPowerFunction,
     SpectralStack,
+    _check_finite,
     _check_int,
     _schatten_from_singular,
     as_index,
     calculus_stack,
-    singular_values,
     spectral_decompose,
 )
 
@@ -38,9 +39,7 @@ __all__ = [
     "lorentz_norm",
     "k_functional",
     "selfadjoint_k_gap",
-    "kfonc_check",
     "kfonc_ratios",
-    "weak_lp_check",
     "weak_lp_ratios",
 ]
 
@@ -68,12 +67,16 @@ class RearrangementProfile:
 
 
 def rearrangement(a) -> RearrangementProfile:
-    """Descending singular values as a step profile."""
+    """Descending singular values of a matrix, or moduli of a vector, as a
+    step profile; rejects non-finite matrix entries."""
     a = np.asarray(a)
     if a.ndim == 1:
-        vals = np.sort(np.abs(np.asarray(a, dtype=float)))[::-1]
+        # the modulus before the float cast, which would drop imaginary parts
+        vals = np.sort(np.asarray(np.abs(a), dtype=float))[::-1]
     else:
-        vals = singular_values(a)
+        a = np.asarray(a, dtype=complex)
+        _check_finite(a[None])
+        vals = np.linalg.svd(a, compute_uv=False)
     return RearrangementProfile(vals)
 
 
@@ -209,18 +212,18 @@ def k_functional(x, query: KFunctionalQuery, grid: int = 256) -> float:
 
 
 def selfadjoint_k_gap(x, query: KFunctionalQuery, grid: int = 256) -> tuple[float, float]:
-    """(K_t, selfadjoint K_t upper value) for a Hermitian operand.
+    """(K_t, selfadjoint K_t upper value) for a Hermitian matrix.
 
     The constrained value splits the signed eigenvalue sequence; for real
     scalars the optimal constrained split is sign-aligned, so it coincides
     with the rearrangement-side value up to grid resolution (gap 0 for
     diagonal operands).
     """
-    op = x if hasattr(x, "eigenvalues") else spectral_decompose(np.asarray(x))
-    plain = k_functional(rearrangement(op.entries), query, grid)
+    op = spectral_decompose(x)
+    plain = k_functional(rearrangement(op.entries[0]), query, grid)
     # sign-aligned splits are optimal, so the constrained search runs on the
     # magnitudes; sorting makes it comparable with the rearrangement side
-    mags = np.sort(np.abs(op.eigenvalues))[::-1]
+    mags = np.sort(np.abs(op.eigenvalues[0]))[::-1]
     return plain, k_functional(RearrangementProfile(mags), query, grid)
 
 
@@ -254,15 +257,6 @@ def kfonc_ratios(x: SpectralStack, y: SpectralStack, p0, p1, theta: float, signe
                               lambda d: k_functional(d, query, grid))
 
 
-def kfonc_check(x, y, p0, p1, theta: float, signed: bool, t: float,
-                grid: int = 128) -> RatioSample:
-    """The kfonc_ratios sample of one pair x, y."""
-    xs, ys = _as_stack(x), _as_stack(y)
-    return _single_sample(kfonc_ratios(xs, ys, p0, p1, theta, signed, t, grid),
-                          (xs.entries[0], ys.entries[0]), p0=index_label(p0),
-                          p1=index_label(p1), t=t, theta=theta, signed=signed)
-
-
 def weak_lp_ratios(x: SpectralStack, y: SpectralStack, p: float, q, theta: float,
                    signed: bool, images=None) -> RatioBlock:
     """Lorentz-norm Hölder ratios ||f(y)-f(x)||_{p/theta, q} / ||y-x||_{p, q theta}^theta
@@ -272,11 +266,3 @@ def weak_lp_ratios(x: SpectralStack, y: SpectralStack, p: float, q, theta: float
     q_scaled = SchattenIndex.INF if qi.is_infinite else SchattenIndex(qi.value * theta)
     return _difference_ratios(x, y, f, images, lambda d: lorentz_norm(d, p / theta, qi),
                               lambda d: lorentz_norm(d, p, q_scaled))
-
-
-def weak_lp_check(x, y, p: float, q, theta: float, signed: bool) -> RatioSample:
-    """The weak_lp_ratios sample of one pair x, y."""
-    xs, ys = _as_stack(x), _as_stack(y)
-    return _single_sample(weak_lp_ratios(xs, ys, p, q, theta, signed),
-                          (xs.entries[0], ys.entries[0]), p=p, q=index_label(q),
-                          theta=theta, signed=signed)

@@ -1,7 +1,8 @@
 """Multiplier symbols acting in spectral coordinates.
 
 A symbol m = (m_ij) indexed by the distinct spectra of two Hermitian operands
-acts as T_m(z) = sum_ij m_ij P_i z Q_j. With the divided differences of f as
+(one-member stacks, their eigenvalues merged by ``eigenvalue_groups``) acts
+as T_m(z) = sum_ij m_ij P_i z Q_j. With the divided differences of f as
 symbol this reproduces f(x) - f(y) = T_m(x - y) exactly on finite spectra;
 the value at coincident eigenvalues is set to 0 because the paired block of
 x - y vanishes identically.
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiments import _greedy_climb, trial_rng
-from .operators import (SV_NOISE_RTOL, HermitianOperand, SchattenIndex, SignedPowerFunction,
-                        _check_int, _check_theta, as_index, p_triangle_exponent, schatten_norms)
+from .operators import (SV_NOISE_RTOL, SchattenIndex, SignedPowerFunction, SpectralStack,
+                        _check_int, _check_theta, as_index, eigenvalue_groups,
+                        p_triangle_exponent, schatten_norms)
 from . import serialize
 
 __all__ = [
@@ -123,8 +125,13 @@ def divided_difference_integral(x: float, y: float, theta: float,
     return float(np.sum(w * theta * (t * x + (1.0 - t) * y) ** (theta - 1.0)))
 
 
-def _check_spectrum(sym_axis: np.ndarray, operand: HermitianOperand, which: str):
-    spec = operand.distinct_eigenvalues
+def _group_index(sym_axis: np.ndarray, operand: SpectralStack, which: str) -> np.ndarray:
+    """The group index of a one-member stack, once ``sym_axis`` is checked to
+    enumerate its distinct spectrum."""
+    if operand.eigenvalues.shape[0] != 1:
+        raise ValueError(f"schur_apply takes one-member stacks, got "
+                         f"{operand.eigenvalues.shape[0]} members")
+    spec, index = eigenvalue_groups(operand.eigenvalues[0])
     scale = 1.0 + np.abs(spec).max(initial=0.0)
     # written so that NaN fails too
     if (sym_axis.size != spec.size
@@ -133,21 +140,23 @@ def _check_spectrum(sym_axis: np.ndarray, operand: HermitianOperand, which: str)
             f"symbol {which} ({sym_axis}) do not enumerate the operand's "
             f"distinct spectrum ({spec})"
         )
+    return index
 
 
-def schur_apply(m: SymbolMatrix, x: HermitianOperand, y: HermitianOperand, z) -> np.ndarray:
-    """sum_ij m_ij P_i z Q_j in the spectral coordinates of x and y.
+def schur_apply(m: SymbolMatrix, x: SpectralStack, y: SpectralStack, z) -> np.ndarray:
+    """sum_ij m_ij P_i z Q_j in the spectral coordinates of the one-member
+    stacks x and y.
 
     Evaluated as U_x (M o (U_x* z U_y)) U_y* where M expands the symbol over
     eigenvalue multiplicities; linear in z.
     """
-    _check_spectrum(m.rows, x, "rows")
-    _check_spectrum(m.cols, y, "cols")
+    rows = _group_index(m.rows, x, "rows")
+    cols = _group_index(m.cols, y, "cols")
     z = np.asarray(z, dtype=complex)
-    if z.shape != (x.dim, y.dim):
-        raise ValueError(f"z has shape {z.shape}, expected ({x.dim}, {y.dim})")
-    big = m.values[np.ix_(x.group_index, y.group_index)]
-    ux, uy = x.eigenvectors, y.eigenvectors
+    if z.shape != (rows.size, cols.size):
+        raise ValueError(f"z has shape {z.shape}, expected ({rows.size}, {cols.size})")
+    big = m.values[np.ix_(rows, cols)]
+    ux, uy = x.eigenvectors[0], y.eigenvectors[0]
     return ux @ (big * (ux.conj().T @ z @ uy)) @ uy.conj().T
 
 

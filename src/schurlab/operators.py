@@ -1,35 +1,36 @@
 """Spectral functional calculus and Schatten quasi-norms on finite Hermitian
 matrices.
 
-All operands carry a cached eigendecomposition (descending eigenvalues). The
+Every decomposed operand is a ``SpectralStack``: (B, n, n) validated
+Hermitian matrices with their descending eigenvalues and eigenvectors. The
 trace is the plain one, so ``norm_p(x)^p = sum(s_i^p)`` over the singular
-values. Eigenvalues closer than ``GROUP_RTOL`` times the spectral radius are
-merged into one spectral projection: divided-difference symbols are singular
-across spuriously split eigenvalues.
+values. ``eigenvalue_groups`` merges the eigenvalues of one member that lie
+closer than ``GROUP_RTOL`` times its spectral radius into one spectral
+projection: divided-difference symbols are singular across spuriously split
+eigenvalues.
 
-The core works on (B, n, n) stacks: ``decompose_stack``, ``calculus_stack``
-and ``schatten_norms`` run batched ``eigh``/``svd`` and check every member.
-The single-matrix functions are their one-member calls, so a matrix gives
-the same bits alone as inside a stack.
+``decompose_stack``, ``calculus_stack`` and ``schatten_norms`` run batched
+``eigh``/``svd`` and check every member. The single-matrix functions are
+their one-member calls, so a matrix gives the same bits alone as inside a
+stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SchattenIndex",
     "SignedPowerFunction",
-    "HermitianOperand",
     "InvariantViolation",
     "SpectralStack",
     "decompose_stack",
     "calculus_stack",
     "schatten_norms",
+    "eigenvalue_groups",
     "spectral_decompose",
     "apply_calculus",
     "schatten_norm",
@@ -255,18 +256,6 @@ class SpectralStack:
     eigenvectors: np.ndarray
     trials: tuple | None = None
 
-    @classmethod
-    def of(cls, x: "HermitianOperand") -> "SpectralStack":
-        """The one-member stack of an already validated operand."""
-        return cls(x.entries[None], x.eigenvalues[None], x.eigenvectors[None])
-
-    def operand(self, i: int) -> "HermitianOperand":
-        return HermitianOperand(
-            dim=self.entries.shape[-1], entries=self.entries[i],
-            eigenvalues=self.eigenvalues[i], eigenvectors=self.eigenvectors[i],
-            validated=True,
-        )
-
 
 def decompose_stack(matrices, trials=None) -> SpectralStack:
     """Batched eigendecomposition of a (B, n, n) stack of Hermitian matrices.
@@ -332,95 +321,46 @@ def schatten_norms(matrices, p, trials=None) -> np.ndarray:
     return _schatten_from_singular(np.linalg.svd(a, compute_uv=False), p)
 
 
-@dataclass(eq=False)
-class HermitianOperand:
-    """A finite Hermitian matrix with cached spectral decomposition.
+def eigenvalue_groups(eigenvalues) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct eigenvalues, group index) of one member's descending spectrum.
 
-    ``eigenvalues`` are descending; ``eigenvectors`` hold the matching
-    orthonormal columns. A hand-built operand is checked like a decomposed
-    one; ``validated`` marks data that already passed those checks in a stack.
+    A group opens at its first eigenvalue and takes each following one that
+    lies no more than GROUP_RTOL times the spectral radius below that first
+    one; its representative is the mean of its members. The group index
+    gives each eigenvector column its group.
     """
-
-    dim: int
-    entries: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    validated: InitVar[bool] = False
-
-    def __post_init__(self, validated: bool):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        self.eigenvectors = np.asarray(self.eigenvectors, dtype=complex)
-        if not validated:
-            self._validate()
-
-    def _validate(self):
-        n = self.dim
-        for name, arr, shape in (("entries", self.entries, (n, n)),
-                                 ("eigenvalues", self.eigenvalues, (n,)),
-                                 ("eigenvectors", self.eigenvectors, (n, n))):
-            if arr.shape != shape:
-                raise ValueError(f"{name} shape {arr.shape} does not match dim {n}")
-        a = self.entries[None]
-        _check_hermitian(a)
-        _check_spectral(a, self.eigenvalues[None], self.eigenvectors[None])
-
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.abs(self.eigenvalues).max(initial=0.0))
-
-    # computed on first use and shared by every caller, so read-only
-    @cached_property
-    def _groups(self) -> list[slice]:
-        """Column slices of the eigenvalue groups merged within GROUP_RTOL."""
-        thresh = GROUP_RTOL * max(self.spectral_radius, 1e-300)
-        groups, start = [], 0
-        for i in range(1, self.dim):
-            if self.eigenvalues[start] - self.eigenvalues[i] > thresh:
-                groups.append(slice(start, i))
-                start = i
-        groups.append(slice(start, self.dim))
-        return groups
-
-    @cached_property
-    def distinct_eigenvalues(self) -> np.ndarray:
-        """Representative eigenvalue per merged group, descending."""
-        vals = np.array([self.eigenvalues[g].mean() for g in self._groups])
-        vals.flags.writeable = False
-        return vals
-
-    @cached_property
-    def group_index(self) -> np.ndarray:
-        """Group id of each eigenvector column."""
-        idx = np.empty(self.dim, dtype=int)
-        for gi, g in enumerate(self._groups):
-            idx[g] = gi
-        idx.flags.writeable = False
-        return idx
+    vals = np.asarray(eigenvalues, dtype=float)
+    thresh = GROUP_RTOL * max(float(np.abs(vals).max(initial=0.0)), 1e-300)
+    values = vals.tolist()
+    starts = [0]
+    for i in range(1, len(values)):
+        if values[starts[-1]] - values[i] > thresh:
+            starts.append(i)
+    ends = starts[1:] + [len(values)]
+    # numpy's mean of one value is 0.0 + value (so -0.0 reads 0.0): the same
+    # bits without a numpy call per group, for schur_apply merges both of its
+    # operands on every call
+    distinct = np.array([0.0 + values[a] if b - a == 1 else vals[a:b].mean()
+                         for a, b in zip(starts, ends)])
+    index = np.repeat(np.arange(len(starts)), np.subtract(ends, starts))
+    return distinct, index
 
 
-def spectral_decompose(matrix) -> HermitianOperand:
-    """Eigen-decompose a Hermitian matrix into a validated operand.
+def spectral_decompose(matrix) -> SpectralStack:
+    """The one-member stack of a Hermitian matrix: decompose_stack of a[None].
 
-    The one-member case of decompose_stack: rejects non-Hermitian input
-    (reporting the worst asymmetry) and non-finite entries.
+    Rejects non-square input, non-Hermitian input (reporting the worst
+    asymmetry) and non-finite entries.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return decompose_stack(a[None]).operand(0)
+    return decompose_stack(a[None])
 
 
-def apply_calculus(x: HermitianOperand, f: SignedPowerFunction) -> HermitianOperand:
-    """U diag(f(x_i)) U*: the one-member case of calculus_stack."""
-    return calculus_stack(SpectralStack.of(x), f).operand(0)
-
-
-def singular_values(a) -> np.ndarray:
-    """Descending singular values; rejects non-finite entries."""
-    a = np.asarray(a, dtype=complex)
-    _check_finite(a[None])
-    return np.linalg.svd(a, compute_uv=False)
+def apply_calculus(x: SpectralStack, f: SignedPowerFunction) -> SpectralStack:
+    """U diag(f(x_i)) U* of a one-member stack: calculus_stack's one-member call."""
+    return calculus_stack(x, f)
 
 
 def schatten_norm(a, p) -> float:

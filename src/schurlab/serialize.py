@@ -36,6 +36,12 @@ __all__ = [
 # streamed path, and 13.0 MiB when its pieces were kept for one text.
 FLOAT_PIECE = 16384
 
+# JSON string escapes: the five short forms, and \u00xx for the other
+# control characters U+0000-U+001F, which JSON forbids raw in a string
+_STRING_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
+_STRING_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n",
+                        ord("\r"): "\\r", ord("\t"): "\\t"})
+
 
 def float17(x: float) -> str:
     """Decimal string with 17 significant digits (exact double round-trip)."""
@@ -92,8 +98,7 @@ def _encode(obj, write) -> None:
     elif obj is False:
         write("false")
     elif isinstance(obj, str):
-        write('"' + obj.replace("\\", "\\\\").replace('"', '\\"')
-              .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t") + '"')
+        write('"' + obj.translate(_STRING_ESCAPES) + '"')
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):

@@ -1,10 +1,10 @@
-import hashlib
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from schurlab.experiments import RatioSample
+Sample = namedtuple("Sample", "numerator denominator ratio degenerate")
 
 
 @pytest.fixture
@@ -42,15 +42,17 @@ def exp_kernel_tail(p, k0, k1):
     return (2.0 / math.pi**2) ** p * math.fsum(shifted ** (-2.0 * p))
 
 
-def reference_sample(num, den, inputs, parameters):
-    """A ratio sample built the way the single-pair functions built theirs
-    before they shared one path: SHA-256 over each input's shape and complex
-    bytes, and ratio 0 for a denominator at or below 1e-300."""
-    h = hashlib.sha256()
-    for a in inputs:
-        a = np.ascontiguousarray(np.asarray(a, dtype=complex))
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+def reference_sample(num, den):
+    """(numerator, denominator, ratio, degenerate) of a ratio, built the way
+    the single-pair functions built their samples before they shared one
+    path: ratio 0 for a denominator at or below 1e-300."""
     degenerate = den <= 1e-300
-    return RatioSample(float(num), float(den), 0.0 if degenerate else float(num / den),
-                       bool(degenerate), h.hexdigest(), parameters)
+    return Sample(float(num), float(den), 0.0 if degenerate else float(num / den),
+                  bool(degenerate))
+
+
+def sample(block, k=0):
+    """Member k of a RatioBlock as Python scalars, for instance the one
+    member of a block evaluated on one-member stacks."""
+    return Sample(float(block.numerator[k]), float(block.denominator[k]),
+                  float(block.ratio[k]), bool(block.degenerate[k]))

@@ -17,8 +17,10 @@ import pytest
 import schurlab as sl
 import schurlab.cli as cli
 from schurlab import serialize
+from schurlab.experiments import bks_ratios
 from schurlab.factorization import make_kernel
-from schurlab.interpolation import KFunctionalQuery
+from schurlab.interpolation import KFunctionalQuery, kfonc_ratios, weak_lp_ratios
+from schurlab.operators import eigenvalue_groups
 
 from conftest import exp_kernel_tail, random_hermitian, random_psd
 
@@ -43,15 +45,16 @@ def test_criterion_1_divided_difference_exactness():
         dim = int(rng.integers(2, 9))
         x = sl.spectral_decompose(random_hermitian(dim, rng))
         y = sl.spectral_decompose(random_hermitian(dim, rng))
-        diff = x.entries - y.entries
+        diff = x.entries[0] - y.entries[0]
+        spec_x = eigenvalue_groups(x.eigenvalues[0])[0]
+        spec_y = eigenvalue_groups(y.eigenvalues[0])[0]
         for theta in (0.25, 0.5, 0.75):
-            scale = max(sl.schatten_norm(x.entries, np.inf),
-                        sl.schatten_norm(y.entries, np.inf)) ** theta
+            scale = max(sl.schatten_norm(x.entries[0], np.inf),
+                        sl.schatten_norm(y.entries[0], np.inf)) ** theta
             for signed in (False, True):
                 f = sl.SignedPowerFunction(theta, signed)
-                sym = sl.divided_difference_symbol(
-                    x.distinct_eigenvalues, y.distinct_eigenvalues, f)
-                lhs = sl.apply_calculus(x, f).entries - sl.apply_calculus(y, f).entries
+                sym = sl.divided_difference_symbol(spec_x, spec_y, f)
+                lhs = sl.apply_calculus(x, f).entries[0] - sl.apply_calculus(y, f).entries[0]
                 rhs = sl.schur_apply(sym, x, y, diff)
                 gap = np.abs(lhs - rhs).max() / scale
                 worst = max(worst, gap)
@@ -69,9 +72,10 @@ def test_criterion_2_positive_constant_one():
         for i in range(1000):
             rng = seeded(202, ci, i)
             dim = int(rng.integers(2, 7))
-            s = sl.bks_check(random_psd(dim, rng), random_psd(dim, rng), p, theta)
-            if not s.degenerate:
-                worst = max(worst, s.ratio)
+            s = bks_ratios(sl.spectral_decompose(random_psd(dim, rng)),
+                           sl.spectral_decompose(random_psd(dim, rng)), p, theta)
+            if not s.degenerate[0]:
+                worst = max(worst, s.ratio[0])
             assert worst <= 1.0 + 1e-9
     elapsed = time.time() - started
     ok = worst <= 1.0 + 1e-9 and elapsed < 60
@@ -227,11 +231,12 @@ def test_criterion_7_interpolation_suite():
     logged = []
     for i in range(8):
         rng = seeded(709, i)
-        x, y = random_hermitian(3, rng), random_hermitian(3, rng)
+        x = sl.spectral_decompose(random_hermitian(3, rng))
+        y = sl.spectral_decompose(random_hermitian(3, rng))
         for t in (0.1, 1.0, 10.0):
-            logged.append(sl.kfonc_check(x, y, 0.5, 2.0, 0.5, True, t, grid=32).ratio)
+            logged.append(kfonc_ratios(x, y, 0.5, 2.0, 0.5, True, t, grid=32).ratio[0])
         for qq in (0.5, 1.0, np.inf):
-            logged.append(sl.weak_lp_check(x, y, 1.0, qq, 0.5, True).ratio)
+            logged.append(weak_lp_ratios(x, y, 1.0, qq, 0.5, True).ratio[0])
     assert all(np.isfinite(v) for v in logged)
     elapsed = time.time() - started
     ok = elapsed < 120

@@ -10,7 +10,8 @@ import pytest
 import schurlab.cli as cli
 from schurlab import serialize
 from schurlab.experiments import RatioBlock, random_pair, trial_rng
-from schurlab.interpolation import kfonc_check, weak_lp_check
+from schurlab.interpolation import kfonc_ratios, weak_lp_ratios
+from schurlab.operators import spectral_decompose
 
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -421,10 +422,10 @@ class TestReports:
     @pytest.mark.parametrize("argv, labels, ratio", [
         (["kfunctional", "--p0", "0.5", "--p1", "2", "--t", "0.5,4", "--grid", "16", "--dim", "2"],
          [{"t": t, "p0": 0.5, "p1": 2.0, "theta": 0.5} for t in (0.5, 4.0)],
-         lambda x, y, case: kfonc_check(x, y, 0.5, 2.0, 0.5, False, case["t"], grid=16)),
+         lambda x, y, case: kfonc_ratios(x, y, 0.5, 2.0, 0.5, False, case["t"], grid=16)),
         (["weak-lp", "--p", "1", "--q", "0.5,1,inf", "--dim", "3"],
          [{"p": 1.0, "q": q, "theta": 0.5} for q in (0.5, 1.0, "inf")],
-         lambda x, y, case: weak_lp_check(x, y, 1.0, case["q"], 0.5, False)),
+         lambda x, y, case: weak_lp_ratios(x, y, 1.0, case["q"], 0.5, False)),
     ])
     def test_case_rows_are_trial_major(self, tmp_path, argv, labels, ratio):
         # 66 trials cross a block boundary; every trial has one row per case
@@ -438,7 +439,7 @@ class TestReports:
         for row in rows[:2 * len(labels)] + rows[-len(labels):]:
             x, y = random_pair(3 if argv[0] == "weak-lp" else 2, trial_rng(5, row["trial"]),
                                kind=row["trial"])
-            assert row["ratio"] == ratio(x, y, row).ratio
+            assert row["ratio"] == ratio(spectral_decompose(x), spectral_decompose(y), row).ratio[0]
         csv = tmp_path / "r.csv"
         assert cli.main(argv + ["--trials", "2", "--format", "csv", "--out", str(csv)]) == 0
         header = [l for l in csv.read_text().splitlines() if not l.startswith("#")][0]
@@ -483,7 +484,7 @@ class TestReports:
         # the defect formed per map, as the sweep ran before it went in blocks
         from schurlab.experiments import random_hermitian
         from schurlab.multipliers import divided_difference_symbol, schur_apply
-        from schurlab.operators import SignedPowerFunction, calculus_stack, decompose_stack
+        from schurlab.operators import SignedPowerFunction, apply_calculus, eigenvalue_groups
 
         seed, trials, dims, thetas = 5, 70, [2, 5, 3], [0.3, 0.8]
         maps = [SignedPowerFunction(t, s) for t in thetas for s in (False, True)]
@@ -491,15 +492,18 @@ class TestReports:
         def reference(idx):
             rng = trial_rng(seed, idx)
             dim = dims[idx % len(dims)]
-            xy = decompose_stack([random_hermitian(dim, rng), random_hermitian(dim, rng)])
-            x, y = xy.operand(0), xy.operand(1)
-            radius = max(x.spectral_radius, y.spectral_radius, 1e-300)
+            x = spectral_decompose(random_hermitian(dim, rng))
+            y = spectral_decompose(random_hermitian(dim, rng))
+            radius = max(float(np.abs(x.eigenvalues).max()), float(np.abs(y.eigenvalues).max()),
+                         1e-300)
+            spec_x = eigenvalue_groups(x.eigenvalues[0])[0]
+            spec_y = eigenvalue_groups(y.eigenvalues[0])[0]
             defects = []
             for f in maps:
-                sym = divided_difference_symbol(x.distinct_eigenvalues, y.distinct_eigenvalues, f)
-                fxy = calculus_stack(xy, f).entries
-                rhs = schur_apply(sym, x, y, x.entries - y.entries)
-                defects.append(np.abs(fxy[0] - fxy[1] - rhs).max() / radius**f.theta)
+                sym = divided_difference_symbol(spec_x, spec_y, f)
+                diff = apply_calculus(x, f).entries[0] - apply_calculus(y, f).entries[0]
+                rhs = schur_apply(sym, x, y, x.entries[0] - y.entries[0])
+                defects.append(np.abs(diff - rhs).max() / radius**f.theta)
             return defects
 
         seen, decompositions = {}, []
@@ -538,23 +542,23 @@ class TestReports:
         assert cli.main(["bks", "--p", "1", "--theta", "0.5", "--dims", "3",
                          "--trials", "30", "--seed", "2", "--out", str(out)]) == 0
         res = load_report(out)["body"]["results"]
-        from schurlab.experiments import bks_check
-        x = serialize.matrix_from_json(res["witness_x"])
-        y = serialize.matrix_from_json(res["witness_y"])
-        replay = bks_check(x, y, 1.0, 0.5)
-        assert replay.ratio == pytest.approx(res["max_ratio"], rel=1e-12)
+        from schurlab.experiments import bks_ratios
+        x = spectral_decompose(serialize.matrix_from_json(res["witness_x"]))
+        y = spectral_decompose(serialize.matrix_from_json(res["witness_y"]))
+        replay = bks_ratios(x, y, 1.0, 0.5)
+        assert replay.ratio[0] == pytest.approx(res["max_ratio"], rel=1e-12)
 
     def test_bks_max_is_the_witness_check_bit_for_bit(self, tmp_path):
         # the sweep's maximum is reported as is; the witness's single-pair
         # check gives the same bits
-        from schurlab.experiments import bks_check
+        from schurlab.experiments import bks_ratios
         out = tmp_path / "r.json"
         assert cli.main(["bks", "--p", "0.75", "--theta", "0.5", "--dims", "2,5",
                          "--trials", "70", "--seed", "3", "--out", str(out)]) == 0
         res = load_report(out)["body"]["results"]
-        x = serialize.matrix_from_json(res["witness_x"])
-        y = serialize.matrix_from_json(res["witness_y"])
-        assert bks_check(x, y, 0.75, 0.5).ratio == res["max_ratio"]
+        x = spectral_decompose(serialize.matrix_from_json(res["witness_x"]))
+        y = spectral_decompose(serialize.matrix_from_json(res["witness_y"]))
+        assert bks_ratios(x, y, 0.75, 0.5).ratio[0] == res["max_ratio"]
 
     def test_bks_dim_without_trials(self, tmp_path):
         # two trials over three dims: trial i runs at dims[i % 3], so dim 6 gets none
@@ -563,16 +567,25 @@ class TestReports:
                          "--trials", "2", "--seed", "4", "--out", str(out)]) == 0
         validate(out, "bks")
         res = load_report(out)["body"]["results"]
-        from schurlab.experiments import bks_check, random_psd, trial_rng
+        from schurlab.experiments import bks_ratios, random_psd, trial_rng
         samples = []
         for trial, dim in enumerate((2, 4)):
             rng = trial_rng(4, trial)
             x, y = random_psd(dim, rng), random_psd(dim, rng)
-            samples.append((bks_check(x, y, 1.0, 0.5).ratio, x, y))
+            ratio = bks_ratios(spectral_decompose(x), spectral_decompose(y), 1.0, 0.5).ratio[0]
+            samples.append((ratio, x, y))
         best, x, y = max(samples, key=lambda s: s[0])
         assert res["max_ratio"] == best
         assert np.array_equal(serialize.matrix_from_json(res["witness_x"]), x)
         assert np.array_equal(serialize.matrix_from_json(res["witness_y"]), y)
+
+    def test_control_character_in_a_flag_leaves_the_report_json(self, tmp_path):
+        # float() reads "1\x0b" as 1, and the config keeps the raw --p text
+        out = tmp_path / "r.json"
+        assert cli.main(["bks", "--p", "1\x0b", "--theta", "0.5", "--dims", "2",
+                         "--trials", "3", "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as fh:
+            assert json.load(fh)["body"]["config"]["p"] == "1\x0b"
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHURLAB_OUTDIR", str(tmp_path))

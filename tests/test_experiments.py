@@ -10,13 +10,10 @@ from schurlab.experiments import (
     RatioBlock,
     ando_ratio,
     ando_ratios,
-    anticommutator_ratio,
-    bks_check,
+    anticommutator_ratios,
     bks_ratios,
-    commutator_ratio,
     commutator_ratios,
     estimate_constant,
-    mazur_ratio,
     mazur_ratios,
     random_pair,
     sweep_trials,
@@ -31,7 +28,7 @@ from schurlab.operators import (
     spectral_decompose,
 )
 
-from conftest import random_hermitian, random_psd, random_unitary, reference_sample
+from conftest import random_hermitian, random_psd, random_unitary, reference_sample, sample
 
 
 def reference_anticommutator_ratio(x, y, b, p, theta, sign):
@@ -43,17 +40,17 @@ def reference_anticommutator_ratio(x, y, b, p, theta, sign):
     b = np.asarray(b, dtype=complex)
     q = as_index(p)
     for name, op in (("x", x), ("y", y)):
-        if op.eigenvalues.min(initial=0.0) < -1e-10 * max(1.0, op.spectral_radius):
+        vals = op.eigenvalues[0]
+        if vals.min(initial=0.0) < -1e-10 * max(1.0, float(np.abs(vals).max(initial=0.0))):
             raise ValueError(f"{name} must be positive semidefinite")
     f = SignedPowerFunction(theta, signed=False)
-    fx, fy = apply_calculus(x, f), apply_calculus(y, f)
+    fx, fy = apply_calculus(x, f).entries[0], apply_calculus(y, f).entries[0]
+    x, y = x.entries[0], y.entries[0]
     bound = schatten_norm(b, SchattenIndex.INF)
-    num = schatten_norm(b @ fx.entries + sign * fy.entries @ b, q / theta)
-    base = schatten_norm(b @ x.entries + sign * y.entries @ b, q)
+    num = schatten_norm(b @ fx + sign * fy @ b, q / theta)
+    base = schatten_norm(b @ x + sign * y @ b, q)
     den = base**theta * bound ** (1.0 - theta) if base > 0 else 0.0
-    params = {"p": "inf" if q.is_infinite else q.value, "theta": theta, "sign": sign,
-              "dim": x.dim}
-    return reference_sample(num, den, (x.entries, y.entries, b), params)
+    return reference_sample(num, den)
 
 
 class TestAndoRatio:
@@ -125,13 +122,14 @@ class TestBlocks:
         xs = np.array([random_psd(4, rng) for _ in range(6)])
         ys = np.array([random_psd(4, rng) for _ in range(6)])
         bs = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
-        bks = bks_ratios(decompose_stack(xs), decompose_stack(ys), 1.0, 0.5)
+        bks_block = bks_ratios(decompose_stack(xs), decompose_stack(ys), 1.0, 0.5)
         com = commutator_ratios(decompose_stack(xs), bs, 0.5, 0.5, True)
         maz = mazur_ratios(xs, bs, 1.0, 2.0)
         for k in range(6):
-            assert bks_check(xs[k], ys[k], 1.0, 0.5).ratio == bks.ratio[k]
-            assert commutator_ratio(xs[k], bs[k], 0.5, 0.5, True).ratio == com.ratio[k]
-            assert mazur_ratio(xs[k], bs[k], 1.0, 2.0).ratio == maz.ratio[k]
+            x, y = spectral_decompose(xs[k]), spectral_decompose(ys[k])
+            assert sample(bks_ratios(x, y, 1.0, 0.5)) == sample(bks_block, k)
+            assert sample(commutator_ratios(x, bs[k][None], 0.5, 0.5, True)) == sample(com, k)
+            assert sample(mazur_ratios(xs[k][None], bs[k][None], 1.0, 2.0)) == sample(maz, k)
 
     def test_sweep_trials_yields_members_after_evaluate_in_trial_order(self):
         trial_ids = range(1, 2 * (2 * BLOCK_TRIALS + 5), 2)
@@ -181,17 +179,20 @@ class TestBlocks:
 
 class TestBks:
     def test_commuting_diagonals(self):
-        s = bks_check(np.diag([4.0, 1.0]), np.diag([1.0, 2.0]), 1.0, 0.5)
-        assert s.ratio <= 1.0 + 1e-9
+        s = bks_ratios(spectral_decompose(np.diag([4.0, 1.0])),
+                       spectral_decompose(np.diag([1.0, 2.0])), 1.0, 0.5)
+        assert s.ratio[0] <= 1.0 + 1e-9
         # disjoint supports give equality
-        t = bks_check(np.diag([4.0, 0.0]), np.diag([0.0, 1.0]), 1.0, 0.5)
-        assert t.ratio == pytest.approx(1.0, rel=1e-12)
+        t = bks_ratios(spectral_decompose(np.diag([4.0, 0.0])),
+                       spectral_decompose(np.diag([0.0, 1.0])), 1.0, 0.5)
+        assert t.ratio[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_random_sweep(self, rng):
         for p, theta in ((1.0, 0.5), (2.0, 0.5), (1.0, 0.75)):
             for _ in range(100):
                 dim = int(rng.integers(2, 7))
-                s = bks_check(random_psd(dim, rng), random_psd(dim, rng), p, theta)
+                s = sample(bks_ratios(spectral_decompose(random_psd(dim, rng)),
+                                      spectral_decompose(random_psd(dim, rng)), p, theta))
                 assert s.degenerate or s.ratio <= 1.0 + 1e-9
 
     def test_rank_one_perturbation_sweep(self, rng):
@@ -199,16 +200,17 @@ class TestBks:
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         bump = np.outer(v, v.conj())
         for eps in (1.0, 1e-2, 1e-4, 1e-6, 1e-8):
-            s = bks_check(y + eps * bump, y, 1.0, 0.5)
-            assert s.ratio <= 1.0 + 1e-9
+            s = bks_ratios(spectral_decompose(y + eps * bump), spectral_decompose(y), 1.0, 0.5)
+            assert s.ratio[0] <= 1.0 + 1e-9
 
     def test_rejects_indefinite(self, rng):
         with pytest.raises(ValueError, match="positive semidefinite"):
-            bks_check(np.diag([1.0, -0.5]), np.eye(2), 1.0, 0.5)
+            bks_ratios(spectral_decompose(np.diag([1.0, -0.5])), spectral_decompose(np.eye(2)),
+                       1.0, 0.5)
 
     def test_rejects_p_below_theta(self):
         with pytest.raises(ValueError, match="p >= theta"):
-            bks_check(np.eye(2), 2 * np.eye(2), 0.25, 0.5)
+            bks_ratios(spectral_decompose(np.eye(2)), spectral_decompose(2 * np.eye(2)), 0.25, 0.5)
 
 
 class TestEstimateConstant:
@@ -319,56 +321,58 @@ class TestEstimateConstant:
 
 class TestCommutator:
     def test_commuting_is_degenerate(self, rng):
-        x = np.diag([2.0, 1.0])
-        s = commutator_ratio(x, np.eye(2), 1.0, 0.5, signed=False)
-        assert s.degenerate
+        x = spectral_decompose(np.diag([2.0, 1.0]))
+        s = commutator_ratios(x, np.eye(2)[None], 1.0, 0.5, signed=False)
+        assert s.degenerate[0]
 
     def test_nilpotent_unit(self):
-        x = np.diag([1.0, 0.0])
-        b = np.array([[0.0, 1.0], [0.0, 0.0]])
-        s = commutator_ratio(x, b, 1.0, 0.5, signed=False)
-        assert s.ratio == pytest.approx(1.0, rel=1e-12)
+        x = spectral_decompose(np.diag([1.0, 0.0]))
+        b = np.array([[[0.0, 1.0], [0.0, 0.0]]])
+        s = commutator_ratios(x, b, 1.0, 0.5, signed=False)
+        assert s.ratio[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_random_finite(self, rng):
-        x = random_hermitian(4, rng)
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        s = commutator_ratio(x, b, 0.5, 0.5, signed=True)
-        assert np.isfinite(s.ratio) and s.ratio > 0
+        x = spectral_decompose(random_hermitian(4, rng))
+        b = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
+        s = commutator_ratios(x, b, 0.5, 0.5, signed=True)
+        assert np.isfinite(s.ratio[0]) and s.ratio[0] > 0
 
     def test_scale_invariance(self, rng):
         x = random_hermitian(4, rng)
-        b = rng.standard_normal((4, 4))
-        a1 = commutator_ratio(x, b, 0.5, 0.5, False)
-        a2 = commutator_ratio(4.2 * x, b, 0.5, 0.5, False)
-        assert abs(a1.ratio - a2.ratio) <= 1e-10 * a1.ratio
+        b = rng.standard_normal((1, 4, 4))
+        a1 = commutator_ratios(spectral_decompose(x), b, 0.5, 0.5, False)
+        a2 = commutator_ratios(spectral_decompose(4.2 * x), b, 0.5, 0.5, False)
+        assert abs(a1.ratio[0] - a2.ratio[0]) <= 1e-10 * a1.ratio[0]
 
     def test_rejects_zero_b(self, rng):
         with pytest.raises(ValueError, match="nonzero"):
-            commutator_ratio(random_hermitian(3, rng), np.zeros((3, 3)), 1.0, 0.5, False)
+            commutator_ratios(spectral_decompose(random_hermitian(3, rng)), np.zeros((1, 3, 3)),
+                              1.0, 0.5, False)
 
 
 class TestAnticommutator:
     def test_difference_degenerate(self, rng):
-        x = random_psd(3, rng)
-        s = anticommutator_ratio(x, x, np.eye(3), 1.0, 0.5, sign=-1)
-        assert s.degenerate
+        x = spectral_decompose(random_psd(3, rng))
+        s = anticommutator_ratios(x, x, np.eye(3)[None], 1.0, 0.5, sign=-1)
+        assert s.degenerate[0]
 
     def test_sum_identity_value(self, rng):
-        x = random_psd(3, rng)
+        x = spectral_decompose(random_psd(3, rng))
         for theta in (0.3, 0.5, 0.8):
-            s = anticommutator_ratio(x, x, np.eye(3), 1.0, theta, sign=+1)
-            assert s.ratio == pytest.approx(2.0 ** (1.0 - theta), rel=1e-10)
+            s = anticommutator_ratios(x, x, np.eye(3)[None], 1.0, theta, sign=+1)
+            assert s.ratio[0] == pytest.approx(2.0 ** (1.0 - theta), rel=1e-10)
 
     def test_random_recorded(self, rng):
-        x, y = random_psd(4, rng), random_psd(4, rng)
+        x, y = spectral_decompose(random_psd(4, rng)), spectral_decompose(random_psd(4, rng))
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         b /= np.linalg.svd(b, compute_uv=False)[0]
-        s = anticommutator_ratio(x, y, b, 0.5, 0.5, sign=+1)
-        assert np.isfinite(s.ratio) and not s.degenerate
+        s = anticommutator_ratios(x, y, b[None], 0.5, 0.5, sign=+1)
+        assert np.isfinite(s.ratio[0]) and not s.degenerate[0]
 
     def test_rejects_indefinite(self, rng):
         with pytest.raises(ValueError, match="positive"):
-            anticommutator_ratio(np.diag([1.0, -1.0]), np.eye(2), np.eye(2), 1.0, 0.5, 1)
+            anticommutator_ratios(spectral_decompose(np.diag([1.0, -1.0])),
+                                  spectral_decompose(np.eye(2)), np.eye(2)[None], 1.0, 0.5, 1)
 
     @pytest.mark.parametrize("dim", range(1, 7))
     def test_matches_reference_bitwise(self, dim):
@@ -378,10 +382,12 @@ class TestAnticommutator:
             b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             for p, theta, sign in ((0.5, 0.5, 1), (1.0, 0.3, -1),
                                    (SchattenIndex.INF, 0.75, 1), (2.0, 0.6, -1)):
-                s = anticommutator_ratio(x, y, b, p, theta, sign)
-                assert s == reference_anticommutator_ratio(x, y, b, p, theta, sign)
+                s = anticommutator_ratios(spectral_decompose(x), spectral_decompose(y), b[None],
+                                          p, theta, sign)
+                assert sample(s) == reference_anticommutator_ratio(x, y, b, p, theta, sign)
         # the degenerate case: x = y, b = 1 and the minus sign
-        s = anticommutator_ratio(x, x, np.eye(dim), 1.0, 0.5, -1)
+        s = sample(anticommutator_ratios(spectral_decompose(x), spectral_decompose(x),
+                                         np.eye(dim)[None], 1.0, 0.5, -1))
         assert s.degenerate
         assert s == reference_anticommutator_ratio(x, x, np.eye(dim), 1.0, 0.5, -1)
 
@@ -390,30 +396,30 @@ class TestMazur:
     def test_hermitian_reduces_to_signed_power_ratio(self, rng):
         x, y = random_hermitian(4, rng), random_hermitian(4, rng)
         p, q = 1.0, 2.0
-        s = mazur_ratio(x, y, p, q)
+        s = mazur_ratios(x[None], y[None], p, q)
         a = ando_ratio(x, y, p, p / q, signed=True)
-        assert s.ratio == pytest.approx(a.ratio, rel=1e-10)
+        assert s.ratio[0] == pytest.approx(a.ratio, rel=1e-10)
 
     def test_scalar_times_unitary(self, rng):
         u = random_unitary(3, rng)
-        s = mazur_ratio(2.7 * u, np.zeros((3, 3)), 1.0, 2.0)
-        assert s.ratio == pytest.approx(1.0, rel=1e-12)
+        s = mazur_ratios(2.7 * u[None], np.zeros((1, 3, 3)), 1.0, 2.0)
+        assert s.ratio[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_non_normal_finite(self, rng):
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        s = mazur_ratio(x, y, 1.0, 2.0)
-        assert np.isfinite(s.ratio) and not s.degenerate
+        s = mazur_ratios(x[None], y[None], 1.0, 2.0)
+        assert np.isfinite(s.ratio[0]) and not s.degenerate[0]
 
     def test_zero_pair_degenerate(self):
-        s = mazur_ratio(np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 2.0)
-        assert s.degenerate
+        s = mazur_ratios(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), 1.0, 2.0)
+        assert s.degenerate[0]
 
     def test_rejects_bad_indices(self, rng):
         with pytest.raises(ValueError):
-            mazur_ratio(np.eye(2), np.zeros((2, 2)), 2.0, 1.0)
+            mazur_ratios(np.eye(2)[None], np.zeros((1, 2, 2)), 2.0, 1.0)
 
     def test_rejects_infinite_q(self):
         # theta = p/q would be 0: the map sends every matrix to a partial isometry
         with pytest.raises(ValueError, match="q must be finite"):
-            mazur_ratio(np.eye(2), np.zeros((2, 2)), 1.0, float("inf"))
+            mazur_ratios(np.eye(2)[None], np.zeros((1, 2, 2)), 1.0, float("inf"))

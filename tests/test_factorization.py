@@ -31,6 +31,7 @@ from schurlab.factorization import (
     sum_quadrant_bound,
     _mode_numbers,
     _power_diff,
+    _ramp,
     _round_up,
     COLUMN_BLOCK,
     GROUP_BYTES,
@@ -486,6 +487,23 @@ class TestBump:
         for order in range(1, 6):
             assert RAMP_DERIVATIVE_SUPS[order] == pytest.approx(
                 symbolic_ramp_derivative_sup(order), rel=1e-12, abs=0.0)
+
+    def test_ramp_matches_the_three_exp_formula_bitwise(self):
+        def reference(t):
+            # expit as it was written with exp(-z) and then exp(z) twice
+            t = np.asarray(t, dtype=float)
+            inner = (t > -1.0) & (t < 1.0)
+            z = np.where(inner, RAMP_STEEPNESS * t / np.where(inner, 1.0 - t * t, 1.0), 0.0)
+            z = np.clip(z, -700.0, 700.0)
+            v = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+            return np.where(t <= -1.0, 0.0, np.where(t >= 1.0, 1.0, v))
+
+        edges = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, np.nan, np.inf, -np.inf])
+        near = np.concatenate([np.nextafter(edges[:6], np.inf), np.nextafter(edges[:6], -np.inf)])
+        rng = np.random.default_rng(17)
+        t = np.concatenate([edges, near, np.linspace(-1.0, 1.0, 200001),
+                            rng.uniform(-1.1, 1.1, 100000)])
+        assert np.array_equal(_ramp(t).view(np.int64), reference(t).view(np.int64))
 
     def test_orders_beyond_the_table_fail_fast(self):
         # p = 0.1 asks for the default order d = ceil(1/p) + 1 = 11

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,10 @@ from schurlab.interpolation import (
     KFunctionalQuery,
     RearrangementProfile,
     k_functional,
-    kfonc_check,
     kfonc_ratios,
     lorentz_norm,
     rearrangement,
     selfadjoint_k_gap,
-    weak_lp_check,
     weak_lp_ratios,
 )
 from schurlab.experiments import ando_ratio
@@ -22,18 +22,15 @@ from schurlab.operators import (
     calculus_stack,
     decompose_stack,
     schatten_norm,
+    spectral_decompose,
 )
 
-from conftest import random_hermitian, reference_sample
-
-
-def _label(q):
-    return "inf" if q.is_infinite else q.value
+from conftest import random_hermitian, reference_sample, sample
 
 
 def reference_kfonc_check(x, y, p0, p1, theta, signed, t, grid=128):
-    """Reference: kfonc_check as it was before it shared the pair-difference
-    path with weak_lp_check."""
+    """Reference: the K-functional ratio of one pair as it was computed before
+    it shared the pair-difference path with the Lorentz ratio."""
     p0 = as_index(p0)
     p1 = as_index(p1)
     f = SignedPowerFunction(theta, signed)
@@ -44,14 +41,12 @@ def reference_kfonc_check(x, y, p0, p1, theta, signed, t, grid=128):
     num = k_functional(diff_f, KFunctionalQuery(t**theta, p0 / theta, p1 / theta), grid)
     den_base = k_functional(diff, KFunctionalQuery(t, p0, p1), grid)
     den = den_base**theta if den_base > 0 else 0.0
-    params = {"p0": _label(p0), "p1": _label(p1), "theta": theta,
-              "signed": signed, "t": t, "dim": diff.shape[0]}
-    return reference_sample(num, den, xy.entries, params)
+    return reference_sample(num, den)
 
 
 def reference_weak_lp_check(x, y, p, q, theta, signed):
-    """Reference: weak_lp_check as it was before it shared the pair-difference
-    path with kfonc_check."""
+    """Reference: the Lorentz ratio of one pair as it was computed before it
+    shared the pair-difference path with the K-functional ratio."""
     f = SignedPowerFunction(theta, signed)
     xy = decompose_stack([x, y])
     qi = as_index(q)
@@ -62,9 +57,7 @@ def reference_weak_lp_check(x, y, p, q, theta, signed):
     num = lorentz_norm(rearrangement(diff_f), p / theta, qi)
     den_base = lorentz_norm(rearrangement(diff), p, q_scaled)
     den = den_base**theta if den_base > 0 else 0.0
-    params = {"p": p, "q": _label(qi), "theta": theta, "signed": signed,
-              "dim": diff.shape[0]}
-    return reference_sample(num, den, xy.entries, params)
+    return reference_sample(num, den)
 
 
 def _reference_pairs(dim, count, seed):
@@ -175,6 +168,13 @@ class TestRearrangement:
         with pytest.raises(ValueError, match="nonincreasing"):
             RearrangementProfile(np.array([1.0, 2.0]))
 
+    def test_complex_vector_keeps_its_moduli(self):
+        # a float cast before the modulus kept the real parts [0, 1, 0.5]
+        v = [3j, 1 + 1j, 0.5]
+        assert rearrangement(v).values.tolist() == [3.0, math.sqrt(2.0), 0.5]
+        query = KFunctionalQuery(1.0, 0.5, 2.0)
+        assert k_functional(v, query) == k_functional(np.abs(v), query)
+
 
 class TestLorentzNorm:
     def test_two_step_sup(self):
@@ -199,6 +199,10 @@ class TestLorentzNorm:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             lorentz_norm(RearrangementProfile(np.array([1.0])), 0.0, 1.0)
+
+    def test_complex_vector(self):
+        # ||(3, 1)||_{1,1} = 3 + 1; the real parts alone gave 1
+        assert lorentz_norm([3j, 1], 1, 1) == 4.0
 
     def test_rejects_infinite_p(self):
         # each step weight (p/q)(i^(q/p) - (i-1)^(q/p)) is inf * 0 at p = inf: NaN
@@ -349,19 +353,22 @@ class TestSelfadjointGap:
 
 class TestKfoncCheck:
     def test_single_jump(self):
-        s = kfonc_check(np.diag([1.0, 0.0]), np.zeros((2, 2)),
-                        1.0, SchattenIndex.INF, 0.5, False, t=1.0, grid=64)
-        assert s.ratio == pytest.approx(1.0, abs=1e-6)
+        s = kfonc_ratios(spectral_decompose(np.diag([1.0, 0.0])),
+                         spectral_decompose(np.zeros((2, 2))),
+                         1.0, SchattenIndex.INF, 0.5, False, t=1.0, grid=64)
+        assert s.ratio[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_commuting_diagonals_finite(self, rng):
         x = np.diag(rng.standard_normal(4))
         y = np.diag(rng.standard_normal(4))
-        s = kfonc_check(x, y, 0.5, 2.0, 0.5, True, t=1.0, grid=64)
-        assert np.isfinite(s.ratio) and s.ratio > 0
+        s = kfonc_ratios(spectral_decompose(x), spectral_decompose(y), 0.5, 2.0, 0.5, True,
+                         t=1.0, grid=64)
+        assert np.isfinite(s.ratio[0]) and s.ratio[0] > 0
 
     def test_sweep_logged(self, rng):
-        x, y = random_hermitian(3, rng), random_hermitian(3, rng)
-        ratios = [kfonc_check(x, y, 0.5, 2.0, 0.5, True, t=t, grid=32).ratio
+        x = spectral_decompose(random_hermitian(3, rng))
+        y = spectral_decompose(random_hermitian(3, rng))
+        ratios = [kfonc_ratios(x, y, 0.5, 2.0, 0.5, True, t=t, grid=32).ratio[0]
                   for t in (0.1, 1.0, 10.0)]
         assert all(np.isfinite(r) for r in ratios)
 
@@ -370,37 +377,42 @@ class TestKfoncCheck:
         for x, y in _reference_pairs(dim, 3, seed=21):
             for p0, p1, theta, signed, t in ((0.5, 2.0, 0.5, True, 0.1),
                                              (1.0, SchattenIndex.INF, 0.3, False, 10.0)):
-                s = kfonc_check(x, y, p0, p1, theta, signed, t, grid=32)
-                assert s == reference_kfonc_check(x, y, p0, p1, theta, signed, t, grid=32)
+                s = kfonc_ratios(spectral_decompose(x), spectral_decompose(y),
+                                 p0, p1, theta, signed, t, grid=32)
+                assert sample(s) == reference_kfonc_check(x, y, p0, p1, theta, signed, t, grid=32)
 
 
 class TestWeakLp:
     def test_collapse_to_power_ratio(self, rng):
         x, y = random_hermitian(4, rng), random_hermitian(4, rng)
         p, theta = 1.0, 0.5
-        s = weak_lp_check(x, y, p, p / theta, theta, signed=True)
+        s = weak_lp_ratios(spectral_decompose(x), spectral_decompose(y), p, p / theta, theta,
+                           signed=True)
         a = ando_ratio(x, y, p, theta, signed=True)
-        assert s.ratio == pytest.approx(a.ratio, rel=1e-10)
+        assert s.ratio[0] == pytest.approx(a.ratio, rel=1e-10)
 
     def test_rank_one_exact(self):
         x = np.zeros((3, 3))
         x[0, 0] = 2.0
-        s = weak_lp_check(x, np.zeros((3, 3)), 1.0, 1.0, 0.5, signed=False)
-        assert s.ratio == pytest.approx(1.0, rel=1e-12)
+        s = weak_lp_ratios(spectral_decompose(x), spectral_decompose(np.zeros((3, 3))),
+                           1.0, 1.0, 0.5, signed=False)
+        assert s.ratio[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_sweep_over_q(self, rng):
-        x, y = random_hermitian(5, rng), random_hermitian(5, rng)
+        x = spectral_decompose(random_hermitian(5, rng))
+        y = spectral_decompose(random_hermitian(5, rng))
         for q in (0.5, 1.0, SchattenIndex.INF):
-            s = weak_lp_check(x, y, 1.0, q, 0.5, signed=True)
-            assert np.isfinite(s.ratio) and s.ratio > 0
+            s = weak_lp_ratios(x, y, 1.0, q, 0.5, signed=True)
+            assert np.isfinite(s.ratio[0]) and s.ratio[0] > 0
 
     @pytest.mark.parametrize("dim", range(1, 7))
     def test_matches_reference_bitwise(self, dim):
         for x, y in _reference_pairs(dim, 5, seed=22):
             for p, q, theta, signed in ((1.0, 0.5, 0.5, True), (0.5, SchattenIndex.INF, 0.3, False),
                                         (2.0, 1.0, 0.75, True)):
-                s = weak_lp_check(x, y, p, q, theta, signed)
-                assert s == reference_weak_lp_check(x, y, p, q, theta, signed)
+                s = weak_lp_ratios(spectral_decompose(x), spectral_decompose(y),
+                                   p, q, theta, signed)
+                assert sample(s) == reference_weak_lp_check(x, y, p, q, theta, signed)
 
 
 def _blocks(pairs, size):
@@ -418,7 +430,8 @@ class TestBlockRatios:
         pairs = _reference_pairs(dim, 4, seed=31)
         for p0, p1, theta, signed, t in ((0.5, 2.0, 0.5, True, 0.1),
                                          (1.0, SchattenIndex.INF, 0.3, False, 10.0)):
-            singles = [kfonc_check(x, y, p0, p1, theta, signed, t, grid=32) for x, y in pairs]
+            singles = [sample(kfonc_ratios(spectral_decompose(x), spectral_decompose(y),
+                                           p0, p1, theta, signed, t, grid=32)) for x, y in pairs]
             assert singles[0] == reference_kfonc_check(*pairs[0], p0, p1, theta, signed, t, grid=32)
             for size in (1, 2, 3, 5):
                 for ids, xs, ys in _blocks(pairs, size):
@@ -433,7 +446,8 @@ class TestBlockRatios:
     def test_weak_lp_members_match_single_pairs_bitwise(self, dim):
         pairs = _reference_pairs(dim, 6, seed=32)
         for p, q, theta, signed in ((1.0, 0.5, 0.5, True), (0.5, SchattenIndex.INF, 0.3, False)):
-            singles = [weak_lp_check(x, y, p, q, theta, signed) for x, y in pairs]
+            singles = [sample(weak_lp_ratios(spectral_decompose(x), spectral_decompose(y),
+                                             p, q, theta, signed)) for x, y in pairs]
             assert singles[0] == reference_weak_lp_check(*pairs[0], p, q, theta, signed)
             for size in (1, 3, 4, 7):
                 for ids, xs, ys in _blocks(pairs, size):

@@ -28,6 +28,8 @@ from schurlab.operators import (
     SchattenIndex,
     SignedPowerFunction,
     apply_calculus,
+    decompose_stack,
+    eigenvalue_groups,
     schatten_norms,
     spectral_decompose,
 )
@@ -219,8 +221,9 @@ class TestSchurApply:
     def test_constant_symbol_is_identity(self, rng):
         x = spectral_decompose(random_hermitian(4, rng))
         y = spectral_decompose(random_hermitian(4, rng))
-        m = SymbolMatrix(x.distinct_eigenvalues, y.distinct_eigenvalues,
-                         np.ones((x.distinct_eigenvalues.size, y.distinct_eigenvalues.size)))
+        spec_x = eigenvalue_groups(x.eigenvalues[0])[0]
+        spec_y = eigenvalue_groups(y.eigenvalues[0])[0]
+        m = SymbolMatrix(spec_x, spec_y, np.ones((spec_x.size, spec_y.size)))
         z = random_hermitian(4, rng)
         assert np.abs(schur_apply(m, x, y, z) - z).max() < 1e-12
 
@@ -230,11 +233,11 @@ class TestSchurApply:
                 f = SignedPowerFunction(theta, signed)
                 x = spectral_decompose(separated_hermitian(6, rng))
                 y = spectral_decompose(separated_hermitian(6, rng))
-                m = divided_difference_symbol(
-                    x.distinct_eigenvalues, y.distinct_eigenvalues, f)
-                lhs = apply_calculus(x, f).entries - apply_calculus(y, f).entries
-                rhs = schur_apply(m, x, y, x.entries - y.entries)
-                scale = max(x.spectral_radius, y.spectral_radius) ** theta
+                m = divided_difference_symbol(eigenvalue_groups(x.eigenvalues[0])[0],
+                                              eigenvalue_groups(y.eigenvalues[0])[0], f)
+                lhs = apply_calculus(x, f).entries[0] - apply_calculus(y, f).entries[0]
+                rhs = schur_apply(m, x, y, x.entries[0] - y.entries[0])
+                scale = max(np.abs(x.eigenvalues).max(), np.abs(y.eigenvalues).max()) ** theta
                 assert np.abs(lhs - rhs).max() <= 1e-9 * scale
 
     def test_diagonal_reduces_to_hadamard(self, rng):
@@ -250,7 +253,8 @@ class TestSchurApply:
     def test_linearity(self, rng):
         x = spectral_decompose(separated_hermitian(4, rng))
         y = spectral_decompose(separated_hermitian(4, rng))
-        m = divided_difference_symbol(x.distinct_eigenvalues, y.distinct_eigenvalues,
+        m = divided_difference_symbol(eigenvalue_groups(x.eigenvalues[0])[0],
+                                      eigenvalue_groups(y.eigenvalues[0])[0],
                                       SignedPowerFunction(0.5))
         z1 = random_hermitian(4, rng)
         z2 = random_hermitian(4, rng)
@@ -261,7 +265,8 @@ class TestSchurApply:
     def test_adjoint_compatibility(self, rng):
         x = spectral_decompose(separated_hermitian(4, rng))
         y = spectral_decompose(separated_hermitian(4, rng))
-        m = divided_difference_symbol(x.distinct_eigenvalues, y.distinct_eigenvalues,
+        m = divided_difference_symbol(eigenvalue_groups(x.eigenvalues[0])[0],
+                                      eigenvalue_groups(y.eigenvalues[0])[0],
                                       SignedPowerFunction(0.5, signed=True))
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         lhs = schur_apply(m, x, y, z).conj().T
@@ -274,6 +279,13 @@ class TestSchurApply:
         m = SymbolMatrix([3.0, 1.5], [2.0, 0.0], np.ones((2, 2)))
         with pytest.raises(ValueError, match="spectrum"):
             schur_apply(m, x, y, np.eye(2))
+
+    def test_rejects_a_stack_of_several_members(self):
+        x = spectral_decompose(np.diag([3.0, 1.0]))
+        xx = decompose_stack(np.stack([np.diag([3.0, 1.0])] * 2))
+        m = SymbolMatrix([3.0, 1.0], [3.0, 1.0], np.ones((2, 2)))
+        with pytest.raises(ValueError, match="one-member stacks, got 2 members"):
+            schur_apply(m, xx, x, np.eye(2))
 
 
 class TestRankOneSumBound:

@@ -20,12 +20,13 @@ from schurlab.factorization import (
 )
 from schurlab.multipliers import divided_difference_integral, rank_one_sum_bound
 from schurlab.operators import (
-    HermitianOperand,
     SchattenIndex,
     SignedPowerFunction,
+    _check_spectral,
     apply_calculus,
     calculus_stack,
     decompose_stack,
+    eigenvalue_groups,
     p_triangle_defect,
     schatten_norm,
     schatten_norms,
@@ -86,15 +87,17 @@ class TestSignedPower:
 class TestSpectralDecompose:
     def test_diagonal(self):
         x = spectral_decompose(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(x.eigenvalues, [3.0, 2.0, 1.0])
-        assert np.allclose(x.distinct_eigenvalues, [3.0, 2.0, 1.0])
+        assert x.entries.shape == x.eigenvectors.shape == (1, 3, 3)
+        assert np.allclose(x.eigenvalues, [[3.0, 2.0, 1.0]])
+        distinct, group_index = eigenvalue_groups(x.eigenvalues[0])
+        assert np.allclose(distinct, [3.0, 2.0, 1.0])
         # one group per eigenvalue, and each eigenvector column on its axis
-        assert x.group_index.tolist() == [0, 1, 2]
-        assert np.allclose(np.abs(x.eigenvectors), np.eye(3)[:, [0, 2, 1]], atol=1e-12)
+        assert group_index.tolist() == [0, 1, 2]
+        assert np.allclose(np.abs(x.eigenvectors[0]), np.eye(3)[:, [0, 2, 1]], atol=1e-12)
 
     def test_symmetry_flip(self):
         x = spectral_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(x.eigenvalues, [1.0, -1.0])
+        assert np.allclose(x.eigenvalues[0], [1.0, -1.0])
 
     def test_random_vs_characteristic_polynomial(self, rng):
         # independent oracle: Leverrier-Faddeev coefficients, companion roots
@@ -108,7 +111,7 @@ class TestSpectralDecompose:
             coeffs[k] = -(a @ m).trace() / k
         roots = np.sort(np.roots(coeffs).real)[::-1]
         x = spectral_decompose(a)
-        assert np.abs(x.eigenvalues - roots).max() < 1e-8
+        assert np.abs(x.eigenvalues[0] - roots).max() < 1e-8
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="asymmetry"):
@@ -120,39 +123,65 @@ class TestSpectralDecompose:
 
     def test_near_degenerate_grouping(self):
         x = spectral_decompose(np.diag([1.0, 1.0 + 1e-12, 2.0]))
-        assert x.distinct_eigenvalues.size == 2
+        assert eigenvalue_groups(x.eigenvalues[0])[0].size == 2
         y = spectral_decompose(np.diag([1.0, 1.5, 2.0]))
-        assert y.distinct_eigenvalues.size == 3
+        assert eigenvalue_groups(y.eigenvalues[0])[0].size == 3
 
-    def test_spectrum_groups_are_computed_once_and_read_only(self):
+    def test_spectrum_groups(self):
         x = spectral_decompose(np.diag([1.0, 1.0 + 1e-12, 2.0, 2.0, 3.0]))
-        assert x.distinct_eigenvalues is x.distinct_eigenvalues
-        assert x.group_index is x.group_index
-        # the per-access computations they replace
-        assert np.array_equal(x.distinct_eigenvalues,
-                              [x.eigenvalues[g].mean() for g in x._groups])
-        assert x.group_index.tolist() == [0, 1, 1, 2, 2]
-        for arr in (x.distinct_eigenvalues, x.group_index):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0
+        vals = x.eigenvalues[0]
+        distinct, group_index = eigenvalue_groups(vals)
+        # each group's mean, over the columns the group index gives it
+        assert np.array_equal(distinct, [vals[group_index == g].mean() for g in range(3)])
+        assert group_index.tolist() == [0, 1, 1, 2, 2]
+
+    def test_spectrum_groups_match_the_slice_mean_loop_bitwise(self, rng):
+        def reference(vals):
+            # the merge as the cached operand groups computed it
+            thresh = 1e-8 * max(float(np.abs(vals).max(initial=0.0)), 1e-300)
+            groups, start = [], 0
+            for i in range(1, vals.size):
+                if vals[start] - vals[i] > thresh:
+                    groups.append(slice(start, i))
+                    start = i
+            groups.append(slice(start, vals.size))
+            index = np.empty(vals.size, dtype=int)
+            for g, cols in enumerate(groups):
+                index[cols] = g
+            return np.array([vals[cols].mean() for cols in groups]), index
+
+        spectra = [np.array([-0.0]), np.array([0.0, -0.0]), np.array([1.0, 1.0, -0.0, -0.0]),
+                   np.array([2.0, 2.0 - 1e-9, 2.0 - 3e-8, 0.5, 0.5]), np.zeros(3)]
+        for _ in range(300):
+            vals = np.sort(rng.standard_normal(int(rng.integers(1, 9))))[::-1]
+            # near-repeats on both sides of the merge threshold
+            spectra.append(np.sort(np.repeat(vals, 2) + 1e-8 * rng.standard_normal(2 * vals.size)
+                                   * np.abs(vals).max())[::-1])
+        for vals in spectra:
+            distinct, index = eigenvalue_groups(vals)
+            want_distinct, want_index = reference(vals)
+            assert np.array_equal(distinct.view(np.int64), want_distinct.view(np.int64))
+            assert index.tolist() == want_index.tolist() and index.dtype == want_index.dtype
 
     def test_reconstruction_invariant(self, rng):
         for dim in (2, 5, 8):
             x = spectral_decompose(random_hermitian(dim, rng))
-            recon = (x.eigenvectors * x.eigenvalues) @ x.eigenvectors.conj().T
-            assert np.abs(recon - x.entries).max() <= 1e-10 * max(x.spectral_radius, 1e-300)
+            u, vals = x.eigenvectors[0], x.eigenvalues[0]
+            recon = (u * vals) @ u.conj().T
+            radius = np.abs(vals).max()
+            assert np.abs(recon - x.entries[0]).max() <= 1e-10 * max(radius, 1e-300)
 
 
 class TestApplyCalculus:
     def test_signed_diagonal(self):
         x = spectral_decompose(np.diag([4.0, -1.0]))
         y = apply_calculus(x, SignedPowerFunction(0.5, signed=True))
-        assert np.allclose(np.sort(np.diag(y.entries).real), [-1.0, 2.0])
+        assert np.allclose(np.sort(np.diag(y.entries[0]).real), [-1.0, 2.0])
 
     def test_unsigned_diagonal(self):
         x = spectral_decompose(np.diag([4.0, -1.0]))
         y = apply_calculus(x, SignedPowerFunction(0.5, signed=False))
-        assert np.allclose(np.sort(np.diag(y.entries).real), [1.0, 2.0])
+        assert np.allclose(np.sort(np.diag(y.entries[0]).real), [1.0, 2.0])
 
     def test_zero(self):
         x = spectral_decompose(np.zeros((3, 3)))
@@ -163,8 +192,8 @@ class TestApplyCalculus:
     def test_commutes_with_input(self, rng):
         x = spectral_decompose(random_hermitian(6, rng))
         y = apply_calculus(x, SignedPowerFunction(0.5, signed=True))
-        comm = x.entries @ y.entries - y.entries @ x.entries
-        assert np.abs(comm).max() < 1e-10 * max(1.0, x.spectral_radius)
+        comm = x.entries[0] @ y.entries[0] - y.entries[0] @ x.entries[0]
+        assert np.abs(comm).max() < 1e-10 * max(1.0, np.abs(x.eigenvalues[0]).max())
 
     def test_theta_homogeneity(self, rng):
         x = random_hermitian(5, rng)
@@ -261,22 +290,18 @@ def test_scalar_power_difference_bound(a, b, theta):
     assert abs(a**theta - b**theta) <= abs(a - b) ** theta + 1e-12
 
 
-def test_operand_validation_rejects_bad_order(rng):
+def test_spectral_check_rejects_bad_order(rng):
     x = spectral_decompose(random_hermitian(3, rng))
     with pytest.raises(ValueError, match="descending"):
-        HermitianOperand(
-            dim=3, entries=x.entries, eigenvalues=x.eigenvalues[::-1],
-            eigenvectors=x.eigenvectors[:, ::-1])
+        _check_spectral(x.entries, x.eigenvalues[:, ::-1], x.eigenvectors[:, :, ::-1])
 
 
-def test_operand_validation_rejects_wrong_spectrum(rng):
+def test_spectral_check_rejects_wrong_spectrum(rng):
     x = spectral_decompose(random_hermitian(3, rng))
     with pytest.raises(ValueError, match="reconstruction"):
-        HermitianOperand(dim=3, entries=x.entries, eigenvalues=x.eigenvalues + 1.0,
-                         eigenvectors=x.eigenvectors)
+        _check_spectral(x.entries, x.eigenvalues + 1.0, x.eigenvectors)
     with pytest.raises(ValueError, match="orthonormal"):
-        HermitianOperand(dim=3, entries=x.entries, eigenvalues=x.eigenvalues,
-                         eigenvectors=2.0 * x.eigenvectors)
+        _check_spectral(x.entries, x.eigenvalues, 2.0 * x.eigenvectors)
 
 
 class TestStacks:
@@ -304,9 +329,9 @@ class TestStacks:
         norms = schatten_norms(a, 0.5)
         for k in range(7):
             x = spectral_decompose(a[k])
-            assert np.array_equal(x.eigenvalues, stack.eigenvalues[k])
-            assert np.array_equal(x.eigenvectors, stack.eigenvectors[k])
-            assert np.array_equal(apply_calculus(x, f).entries, powered.entries[k])
+            assert np.array_equal(x.eigenvalues[0], stack.eigenvalues[k])
+            assert np.array_equal(x.eigenvectors[0], stack.eigenvectors[k])
+            assert np.array_equal(apply_calculus(x, f).entries[0], powered.entries[k])
             assert schatten_norm(a[k], 0.5) == norms[k]
 
 

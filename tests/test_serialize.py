@@ -80,6 +80,17 @@ class TestCanonicalDumps:
         assert parsed["v"] == payload["v"]
         assert parsed["s"] == payload["s"]
 
+    @pytest.mark.parametrize("code", range(0x20))
+    def test_control_character_round_trips(self, code):
+        # JSON forbids every U+0000-U+001F raw in a string, in keys as in values
+        text = f"a{chr(code)}b"
+        assert json.loads(serialize.dumps_canonical({text: [text]})) == {text: [text]}
+
+    def test_short_escapes_keep_their_form(self):
+        text = 'back\\slash "quote"\ttab\nnewline\rreturn'
+        assert serialize.dumps_canonical(text) == per_item_dumps(text)
+        assert serialize.dumps_canonical("\x0b\x1f") == '"\\u000b\\u001f"'
+
     def test_ndarray_support(self):
         text = serialize.dumps_canonical({"m": np.array([1.0, 2.0])})
         assert json.loads(text) == {"m": [1.0, 2.0]}

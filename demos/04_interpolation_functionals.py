@@ -66,11 +66,14 @@ def hermitian(dim):
     return 0.5 * (g + g.conj().T)
 
 
-# the ratios take stacks; one pair is a pair of one-member stacks
+# the ratios take stacks, one pair being a pair of one-member stacks, and
+# score every case of the list in one call: one row per member
 x, y = sl.spectral_decompose(hermitian(4)), sl.spectral_decompose(hermitian(4))
-for t in (0.1, 1.0, 10.0):
-    s = kfonc_ratios(x, y, 0.5, 2.0, theta=0.5, signed=True, t=t, grid=64)
-    print(f"  K-functional ratio at t = {t:>4}: {s.ratio[0]:.4f}")
-for qq in (0.5, 1.0, np.inf):
-    s = weak_lp_ratios(x, y, p=1.0, q=qq, theta=0.5, signed=True)
-    print(f"  Lorentz ratio at q = {qq}: {s.ratio[0]:.4f}")
+ts = (0.1, 1.0, 10.0)
+s = kfonc_ratios(x, y, 0.5, 2.0, theta=0.5, signed=True, ts=ts, grid=64)
+for t, r in zip(ts, s.ratio[0]):
+    print(f"  K-functional ratio at t = {t:>4}: {r:.4f}")
+qs = (0.5, 1.0, np.inf)
+s = weak_lp_ratios(x, y, p=1.0, qs=qs, theta=0.5, signed=True)
+for qq, r in zip(qs, s.ratio[0]):
+    print(f"  Lorentz ratio at q = {qq}: {r:.4f}")

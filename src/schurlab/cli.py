@@ -138,23 +138,15 @@ def _sweep(ns, dims, draw, evaluate):
     return rows, best, witness
 
 
-def _case_sweeps(ns, cases, ratios):
+def _case_sweeps(ns, labels, ratios):
     """Rows, trial-major with each case's labels first, and maximum ratio of one
-    sweep over seeded ``random_pair`` draws that scores every (labels, argument)
-    case on the same block, as ``ratios(x_stack, y_stack, argument, images)``
-    with ``images`` the block's (f(x), f(y)) entry stacks, computed once for
-    all the cases from f = t -> t^theta (or its signed form)."""
-    f = SignedPowerFunction(ns.theta, ns.signed)
-
+    sweep over seeded ``random_pair`` draws that scores every case on the same
+    block, as ``ratios(x_stack, y_stack)``: a (B, len(labels)) RatioBlock."""
     def evaluate(xs, ys, trials):
-        xs, ys = decompose_stack(xs, trials=trials), decompose_stack(ys, trials=trials)
-        images = calculus_stack(xs, f).entries, calculus_stack(ys, f).entries
-        blocks = [ratios(xs, ys, arg, images) for _, arg in cases]
-        return RatioBlock(np.stack([b.numerator for b in blocks], axis=1),
-                          np.stack([b.denominator for b in blocks], axis=1))
+        return ratios(decompose_stack(xs, trials=trials), decompose_stack(ys, trials=trials))
 
     rows, best, _ = _sweep(ns, [ns.dim], random_pair, evaluate)
-    return [{**cases[i % len(cases)][0], **row} for i, row in enumerate(rows)], best
+    return [{**labels[i % len(labels)], **row} for i, row in enumerate(rows)], best
 
 
 def _witness_keys(witness, names=("x", "y")) -> dict:
@@ -382,8 +374,9 @@ def _run_kernel_spectrum(ns) -> dict:
     # last point is --sums-kmax itself, which int() of its double can miss
     points = np.logspace(1, np.log10(ns.sums_kmax), 12)
     k_grid = sorted({*(int(v) for v in points[:-1]), ns.sums_kmax})
-    curves = {serialize.float17(p): schatten_partial_sums(p, k_grid).tolist()
-              for p in _parse_floats(ns.sums_p)}
+    ps = _parse_floats(ns.sums_p)
+    curves = {serialize.float17(p): sums.tolist()
+              for p, sums in zip(ps, schatten_partial_sums(ps, k_grid))}
     return {
         "kmax": ns.kmax,
         "nystrom": ns.nystrom,
@@ -399,10 +392,11 @@ def _run_kfunctional(ns) -> dict:
 
     p0 = _parse_p(ns.p0)
     p1 = _parse_p(ns.p1)
-    cases = [({"t": t, "p0": index_label(p0), "p1": index_label(p1), "theta": ns.theta}, t)
-             for t in _parse_floats(ns.t)]
-    rows, best = _case_sweeps(ns, cases, lambda xs, ys, t, images: kfonc_ratios(
-        xs, ys, p0, p1, ns.theta, ns.signed, t, grid=ns.grid, images=images))
+    ts = _parse_floats(ns.t)
+    labels = [{"t": t, "p0": index_label(p0), "p1": index_label(p1), "theta": ns.theta}
+              for t in ts]
+    rows, best = _case_sweeps(ns, labels, lambda xs, ys: kfonc_ratios(
+        xs, ys, p0, p1, ns.theta, ns.signed, ts, grid=ns.grid))
     return {
         "dim": ns.dim, "trials": ns.trials, "grid": ns.grid, "theta": ns.theta,
         "signed": ns.signed, "table": rows, "max_ratio": best,
@@ -413,9 +407,9 @@ def _run_weak_lp(ns) -> dict:
     from .interpolation import weak_lp_ratios
 
     qs = [_parse_p(v) for v in ns.q.split(",") if v]
-    cases = [({"p": ns.p, "q": index_label(q), "theta": ns.theta}, q) for q in qs]
-    rows, best = _case_sweeps(ns, cases, lambda xs, ys, q, images: weak_lp_ratios(
-        xs, ys, ns.p, q, ns.theta, ns.signed, images=images))
+    labels = [{"p": ns.p, "q": index_label(q), "theta": ns.theta} for q in qs]
+    rows, best = _case_sweeps(ns, labels, lambda xs, ys: weak_lp_ratios(
+        xs, ys, ns.p, qs, ns.theta, ns.signed))
     return {
         "dim": ns.dim, "trials": ns.trials, "theta": ns.theta, "signed": ns.signed,
         "table": rows, "max_ratio": best,

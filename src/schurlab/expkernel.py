@@ -9,16 +9,15 @@ guard). Large-k eigenvalues for the Schatten partial sums come from a
 two-step Newton correction around arctan(k pi); its relative error is
 O(k^-2), far below the tolerances of the divergence diagnostics.
 
-The partial sums read the eigenvalues from one memoized, read-only table
-(for the last k_max asked for), so several exponents over the same K grid
-share one root solve and one Newton tail. ``analytic_eigenvalues`` and
-``eigenfunction_residual`` solve, and bracket-check, their roots every call.
+The partial sums take every exponent in one call: each piece of roots gives
+its eigenvalues, and every exponent's running sum advances on it, so no
+array of all the terms exists. Every call solves, and bracket-checks, its
+roots anew.
 
 No step holds a second copy of its largest array: the Newton tail and the
-partial sums run NEWTON_PIECE terms at a time, the eigenvalue table and the
-Nystrom matrix are built in place, the quadrature operator one row at a
-time, and the residual product casts RESIDUAL_ROWS rows of that operator to
-complex at a time.
+partial sums run NEWTON_PIECE terms at a time, the Nystrom matrix is built
+in place, the quadrature operator one row at a time, and the residual
+product casts RESIDUAL_ROWS rows of that operator to complex at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import InvariantViolation, _check_int
+from .operators import InvariantViolation, _check_int, _check_list
 
 __all__ = [
     "KernelSpectrum",
@@ -42,16 +41,17 @@ __all__ = [
 ]
 
 EXACT_ROOT_LIMIT = 1000  # bisection below, Newton tail above
-# Roots per pass of the elementwise Newton tail, and terms per piece of the
-# partial sums; every piece size gives the same bits. Solved whole, the
+# Roots per pass of the elementwise Newton tail, and so terms per piece of
+# the partial sums; every piece size gives the same bits. Solved whole, the
 # 10^6-root tail of `kernel-spectrum --sums-kmax 1000000` held about seven
 # 8 MB temporaries at once and set the command's peak RSS (89.8 MB, against
-# 64.9 MB in pieces). With the table built in place, the sums taken in
-# pieces, the Nystrom matrix built in place and the residual product in
-# blocks of RESIDUAL_ROWS operator rows, the command (`--kmax 1000
-# --nystrom 1000 --quadrature 1024`) peaked at 50.7 MB instead of 64.1 MB
-# (2-vCPU x86 VM, one BLAS thread); the Nystrom eigensolve alone takes a
-# process that has imported the command line to 46.2 MB.
+# 64.9 MB in pieces). With the sums streamed from the pieces (no 8 MB
+# eigenvalue table), the Nystrom matrix built in place and the residual
+# product in blocks of RESIDUAL_ROWS operator rows, the command (`--kmax
+# 1000 --nystrom 1000 --quadrature 1024`) peaks at about 46.7 MB, and its
+# peak no longer grows with --sums-kmax (2-vCPU x86 VM, one BLAS thread);
+# the Nystrom eigensolve alone takes a process that has imported the
+# command line to 46.2 MB.
 NEWTON_PIECE = 65536
 # Operator rows cast to complex per block of the residual product. Cast
 # whole, the float64 quadrature operator (8.4 MB at 1024 intervals) became a
@@ -145,22 +145,22 @@ def _newton_thetas(ks: np.ndarray) -> np.ndarray:
     return t
 
 
-def _root_table(k_max: int) -> np.ndarray:
-    """theta_k for k = 1..k_max: bisection roots up to EXACT_ROOT_LIMIT,
-    Newton tail beyond, NEWTON_PIECE roots at a time."""
-    thetas = np.empty(k_max)
-    exact = min(k_max, EXACT_ROOT_LIMIT)
-    thetas[:exact] = _bisect_roots(np.arange(1, exact + 1, dtype=float))
+def _root_pieces(k_max: int):
+    """(start, theta_k for k = start + 1 .. start + size) in consecutive pieces
+    covering k = 1..k_max: the bisection roots up to EXACT_ROOT_LIMIT, then
+    the Newton tail NEWTON_PIECE roots at a time."""
+    yield 0, _bisect_roots(np.arange(1, min(k_max, EXACT_ROOT_LIMIT) + 1, dtype=float))
     for start in range(EXACT_ROOT_LIMIT, k_max, NEWTON_PIECE):
         stop = min(start + NEWTON_PIECE, k_max)
-        thetas[start:stop] = _newton_thetas(np.arange(start + 1, stop + 1, dtype=float))
-    return thetas
+        yield start, _newton_thetas(np.arange(start + 1, stop + 1, dtype=float))
 
 
 def analytic_eigenvalues(k_max: int) -> KernelSpectrum:
     """First k_max eigenvalues 2 cos^2(theta_k), descending."""
     k_max = _check_int("k_max", k_max, 1)
-    thetas = _root_table(k_max)
+    thetas = np.empty(k_max)
+    for start, piece in _root_pieces(k_max):
+        thetas[start:start + piece.size] = piece
     alphas = np.tan(thetas)
     lambdas = 2.0 * np.cos(thetas) ** 2
     return KernelSpectrum(k_max=k_max, thetas=thetas, alphas=alphas, lambdas=lambdas)
@@ -281,41 +281,32 @@ def nystrom_spectrum(n: int = 2000) -> np.ndarray:
     return np.linalg.eigvalsh(a)[::-1]
 
 
-@lru_cache(maxsize=1)
-def _eigenvalue_table(k_max: int) -> np.ndarray:
-    """2 cos^2(theta_k) for k = 1..k_max, read-only: exact bisection roots up
-    to k = 1000, Newton-corrected tail beyond."""
-    lambdas = _root_table(k_max)
-    np.cos(lambdas, out=lambdas)
-    np.square(lambdas, out=lambdas)
-    lambdas *= 2.0
-    lambdas.setflags(write=False)
-    return lambdas
-
-
-def schatten_partial_sums(p: float, K_list) -> np.ndarray:
-    """Partial sums sum_{k <= K} lambda_k^p for each requested K.
+def schatten_partial_sums(ps, K_list) -> np.ndarray:
+    """Partial sums sum_{k <= K} lambda_k^p for each p in ``ps`` and each K in
+    ``K_list``, as a (len(ps), len(K_list)) array.
 
     Exact bisection roots up to k = 1000, Newton-corrected tail beyond
     (asymptotic acceleration for K up to 10^6 and more). The eigenvalues
-    come from a table memoized for the last max(K_list), shared by every p.
+    come one root piece at a time, and every exponent's running sum advances
+    on each piece, so memory does not grow with max(K_list).
     """
-    if not 0 < p < math.inf:
-        raise ValueError("p must be positive and finite")
-    ks = [_check_int(f"K_list[{i}]", k, 1) for i, k in enumerate(K_list)]
-    if not ks:
-        raise ValueError("K_list must name at least one K")
-    table = _eigenvalue_table(max(ks))
-    # the running sum one NEWTON_PIECE of terms at a time, each piece's first
-    # term carrying the sum before it: the bits of np.cumsum(table ** p)
-    wanted = sorted(set(ks))
-    sums, carry = {}, 0.0
-    for start in range(0, wanted[-1], NEWTON_PIECE):
-        piece = table[start:start + NEWTON_PIECE] ** p
-        piece[0] += carry
-        np.cumsum(piece, out=piece)
-        carry = piece[-1]
-        for k in wanted:
-            if start < k <= start + piece.size:
-                sums[k] = piece[k - 1 - start]
-    return np.array([sums[k] for k in ks])
+    ps = _check_list("ps", ps)
+    for p in ps:
+        if not 0 < p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {p!r}")
+    ks = [_check_int(f"K_list[{i}]", k, 1) for i, k in enumerate(_check_list("K_list", K_list))]
+    sums = np.empty((len(ps), len(ks)))
+    carry = [0.0] * len(ps)
+    for start, thetas in _root_pieces(max(ks)):
+        lambdas = 2.0 * np.cos(thetas) ** 2
+        hits = [(j, k - 1 - start) for j, k in enumerate(ks) if start < k <= start + thetas.size]
+        for i, p in enumerate(ps):
+            # each piece's first term carries the sum before it: the bits of
+            # np.cumsum(lambdas ** p) over all the terms
+            piece = lambdas ** p
+            piece[0] += carry[i]
+            np.cumsum(piece, out=piece)
+            carry[i] = piece[-1]
+            for j, at in hits:
+                sums[i, j] = piece[at]
+    return sums

@@ -655,8 +655,9 @@ def dyadic_block_bound(theta: float, p, k: int, base_bound: float) -> DyadicBloc
     """
     _check_theta(theta)
     pv = p_triangle_exponent(p)
-    if not base_bound >= 0:
-        raise ValueError("base_bound must be nonnegative")
+    # written so that NaN fails too; an infinite bound certifies nothing
+    if not 0 <= base_bound < math.inf:
+        raise ValueError(f"base_bound must be nonnegative and finite, got {base_bound}")
     k = _check_int("k", k, -1)
     if k >= 0:
         bound = 2.0 ** (-k * (theta - 1.0)) * base_bound

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .operators import (
     SpectralStack,
     _check_finite,
     _check_int,
+    _check_list,
     _schatten_from_singular,
     as_index,
     calculus_stack,
@@ -70,6 +72,8 @@ def rearrangement(a) -> RearrangementProfile:
     """Descending singular values of a matrix, or moduli of a vector, as a
     step profile; rejects non-finite matrix entries."""
     a = np.asarray(a)
+    if a.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a matrix, got shape {a.shape}")
     if a.ndim == 1:
         # the modulus before the float cast, which would drop imaginary parts
         vals = np.sort(np.asarray(np.abs(a), dtype=float))[::-1]
@@ -120,18 +124,6 @@ class KFunctionalQuery:
             raise ValueError("p0 must be finite")
 
 
-def _split_objective(sigma: np.ndarray, target: np.ndarray, t: float,
-                     p0: SchattenIndex, p1: SchattenIndex) -> float:
-    a = np.abs(sigma)
-    b = np.abs(target - sigma)
-    n0 = np.sum(a ** p0.value) ** (1.0 / p0.value)
-    if p1.is_infinite:
-        n1 = b.max(initial=0.0)
-    else:
-        n1 = np.sum(b ** p1.value) ** (1.0 / p1.value)
-    return float(n0 + t * n1)
-
-
 def _clipped_starts(target: np.ndarray, cands: list[np.ndarray]) -> list[np.ndarray]:
     """The splits (v - v_j)_+ for j >= 1, each coordinate rounded up onto its
     candidate grid, so that ||v - sigma||_inf <= v_j.
@@ -169,8 +161,10 @@ def _descend(target: np.ndarray, t: float, p0: SchattenIndex, p1: SchattenIndex,
     terms0 = [np.abs(c) ** p0v for c in cands]
     terms1 = [p1_part(target[i] - c) for i, c in enumerate(cands)]
     for sigma in inits:
-        val = _split_objective(sigma, target, t, p0, p1)
+        # the start's objective, from the terms the moves update
         cur0, cur1 = np.abs(sigma) ** p0v, p1_part(target - sigma)
+        n1 = cur1.max(initial=0.0) if p1v is None else np.sum(cur1) ** (1.0 / p1v)
+        val = float(np.sum(cur0) ** (1.0 / p0v) + t * n1)
         for _ in range(8):
             improved = False
             for i in range(n):
@@ -228,41 +222,48 @@ def selfadjoint_k_gap(x, query: KFunctionalQuery, grid: int = 256) -> tuple[floa
 
 
 def _difference_ratios(x: SpectralStack, y: SpectralStack, f: SignedPowerFunction,
-                       images, measure_f, measure) -> RatioBlock:
+                       measures) -> RatioBlock:
     """measure_f(f(y) - f(x)) / measure(y - x)^theta for each member pair of
-    two stacks, one member at a time; ``images`` is the pair of entry stacks
-    (f(x), f(y)), or None to compute them here."""
-    if images is None:
-        images = calculus_stack(x, f).entries, calculus_stack(y, f).entries
-    fx, fy = images
-    num, den = [], []
-    for i in range(x.entries.shape[0]):
-        num.append(measure_f(fy[i] - fx[i]))
-        base = measure(y.entries[i] - x.entries[i])
-        # scalar (libm) powers: numpy's array power can round the other way
-        den.append(base**f.theta if base > 0 else 0.0)
-    return RatioBlock(np.array(num), np.array(den))
+    two stacks and each (measure_f, measure) case, as a (B, cases) block. The
+    calculus runs once per stack and each member's two differences are
+    rearranged once, whatever the number of cases."""
+    fx, fy = calculus_stack(x, f).entries, calculus_stack(y, f).entries
+    num = np.empty((x.entries.shape[0], len(measures)))
+    den = np.empty_like(num)
+    for i in range(num.shape[0]):
+        mu_f, mu = rearrangement(fy[i] - fx[i]), rearrangement(y.entries[i] - x.entries[i])
+        for j, (measure_f, measure) in enumerate(measures):
+            num[i, j] = measure_f(mu_f)
+            base = measure(mu)
+            # scalar (libm) powers: numpy's array power can round the other way
+            den[i, j] = base**f.theta if base > 0 else 0.0
+    return RatioBlock(num, den)
 
 
 def kfonc_ratios(x: SpectralStack, y: SpectralStack, p0, p1, theta: float, signed: bool,
-                 t: float, grid: int = 128, images=None) -> RatioBlock:
+                 ts, grid: int = 128) -> RatioBlock:
     """K_{t^theta}(f(y) - f(x)) at indices (p0/theta, p1/theta) against
-    K_t(y - x)^theta at (p0, p1), for each member pair. ``images`` may pass
-    in the entry stacks (f(x), f(y)) that a caller scoring several cases
-    on the same stacks computed once."""
+    K_t(y - x)^theta at (p0, p1), for each member pair and each t in ``ts``:
+    a (B, len(ts)) block."""
     f = SignedPowerFunction(theta, signed)
-    query = KFunctionalQuery(t, p0, p1)  # rejects t before t**theta is taken
-    query_f = KFunctionalQuery(t**theta, query.p0 / theta, query.p1 / theta)
-    return _difference_ratios(x, y, f, images, lambda d: k_functional(d, query_f, grid),
-                              lambda d: k_functional(d, query, grid))
+    measures = []
+    for t in _check_list("ts", ts):
+        query = KFunctionalQuery(t, p0, p1)  # rejects t before t**theta is taken
+        query_f = KFunctionalQuery(t**theta, query.p0 / theta, query.p1 / theta)
+        measures.append((partial(k_functional, query=query_f, grid=grid),
+                         partial(k_functional, query=query, grid=grid)))
+    return _difference_ratios(x, y, f, measures)
 
 
-def weak_lp_ratios(x: SpectralStack, y: SpectralStack, p: float, q, theta: float,
-                   signed: bool, images=None) -> RatioBlock:
+def weak_lp_ratios(x: SpectralStack, y: SpectralStack, p: float, qs, theta: float,
+                   signed: bool) -> RatioBlock:
     """Lorentz-norm Hölder ratios ||f(y)-f(x)||_{p/theta, q} / ||y-x||_{p, q theta}^theta
-    for each member pair; ``images`` as in ``kfonc_ratios``."""
+    for each member pair and each q in ``qs``: a (B, len(qs)) block."""
     f = SignedPowerFunction(theta, signed)
-    qi = as_index(q)
-    q_scaled = SchattenIndex.INF if qi.is_infinite else SchattenIndex(qi.value * theta)
-    return _difference_ratios(x, y, f, images, lambda d: lorentz_norm(d, p / theta, qi),
-                              lambda d: lorentz_norm(d, p, q_scaled))
+    measures = []
+    for q in _check_list("qs", qs):
+        qi = as_index(q)
+        q_scaled = SchattenIndex.INF if qi.is_infinite else SchattenIndex(qi.value * theta)
+        measures.append((partial(lorentz_norm, p=p / theta, q=qi),
+                         partial(lorentz_norm, p=p, q=q_scaled)))
+    return _difference_ratios(x, y, f, measures)

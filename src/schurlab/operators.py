@@ -149,6 +149,13 @@ def _check_int(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _check_list(name: str, values) -> list:
+    """values as a list; rejects a bare number and an empty list."""
+    if np.ndim(values) != 1 or len(values) == 0:
+        raise ValueError(f"{name} must be a nonempty list, got {values!r}")
+    return list(values)
+
+
 @dataclass(frozen=True)
 class SignedPowerFunction:
     """The homogeneous maps t -> |t|^theta (unsigned) or sgn(t)|t|^theta."""
@@ -369,7 +376,10 @@ def schatten_norm(a, p) -> float:
     Singular values below SV_NOISE_RTOL times the largest are treated as
     exact zeros. The one-member case of schatten_norms.
     """
-    return float(schatten_norms(np.asarray(a, dtype=complex)[None], p)[0])
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    return float(schatten_norms(a[None], p)[0])
 
 
 def p_triangle_defect(parts, p) -> float:

@@ -51,8 +51,10 @@ def reference_sample(num, den):
                   bool(degenerate))
 
 
-def sample(block, k=0):
+def sample(block, k=0, case=None):
     """Member k of a RatioBlock as Python scalars, for instance the one
-    member of a block evaluated on one-member stacks."""
-    return Sample(float(block.numerator[k]), float(block.denominator[k]),
-                  float(block.ratio[k]), bool(block.degenerate[k]))
+    member of a block evaluated on one-member stacks; ``case`` picks the
+    column of a (B, cases) block."""
+    at = k if case is None else (k, case)
+    return Sample(float(block.numerator[at]), float(block.denominator[at]),
+                  float(block.ratio[at]), bool(block.degenerate[at]))

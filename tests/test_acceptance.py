@@ -100,7 +100,7 @@ def test_criterion_3_kernel_spectrum():
 def test_criterion_4_schatten_dichotomy():
     started = time.time()
     ks = [10**2, 10**4, 10**5, 10**6]
-    sums_half = sl.schatten_partial_sums(0.5, ks)
+    sums_half, sums_06 = sl.schatten_partial_sums([0.5, 0.6], ks)
     fit = [0, 1, 3]  # K = 10^2, 10^4, 10^6
     fit_sums = sums_half[fit]
     logk = np.log(np.asarray(ks, dtype=float)[fit])
@@ -112,9 +112,8 @@ def test_criterion_4_schatten_dichotomy():
     # decade gaps S(10K) - S(K) for K = 10^4, 10^5: constant at p = 1/2
     # (log divergence), shrinking by 10^-0.2 per decade at p = 0.6 (convergence)
     ratio_half = (sums_half[3] - sums_half[2]) / (sums_half[2] - sums_half[1])
-    sums_06 = sl.schatten_partial_sums(0.6, ks[1:])
-    gap = float(sums_06[2] - sums_06[1])
-    ratio_06 = gap / float(sums_06[1] - sums_06[0])
+    gap = float(sums_06[3] - sums_06[2])
+    ratio_06 = gap / float(sums_06[2] - sums_06[1])
     tail = exp_kernel_tail(0.6, 10**5, 10**6)
     tail_err = abs(gap - tail) / tail
     elapsed = time.time() - started
@@ -233,10 +232,8 @@ def test_criterion_7_interpolation_suite():
         rng = seeded(709, i)
         x = sl.spectral_decompose(random_hermitian(3, rng))
         y = sl.spectral_decompose(random_hermitian(3, rng))
-        for t in (0.1, 1.0, 10.0):
-            logged.append(kfonc_ratios(x, y, 0.5, 2.0, 0.5, True, t, grid=32).ratio[0])
-        for qq in (0.5, 1.0, np.inf):
-            logged.append(weak_lp_ratios(x, y, 1.0, qq, 0.5, True).ratio[0])
+        logged.extend(kfonc_ratios(x, y, 0.5, 2.0, 0.5, True, (0.1, 1.0, 10.0), grid=32).ratio[0])
+        logged.extend(weak_lp_ratios(x, y, 1.0, (0.5, 1.0, np.inf), 0.5, True).ratio[0])
     assert all(np.isfinite(v) for v in logged)
     elapsed = time.time() - started
     ok = elapsed < 120

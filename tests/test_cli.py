@@ -422,10 +422,10 @@ class TestReports:
     @pytest.mark.parametrize("argv, labels, ratio", [
         (["kfunctional", "--p0", "0.5", "--p1", "2", "--t", "0.5,4", "--grid", "16", "--dim", "2"],
          [{"t": t, "p0": 0.5, "p1": 2.0, "theta": 0.5} for t in (0.5, 4.0)],
-         lambda x, y, case: kfonc_ratios(x, y, 0.5, 2.0, 0.5, False, case["t"], grid=16)),
+         lambda x, y, case: kfonc_ratios(x, y, 0.5, 2.0, 0.5, False, [case["t"]], grid=16)),
         (["weak-lp", "--p", "1", "--q", "0.5,1,inf", "--dim", "3"],
          [{"p": 1.0, "q": q, "theta": 0.5} for q in (0.5, 1.0, "inf")],
-         lambda x, y, case: weak_lp_ratios(x, y, 1.0, case["q"], 0.5, False)),
+         lambda x, y, case: weak_lp_ratios(x, y, 1.0, [case["q"]], 0.5, False)),
     ])
     def test_case_rows_are_trial_major(self, tmp_path, argv, labels, ratio):
         # 66 trials cross a block boundary; every trial has one row per case
@@ -439,45 +439,33 @@ class TestReports:
         for row in rows[:2 * len(labels)] + rows[-len(labels):]:
             x, y = random_pair(3 if argv[0] == "weak-lp" else 2, trial_rng(5, row["trial"]),
                                kind=row["trial"])
-            assert row["ratio"] == ratio(spectral_decompose(x), spectral_decompose(y), row).ratio[0]
+            assert row["ratio"] == ratio(spectral_decompose(x), spectral_decompose(y),
+                                         row).ratio[0, 0]
         csv = tmp_path / "r.csv"
         assert cli.main(argv + ["--trials", "2", "--format", "csv", "--out", str(csv)]) == 0
         header = [l for l in csv.read_text().splitlines() if not l.startswith("#")][0]
         assert header == ",".join([*labels[0], "trial", "ratio", "degenerate"])
 
-    @pytest.mark.parametrize("argv, pairs, decompositions", [
-        (["weak-lp", "--p", "1", "--q", "0.5,1,inf", "--trials", "100"], 100, 4),
-        (["kfunctional", "--p0", "1", "--p1", "2", "--t", "0.1,1,10", "--trials", "6"], 6, 2),
+    @pytest.mark.parametrize("argv, pairs, blocks", [
+        (["weak-lp", "--p", "1", "--q", "0.5,1,inf", "--trials", "100"], 100, 2),
+        (["kfunctional", "--p0", "1", "--p1", "2", "--t", "0.1,1,10", "--trials", "6"], 6, 1),
     ])
     def test_case_sweep_draws_and_decomposes_each_trial_once(self, tmp_path, monkeypatch,
-                                                             argv, pairs, decompositions):
-        # every case is scored from the same block: one draw per trial and one
-        # decomposition per operand stack, whatever the number of cases
-        calls = {"random_pair": 0, "decompose_stack": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                                                             argv, pairs, blocks):
+        # every case is scored from the same block: one draw per trial, and
+        # one decomposition and one calculus per operand stack, whatever the
+        # number of cases
+        import schurlab.interpolation as interpolation
+        calls = {"random_pair": 0, "decompose_stack": 0, "calculus_stack": 0}
+        for module, name in ((cli, "random_pair"), (cli, "decompose_stack"),
+                             (interpolation, "calculus_stack")):
+            def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 0
-        assert calls == {"random_pair": pairs, "decompose_stack": decompositions}
-
-    @pytest.mark.parametrize("argv, calculi", [
-        (["weak-lp", "--p", "1", "--q", "0.5,1,inf", "--trials", "100"], 4),
-        (["kfunctional", "--p0", "1", "--p1", "2", "--t", "0.1,1,10", "--trials", "6"], 2),
-    ])
-    def test_case_sweep_applies_the_calculus_once_per_stack(self, tmp_path, monkeypatch,
-                                                            argv, calculi):
-        # f(x) and f(y) are formed once per block and shared by every case
-        import schurlab.interpolation as interpolation
-        calls = []
-        for module in (cli, interpolation):
-            def counted(*args, _real=module.calculus_stack, **kwargs):
-                calls.append(1)
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(module, "calculus_stack", counted)
-        assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 0
-        assert len(calls) == calculi
+        assert calls == {"random_pair": pairs, "decompose_stack": 2 * blocks,
+                         "calculus_stack": 2 * blocks}
 
     def test_verify_ando_blocks_equal_one_pair_at_a_time(self, tmp_path, monkeypatch):
         # reference: each trial's pair decomposed on its own, the calculus and

@@ -177,38 +177,36 @@ class TestNystrom:
 
 class TestPartialSums:
     def test_trace_limit_at_p1(self):
-        sums = schatten_partial_sums(1.0, [10, 100, 1000, 10000])
+        sums = schatten_partial_sums([1.0], [10, 100, 1000, 10000])[0]
         assert np.all(np.diff(sums) > 0)
         assert sums[-1] <= 1.0 + 1e-9
         assert sums[-1] >= 0.999
 
     def test_log_divergence_at_half(self):
-        sums = schatten_partial_sums(0.5, [100, 10000])
+        sums = schatten_partial_sums([0.5], [100, 10000])[0]
         gap = sums[1] - sums[0]
         target = math.sqrt(2.0) / math.pi * math.log(100.0)
         assert abs(gap - target) <= 0.1 * target
 
     def test_fast_convergence_at_2(self):
-        sums = schatten_partial_sums(2.0, [100, 100000])
+        sums = schatten_partial_sums([2.0], [100, 100000])[0]
         assert sums[1] - sums[0] <= 1e-6
 
     def test_p06_true_cauchy_gap(self):
         # about 0.0708; the same closed-form oracle as acceptance criterion 4
-        sums = schatten_partial_sums(0.6, [10**5, 10**6])
+        sums = schatten_partial_sums([0.6], [10**5, 10**6])[0]
         gap = sums[1] - sums[0]
         assert gap == pytest.approx(exp_kernel_tail(0.6, 10**5, 10**6), rel=1e-6, abs=0)
 
-    def test_memoized_table_matches_a_fresh_solve(self):
-        ks = [10, 100, 1000, 5000]
-        cached = {p: schatten_partial_sums(p, ks) for p in (0.5, 0.6, 1.0, 2.0)}
-        for p, sums in cached.items():
-            expkernel._eigenvalue_table.cache_clear()
-            assert np.array_equal(schatten_partial_sums(p, ks), sums)
-
-    def test_memoized_table_matches_the_reference_roots(self):
-        expkernel._eigenvalue_table.cache_clear()
+    def test_streamed_eigenvalues_match_the_reference_roots(self):
+        # below EXACT_ROOT_LIMIT the roots come in one bisection piece; at
+        # p = 1 the sums are the running sum of 2 cos^2 of the reference roots
         thetas = np.array([fixed_step_theta(k) for k in range(1, 201)])
-        assert np.array_equal(expkernel._eigenvalue_table(200), 2.0 * np.cos(thetas) ** 2)
+        (start, piece), = expkernel._root_pieces(200)
+        assert start == 0 and piece.tobytes() == thetas.tobytes()
+        ks = list(range(1, 201))
+        want = np.cumsum(2.0 * np.cos(thetas) ** 2)
+        assert schatten_partial_sums([1.0], ks)[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("tail", [1, expkernel.NEWTON_PIECE,
                                       3 * expkernel.NEWTON_PIECE + 17, 10**6 - 1000])
@@ -218,32 +216,34 @@ class TestPartialSums:
         # the one-array solve
         first = expkernel.EXACT_ROOT_LIMIT
         whole = expkernel._newton_thetas(np.arange(first + 1, first + tail + 1, dtype=float))
-        assert expkernel._root_table(first + tail)[first:].tobytes() == whole.tobytes()
+        assert analytic_eigenvalues(first + tail).thetas[first:].tobytes() == whole.tobytes()
 
     def test_carried_sums_are_the_whole_cumsum(self):
-        # the running sum is taken one NEWTON_PIECE at a time, each piece's
+        # the running sums advance one root piece at a time, each piece's
         # first term carrying the sum before it; K on either side of the
-        # piece boundaries, in any order and repeated
-        piece = expkernel.NEWTON_PIECE
-        ks = [1, 2, piece - 1, piece, piece + 1, 2 * piece - 1, 2 * piece, 2 * piece + 1,
-              10**6 - 1, 10**6, 5, piece]
-        table = expkernel._eigenvalue_table(10**6)
-        for p in (0.5, 0.6, 1.0, 2.0):
-            whole = np.cumsum(table ** p)
+        # piece boundaries (EXACT_ROOT_LIMIT plus multiples of NEWTON_PIECE)
+        # and of the multiples of NEWTON_PIECE, in any order and repeated
+        first, piece = expkernel.EXACT_ROOT_LIMIT, expkernel.NEWTON_PIECE
+        ks = [1, 2, first - 1, first, first + 1, piece - 1, piece, piece + 1,
+              first + piece - 1, first + piece, first + piece + 1, 2 * piece - 1, 2 * piece,
+              2 * piece + 1, 10**6 - 1, 10**6, 5, piece]
+        ps = [0.5, 0.6, 1.0, 2.0]
+        lambdas = analytic_eigenvalues(10**6).lambdas
+        sums = schatten_partial_sums(ps, ks)
+        assert sums.shape == (len(ps), len(ks))
+        for row, p in zip(sums, ps):
+            whole = np.cumsum(lambdas ** p)
             want = np.array([whole[k - 1] for k in ks])
-            assert schatten_partial_sums(p, ks).tobytes() == want.tobytes()
+            assert row.tobytes() == want.tobytes()
+            assert schatten_partial_sums([p], ks)[0].tobytes() == want.tobytes()
 
-    def test_memoized_table_is_read_only(self):
-        table = expkernel._eigenvalue_table(50)
-        assert not table.flags.writeable
+    @pytest.mark.parametrize("ps, K_list", [
+        ([0.0], [10]), ([0.5, -1.0], [10]), ([], [10]), (0.5, [10]), (np.float64(0.5), [10]),
+        ([0.5], []), ([0.5], 10),
+    ])
+    def test_rejects_bad_input(self, ps, K_list):
         with pytest.raises(ValueError):
-            table[0] = 0.0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            schatten_partial_sums(0.0, [10])
-        with pytest.raises(ValueError):
-            schatten_partial_sums(0.5, [])
+            schatten_partial_sums(ps, K_list)
 
 
 def traced_peak(step) -> float:
@@ -270,16 +270,14 @@ def test_residual_loop_holds_the_operator_and_one_block(n):
     assert peak <= block + 0.25, f"traced peak {peak:.2f} MiB with the operator cached"
 
 
-def test_partial_sums_hold_the_table_and_one_piece():
-    # kernel-spectrum --sums-kmax 1000000: the 8 MB eigenvalue table, built
-    # in place, and the Newton tail's temporaries of one piece; then the
-    # sums, one piece of powers and its running sum at a time, where the
-    # whole cumsum held two more 8 MB arrays
-    expkernel._eigenvalue_table.cache_clear()
+def test_partial_sums_stream_without_a_table():
+    # kernel-spectrum --sums-kmax 1000000: the four exponents' running sums
+    # advance on each piece of roots, so the whole call holds less than one
+    # 8 MB array of the 10^6 eigenvalues, which the memoized table held: one
+    # piece's Newton temporaries (at most six pieces), its eigenvalues and
+    # one exponent's powers
     table = 10**6 * 8 / 2**20
     piece = expkernel.NEWTON_PIECE * 8 / 2**20
-    peak = traced_peak(lambda: expkernel._eigenvalue_table(10**6))
-    assert peak <= table + 6 * piece, f"table traced peak {peak:.2f} MiB"
-    peak = traced_peak(lambda: [schatten_partial_sums(p, [10, 10**5, 10**6])
-                                for p in (0.5, 0.6, 1.0, 2.0)])
-    assert peak <= 2 * piece + 0.25, f"partial sums traced peak {peak:.2f} MiB"
+    peak = traced_peak(lambda: schatten_partial_sums([0.5, 0.6, 1.0, 2.0], [10, 10**5, 10**6]))
+    assert peak < table, f"partial sums traced peak {peak:.2f} MiB"
+    assert peak <= 8 * piece + 0.25, f"partial sums traced peak {peak:.2f} MiB"

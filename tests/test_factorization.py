@@ -568,9 +568,12 @@ class TestDyadicBlocks:
         with pytest.raises(ValueError):
             dyadic_block_bound(0.5, 0.5, -2, 1.0)
 
-    def test_rejects_nan_base_bound(self):
-        with pytest.raises(ValueError, match="base_bound must be nonnegative"):
-            dyadic_block_bound(0.5, 0.5, 0, float("nan"))
+    @pytest.mark.parametrize("k", [-1, 0, 3])
+    @pytest.mark.parametrize("base", [float("nan"), math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_base_bound(self, k, base):
+        # an infinite window bound gave a "certified" infinite block bound
+        with pytest.raises(ValueError, match="base_bound must be nonnegative and finite"):
+            dyadic_block_bound(0.5, 0.5, k, base)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ def one_step_from_exact(values, t, p0, lam, grid):
     return np.sum(a ** p0) ** (1.0 / p0) + t * lam
 
 
+def reference_objective(sigma, target, t, p0, p1):
+    """Reference: the split objective ||sigma||_p0 + t ||target - sigma||_p1 as
+    _descend took it for each start before it read it from its own terms."""
+    a = np.abs(sigma)
+    b = np.abs(target - sigma)
+    n0 = np.sum(a ** p0.value) ** (1.0 / p0.value)
+    if p1.is_infinite:
+        n1 = b.max(initial=0.0)
+    else:
+        n1 = np.sum(b ** p1.value) ** (1.0 / p1.value)
+    return float(n0 + t * n1)
+
+
 def reference_descend(target, t, p0, p1, grid, extra_starts=()):
     """Reference: _descend as it was before its per-coordinate terms were
     formed once per call, over its prefix starts and ``extra_starts``."""
@@ -116,7 +130,7 @@ def reference_descend(target, t, p0, p1, grid, extra_starts=()):
     p1v = None if p1.is_infinite else p1.value
     for sigma in inits:
         sigma = sigma.copy()
-        val = interpolation._split_objective(sigma, target, t, p0, p1)
+        val = reference_objective(sigma, target, t, p0, p1)
         for _ in range(8):
             improved = False
             for i in range(n):
@@ -174,6 +188,13 @@ class TestRearrangement:
         assert rearrangement(v).values.tolist() == [3.0, math.sqrt(2.0), 0.5]
         query = KFunctionalQuery(1.0, 0.5, 2.0)
         assert k_functional(v, query) == k_functional(np.abs(v), query)
+
+    @pytest.mark.parametrize("a", [np.float64(2.0), np.ones((2, 2, 2))])
+    def test_rejects_neither_vector_nor_matrix(self, a):
+        # a 3-D array failed on an ambiguous truth value, a scalar in the SVD
+        message = f"expected a vector or a matrix, got shape {np.shape(a)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rearrangement(a)
 
 
 class TestLorentzNorm:
@@ -355,22 +376,21 @@ class TestKfoncCheck:
     def test_single_jump(self):
         s = kfonc_ratios(spectral_decompose(np.diag([1.0, 0.0])),
                          spectral_decompose(np.zeros((2, 2))),
-                         1.0, SchattenIndex.INF, 0.5, False, t=1.0, grid=64)
-        assert s.ratio[0] == pytest.approx(1.0, abs=1e-6)
+                         1.0, SchattenIndex.INF, 0.5, False, ts=[1.0], grid=64)
+        assert s.ratio[0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_commuting_diagonals_finite(self, rng):
         x = np.diag(rng.standard_normal(4))
         y = np.diag(rng.standard_normal(4))
         s = kfonc_ratios(spectral_decompose(x), spectral_decompose(y), 0.5, 2.0, 0.5, True,
-                         t=1.0, grid=64)
-        assert np.isfinite(s.ratio[0]) and s.ratio[0] > 0
+                         ts=[1.0], grid=64)
+        assert np.isfinite(s.ratio[0, 0]) and s.ratio[0, 0] > 0
 
     def test_sweep_logged(self, rng):
         x = spectral_decompose(random_hermitian(3, rng))
         y = spectral_decompose(random_hermitian(3, rng))
-        ratios = [kfonc_ratios(x, y, 0.5, 2.0, 0.5, True, t=t, grid=32).ratio[0]
-                  for t in (0.1, 1.0, 10.0)]
-        assert all(np.isfinite(r) for r in ratios)
+        ratios = kfonc_ratios(x, y, 0.5, 2.0, 0.5, True, ts=(0.1, 1.0, 10.0), grid=32).ratio[0]
+        assert ratios.shape == (3,) and np.all(np.isfinite(ratios))
 
     @pytest.mark.parametrize("dim", range(1, 7))
     def test_matches_reference_bitwise(self, dim):
@@ -378,32 +398,33 @@ class TestKfoncCheck:
             for p0, p1, theta, signed, t in ((0.5, 2.0, 0.5, True, 0.1),
                                              (1.0, SchattenIndex.INF, 0.3, False, 10.0)):
                 s = kfonc_ratios(spectral_decompose(x), spectral_decompose(y),
-                                 p0, p1, theta, signed, t, grid=32)
-                assert sample(s) == reference_kfonc_check(x, y, p0, p1, theta, signed, t, grid=32)
+                                 p0, p1, theta, signed, [t], grid=32)
+                assert sample(s, 0, 0) == reference_kfonc_check(x, y, p0, p1, theta, signed, t,
+                                                                grid=32)
 
 
 class TestWeakLp:
     def test_collapse_to_power_ratio(self, rng):
         x, y = random_hermitian(4, rng), random_hermitian(4, rng)
         p, theta = 1.0, 0.5
-        s = weak_lp_ratios(spectral_decompose(x), spectral_decompose(y), p, p / theta, theta,
+        s = weak_lp_ratios(spectral_decompose(x), spectral_decompose(y), p, [p / theta], theta,
                            signed=True)
         a = ando_ratio(x, y, p, theta, signed=True)
-        assert s.ratio[0] == pytest.approx(a.ratio, rel=1e-10)
+        assert s.ratio[0, 0] == pytest.approx(a.ratio, rel=1e-10)
 
     def test_rank_one_exact(self):
         x = np.zeros((3, 3))
         x[0, 0] = 2.0
         s = weak_lp_ratios(spectral_decompose(x), spectral_decompose(np.zeros((3, 3))),
-                           1.0, 1.0, 0.5, signed=False)
-        assert s.ratio[0] == pytest.approx(1.0, rel=1e-12)
+                           1.0, [1.0], 0.5, signed=False)
+        assert s.ratio[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_sweep_over_q(self, rng):
         x = spectral_decompose(random_hermitian(5, rng))
         y = spectral_decompose(random_hermitian(5, rng))
-        for q in (0.5, 1.0, SchattenIndex.INF):
-            s = weak_lp_ratios(x, y, 1.0, q, 0.5, signed=True)
-            assert np.isfinite(s.ratio[0]) and s.ratio[0] > 0
+        s = weak_lp_ratios(x, y, 1.0, (0.5, 1.0, SchattenIndex.INF), 0.5, signed=True)
+        assert s.ratio.shape == (1, 3)
+        assert np.all(np.isfinite(s.ratio)) and np.all(s.ratio > 0)
 
     @pytest.mark.parametrize("dim", range(1, 7))
     def test_matches_reference_bitwise(self, dim):
@@ -411,8 +432,8 @@ class TestWeakLp:
             for p, q, theta, signed in ((1.0, 0.5, 0.5, True), (0.5, SchattenIndex.INF, 0.3, False),
                                         (2.0, 1.0, 0.75, True)):
                 s = weak_lp_ratios(spectral_decompose(x), spectral_decompose(y),
-                                   p, q, theta, signed)
-                assert sample(s) == reference_weak_lp_check(x, y, p, q, theta, signed)
+                                   p, [q], theta, signed)
+                assert sample(s, 0, 0) == reference_weak_lp_check(x, y, p, q, theta, signed)
 
 
 def _blocks(pairs, size):
@@ -431,38 +452,65 @@ class TestBlockRatios:
         for p0, p1, theta, signed, t in ((0.5, 2.0, 0.5, True, 0.1),
                                          (1.0, SchattenIndex.INF, 0.3, False, 10.0)):
             singles = [sample(kfonc_ratios(spectral_decompose(x), spectral_decompose(y),
-                                           p0, p1, theta, signed, t, grid=32)) for x, y in pairs]
+                                           p0, p1, theta, signed, [t], grid=32), 0, 0)
+                       for x, y in pairs]
             assert singles[0] == reference_kfonc_check(*pairs[0], p0, p1, theta, signed, t, grid=32)
             for size in (1, 2, 3, 5):
                 for ids, xs, ys in _blocks(pairs, size):
-                    block = kfonc_ratios(xs, ys, p0, p1, theta, signed, t, grid=32)
+                    block = kfonc_ratios(xs, ys, p0, p1, theta, signed, [t], grid=32)
                     for k, i in enumerate(ids):
-                        assert block.numerator[k] == singles[i].numerator
-                        assert block.denominator[k] == singles[i].denominator
-                        assert block.ratio[k] == singles[i].ratio
-                        assert block.degenerate[k] == singles[i].degenerate
+                        assert sample(block, k, 0) == singles[i]
 
     @pytest.mark.parametrize("dim", range(1, 7))
     def test_weak_lp_members_match_single_pairs_bitwise(self, dim):
         pairs = _reference_pairs(dim, 6, seed=32)
         for p, q, theta, signed in ((1.0, 0.5, 0.5, True), (0.5, SchattenIndex.INF, 0.3, False)):
             singles = [sample(weak_lp_ratios(spectral_decompose(x), spectral_decompose(y),
-                                             p, q, theta, signed)) for x, y in pairs]
+                                             p, [q], theta, signed), 0, 0) for x, y in pairs]
             assert singles[0] == reference_weak_lp_check(*pairs[0], p, q, theta, signed)
             for size in (1, 3, 4, 7):
                 for ids, xs, ys in _blocks(pairs, size):
-                    block = weak_lp_ratios(xs, ys, p, q, theta, signed)
+                    block = weak_lp_ratios(xs, ys, p, [q], theta, signed)
                     for k, i in enumerate(ids):
-                        assert block.numerator[k] == singles[i].numerator
-                        assert block.denominator[k] == singles[i].denominator
-                        assert block.ratio[k] == singles[i].ratio
-                        assert block.degenerate[k] == singles[i].degenerate
+                        assert sample(block, k, 0) == singles[i]
+
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_case_columns_match_single_case_calls_bitwise(self, dim, signed):
+        # every case is measured on the same rearranged differences; each
+        # column of the case block has the bits of that case scored alone
+        pairs = _reference_pairs(dim, 5, seed=33)
+        xs, ys = decompose_stack([x for x, _ in pairs]), decompose_stack([y for _, y in pairs])
+        ts = [0.1, 1.0, 4.0, 10.0]
+        for p0, p1, theta in ((0.5, 2.0, 0.5), (1.0, SchattenIndex.INF, 0.3)):
+            block = kfonc_ratios(xs, ys, p0, p1, theta, signed, ts, grid=32)
+            assert block.numerator.shape == (len(pairs), len(ts))
+            for j, t in enumerate(ts):
+                alone = kfonc_ratios(xs, ys, p0, p1, theta, signed, [t], grid=32)
+                for k in range(len(pairs)):
+                    assert sample(block, k, j) == sample(alone, k, 0)
+        qs = [0.25, 0.5, 1.0, SchattenIndex.INF]
+        for p, theta in ((1.0, 0.5), (0.5, 0.3)):
+            block = weak_lp_ratios(xs, ys, p, qs, theta, signed)
+            assert block.numerator.shape == (len(pairs), len(qs))
+            for j, q in enumerate(qs):
+                alone = weak_lp_ratios(xs, ys, p, [q], theta, signed)
+                for k in range(len(pairs)):
+                    assert sample(block, k, j) == sample(alone, k, 0)
+
+    @pytest.mark.parametrize("cases", [[], (), 1.0, np.float64(1.0)])
+    def test_case_lists_must_be_nonempty_lists(self, cases):
+        xs = decompose_stack([np.eye(2)])
+        with pytest.raises(ValueError, match="ts must be a nonempty list"):
+            kfonc_ratios(xs, xs, 0.5, 2.0, 0.5, True, cases)
+        with pytest.raises(ValueError, match="qs must be a nonempty list"):
+            weak_lp_ratios(xs, xs, 1.0, cases, 0.5, True)
 
     @pytest.mark.parametrize("p", [0.0, -1.0, float("nan"), float("inf")])
     def test_weak_lp_rejects_nonpositive_or_nan_p(self, p):
         xs = decompose_stack([np.diag([1.0, 0.0])])
         with pytest.raises(ValueError, match="p must be positive"):
-            weak_lp_ratios(xs, decompose_stack([np.zeros((2, 2))]), p, 1.0, 0.5, False)
+            weak_lp_ratios(xs, decompose_stack([np.zeros((2, 2))]), p, [1.0], 0.5, False)
 
     @pytest.mark.parametrize("t", [-1.0, 0.0, float("nan"), float("inf")])
     def test_kfonc_rejects_t_before_any_work(self, t, monkeypatch):
@@ -473,5 +521,6 @@ class TestBlockRatios:
 
         monkeypatch.setattr(interpolation, "calculus_stack", no_work)
         xs = decompose_stack([np.eye(2)])
-        with pytest.raises(ValueError, match="t must be positive"):
-            kfonc_ratios(xs, xs, 0.5, 2.0, 0.5, True, t)
+        for ts in ([t], [1.0, t]):
+            with pytest.raises(ValueError, match="t must be positive"):
+                kfonc_ratios(xs, xs, 0.5, 2.0, 0.5, True, ts)

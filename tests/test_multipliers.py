@@ -100,8 +100,8 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: schatten_partial_sums(NAN, [10]), "p must be positive and finite"),
-    (lambda: schatten_partial_sums(math.inf, [10]), "p must be positive and finite"),
+    (lambda: schatten_partial_sums([NAN], [10]), "p must be positive and finite"),
+    (lambda: schatten_partial_sums([0.5, math.inf], [10]), "p must be positive and finite"),
     (lambda: divided_difference_integral(NAN, 1.0, 0.5), "requires x > 0 and y > 0"),
     (lambda: divided_difference_integral(1.0, NAN, 0.5), "requires x > 0 and y > 0"),
     (lambda: rank_one_sum_bound([1.0], [NAN], [1.0], 0.5), "sup-norms must be finite"),
@@ -175,7 +175,7 @@ INTEGER_PARAMETERS = {
         _small_symbol(), 0.5, trials=2, seed=v)),
     "k-functional-grid": ("grid", 16, 16, lambda v: k_functional(
         np.diag([3.0, 1.0, 0.5]), KFunctionalQuery(1.0, 0.5, 2.0), grid=v)),
-    "partial-sums-K": ("K_list[1]", 1, 10, lambda v: schatten_partial_sums(0.5, [5, v])),
+    "partial-sums-K": ("K_list[1]", 1, 10, lambda v: schatten_partial_sums([0.5], [5, v])),
     "integral-nodes": ("quadrature_points", 2, 8,
                        lambda v: divided_difference_integral(2.0, 0.5, 0.5, v)),
     "residual-nodes": ("quadrature_points", 256, 256, lambda v: eigenfunction_residual(1, v)),

@@ -227,6 +227,13 @@ class TestSchattenNorm:
     def test_operator_norm(self):
         assert schatten_norm(np.diag([3.0, -4.0]), SchattenIndex.INF) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("a", [np.ones(3), np.float64(2.0), np.ones((2, 2, 2))])
+    def test_rejects_a_non_matrix_naming_its_shape(self, a):
+        # the one-member stack's shape, (1, 3) for a vector, was reported
+        message = f"expected a matrix, got shape {np.shape(a)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            schatten_norm(a, 1)
+
     def test_unitary_invariance(self, rng):
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         u = random_unitary(5, rng)
